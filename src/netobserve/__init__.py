@@ -26,24 +26,21 @@ from .graph_core import (
     structure_from_digraph,
 )
 from .matching import (
-    BipartiteGraph,
     ContractionFamily,
     Matching,
-    build_bipartite,
     contractions,
     max_matching,
     s_rank,
     structural_rank,
 )
 from .netdesign import AgentNetwork, design_canonical, verify_topology, w_structure
-from .scc import SccDecomposition, classify_sccs, partial_order, tarjan_scc
+from .scc import SccDecomposition, classify_sccs, tarjan_scc
 from .structural_check import ObservabilityVerdict, check_centralized, check_distributed, kron_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentNetwork",
-    "BipartiteGraph",
     "CompositeDigraph",
     "ContractionFamily",
     "Digraph",
@@ -52,7 +49,6 @@ __all__ = [
     "ObservationPlan",
     "SccDecomposition",
     "StructuredMatrix",
-    "build_bipartite",
     "check_centralized",
     "check_distributed",
     "classify_sccs",
@@ -65,7 +61,6 @@ __all__ = [
     "kron_structure",
     "max_matching",
     "necessary_counts",
-    "partial_order",
     "place_agents",
     "reachable",
     "s_rank",

@@ -21,15 +21,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .graph_core import Digraph, reachable, structure_from_digraph
-from .matching import (
-    ContractionFamily,
-    build_bipartite,
-    contractions,
-    hopcroft_karp,
-    max_matching,
-    s_rank,
-)
+from .graph_core import Digraph, reachable
+from .matching import ContractionFamily, contractions, hopcroft_karp
 from .scc import SccDecomposition, SccLabel, classify_sccs, matched_parent_indices, tarjan_scc
 
 logger = logging.getLogger(__name__)
@@ -121,7 +114,12 @@ class Decomposition:
     family: ContractionFamily
     sccs: SccDecomposition
     labels: tuple[SccLabel, ...]
-    s_rank: int
+
+    @property
+    def s_rank(self) -> int:
+        """Size of the canonical matching: each node it leaves unmatched
+        witnesses one contraction set."""
+        return self.digraph.node_count - len(self.family.sets)
 
     @property
     def matched_parents(self) -> tuple[int, ...]:
@@ -129,15 +127,13 @@ class Decomposition:
 
 
 def decompose(g: Digraph) -> Decomposition:
-    b = build_bipartite(g)
-    m = max_matching(b)
+    """One canonical matching, one Tarjan pass and one taxonomy matching."""
     d = tarjan_scc(g)
     return Decomposition(
         digraph=g,
-        family=contractions(b, m),
+        family=contractions(g),
         sccs=d,
         labels=classify_sccs(g, d),
-        s_rank=m.size,
     )
 
 
@@ -177,10 +173,7 @@ def _avoidable(dec: Decomposition, states: set[int]) -> bool:
     holds exactly when deleting their columns preserves the matching size.
     """
     g = dec.digraph
-    adj: list[list[int]] = [[] for _ in range(g.node_count)]
-    for s, t in sorted(g.edges):
-        if s not in states:
-            adj[s].append(t)
+    adj = [() if s in states else succ for s, succ in enumerate(g.successors())]
     return len(hopcroft_karp(g.node_count, adj)) == dec.s_rank
 
 
@@ -290,16 +283,14 @@ def equivalence_report(dec: Decomposition) -> EquivalenceReport:
     )
 
 
-def structural_counts_report(g: Digraph, name: str = "") -> dict:
-    """Full-pipeline summary row for a dataset digraph."""
-    dec = decompose(g)
+def structural_counts_report(dec: Decomposition, name: str = "") -> dict:
+    """Full-pipeline summary row for a decomposed dataset digraph."""
     counts = necessary_counts(dec)
     n_matched = sum(1 for lab in dec.labels if lab.is_matched)
-    assert dec.s_rank == s_rank(structure_from_digraph(g))
     return {
         "name": name,
-        "n": g.node_count,
-        "edges": g.edge_count,
+        "n": dec.digraph.node_count,
+        "edges": dec.digraph.edge_count,
         "s_rank": dec.s_rank,
         "n_alpha": counts["n_alpha"],
         "n_beta_raw": counts["n_beta_raw"],

@@ -25,7 +25,6 @@ from . import estimator as estimator_mod
 from . import ingest
 from .datasets import REGISTRY, load_dataset
 from .graph_core import structure_from_digraph
-from .matching import matching_report
 from .netdesign import (
     design_canonical,
     network_from_json,
@@ -34,9 +33,16 @@ from .netdesign import (
     verify_topology,
     w_structure,
 )
-from .numeric import GF, REAL, observability_rank, random_realization, stochastic_realization
-from .scc import scc_report
-from .structural_check import block_diag, check_distributed, fused_observation_blocks, kron_structure
+from .numeric import (
+    GF,
+    REAL,
+    kron_numeric,
+    observability_rank,
+    random_realization,
+    stochastic_realization,
+    stochastic_realization_gf,
+)
+from .structural_check import block_diag, check_distributed, fused_observation_blocks
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -83,12 +89,25 @@ def _plan_and_dec(lg: ingest.LabeledGraph):
 
 def cmd_analyze(args) -> int:
     lg = _load_graph(args)
-    a = structure_from_digraph(lg.digraph)
+    dec = classify_mod.decompose(lg.digraph)
+    family = dec.family.sets
     report = {
         "summary": classify_mod.structural_counts_report(
-            lg.digraph, name=args.dataset or args.input or ""),
-        "matching": matching_report(a),
-        "sccs": scc_report(lg.digraph),
+            dec, name=args.dataset or args.input or ""),
+        "matching": {
+            "s_rank": dec.s_rank,
+            "unmatched": [c.witness for c in family],
+            "contractions": [
+                {"witness": c.witness, "members": sorted(c.members)} for c in family
+            ],
+        },
+        "sccs": {
+            "components": [
+                {"nodes": sorted(comp), "parent": lab.is_parent, "matched": lab.is_matched}
+                for comp, lab in zip(dec.sccs.components, dec.labels)
+            ],
+            "condensation_edges": sorted(map(list, dec.sccs.condensation.edges)),
+        },
     }
     out = Path(args.out)
     path = _write(out, "analysis.json", json.dumps(report, indent=2))
@@ -145,7 +164,8 @@ def cmd_verify(args) -> int:
     net = network_from_json(json.loads(Path(args.network).read_text()), plan)
     dec = classify_mod.decompose(lg.digraph)
     verdict = verify_topology(net, dec)
-    structural = check_distributed(net, structure_from_digraph(lg.digraph))
+    a = structure_from_digraph(lg.digraph)
+    structural = check_distributed(net, a)
     report: dict = {
         "topology_ok": verdict.ok,
         "violations": list(map(list, verdict.violations)),
@@ -154,25 +174,16 @@ def cmd_verify(args) -> int:
     if args.numeric:
         n = lg.digraph.node_count
         w = w_structure(net)
+        d = block_diag(fused_observation_blocks(net, n))
+        realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
         full = net.agent_count * n
         agree = 0
         for s in range(args.seeds):
             seed = args.seed + s
-            if args.field == GF:
-                from .numeric import stochastic_realization_gf
-                w_real = stochastic_realization_gf(w, seed)
-                a_real = random_realization(structure_from_digraph(lg.digraph), GF, seed)
-                d_real = random_realization(
-                    block_diag(fused_observation_blocks(net, n)), GF, seed + 1)
-                from .numeric import kron_numeric
-                rank = observability_rank(kron_numeric(w_real, a_real), d_real)
-            else:
-                w_real = stochastic_realization(w, seed)
-                a_real = random_realization(structure_from_digraph(lg.digraph), REAL, seed)
-                d_real = random_realization(
-                    block_diag(fused_observation_blocks(net, n)), REAL, seed + 1)
-                from .numeric import kron_numeric
-                rank = observability_rank(kron_numeric(w_real, a_real), d_real)
+            w_real = realize_w(w, seed)
+            a_real = random_realization(a, args.field, seed)
+            d_real = random_realization(d, args.field, seed + 1)
+            rank = observability_rank(kron_numeric(w_real, a_real), d_real)
             agree += int((rank == full) == structural.observable)
         report["numeric_agreement"] = {"seeds": args.seeds, "agreeing": agree}
     out = Path(args.out)

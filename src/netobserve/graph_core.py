@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 logger = logging.getLogger(__name__)
@@ -52,12 +53,20 @@ class Digraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def successors(self) -> list[list[int]]:
-        """Adjacency lists (sorted, deterministic)."""
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency lists (sorted, deterministic).
+
+        Built on first use and kept: the graph is immutable, so matching,
+        SCC and reachability passes over one graph share one build.
+        """
+        return self._successors
+
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
         for s, t in sorted(self.edges):
             adj[s].append(t)
-        return adj
+        return tuple(map(tuple, adj))
 
     def predecessors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -127,9 +136,6 @@ class CompositeDigraph:
     state_edges: frozenset[tuple[int, int]]
     output_edges: frozenset[tuple[int, int]]
     output_rows: tuple[int, ...]
-
-    def state_graph(self) -> Digraph:
-        return Digraph(self.state_count, self.state_edges)
 
     @property
     def node_count(self) -> int:

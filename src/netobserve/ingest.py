@@ -15,7 +15,6 @@ labels are kept in a side table.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -255,18 +254,3 @@ def emit_gml(lg: LabeledGraph) -> str:
     lines.append("]")
     return "\n".join(lines) + "\n"
 
-
-def to_json(lg: LabeledGraph) -> str:
-    return json.dumps({
-        "n": lg.digraph.node_count,
-        "directed": lg.directed,
-        "edges": sorted(map(list, lg.digraph.edges)),
-        "labels": {str(i): lab for i, lab in enumerate(lg.labels)},
-    }, indent=2)
-
-
-def from_json(text: str) -> LabeledGraph:
-    data = json.loads(text)
-    digraph = Digraph(data["n"], frozenset(map(tuple, data["edges"])))
-    labels = tuple(data["labels"][str(i)] for i in range(data["n"]))
-    return LabeledGraph(digraph, labels, data["directed"])

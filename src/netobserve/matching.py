@@ -3,6 +3,9 @@
 The bipartite graph of an n-node digraph has a *plus* copy of every node
 (source side, columns of the system structure) and a *minus* copy (sink
 side, rows).  Digraph edge ``j -> i`` becomes bipartite edge ``(j+, i-)``.
+Both sides have the digraph's node count and the bipartite edges are the
+digraph's own edges, so every function here takes the :class:`Digraph`
+itself and reads the plus-side adjacency from ``Digraph.successors``.
 
 A maximum matching certifies the structural rank; the nodes of the plus
 side left unmatched witness the rank deficiency.  Each unmatched plus node
@@ -22,36 +25,16 @@ the raw per-matching computation is available as
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
-from .graph_core import Digraph, DimensionError, StructuredMatrix, digraph_from_structure
+from .graph_core import Digraph, DimensionError, StructuredMatrix
 
 _INF = -1
 
 
 class MatchingError(ValueError):
     """Raised when a supplied matching is invalid or not maximum."""
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Bipartite double cover of a digraph: edges ``(plus, minus)``."""
-
-    node_count: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        for p, m in self.edges:
-            if not (0 <= p < self.node_count and 0 <= m < self.node_count):
-                raise ValueError(f"bipartite edge ({p}, {m}) out of range")
-
-    def plus_adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for p, m in sorted(self.edges):
-            adj[p].append(m)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -110,16 +93,13 @@ class ContractionFamily:
         return {c.members for c in self.sets}
 
 
-def build_bipartite(g: Digraph) -> BipartiteGraph:
-    """Digraph edge ``j -> i`` becomes bipartite edge ``(j+, i-)``."""
-    return BipartiteGraph(g.node_count, frozenset(g.edges))
-
-
-def hopcroft_karp(node_count: int, adjacency: list[list[int]]) -> dict[int, int]:
+def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
     """Maximum bipartite matching in O(sqrt(n) |E|), mapping plus -> minus.
 
-    Deterministic: augmenting paths are explored in increasing node order,
-    so a given graph always yields the same matching.
+    ``adjacency[p]`` lists the minus nodes of plus node ``p``.  Deterministic:
+    augmenting paths are explored in increasing node order, so a given graph
+    always yields the same matching.  The depth-first search keeps its own
+    stack, so paths of any length need no interpreter recursion.
     """
     pair_plus: dict[int, int] = {}
     pair_minus: dict[int, int] = {}
@@ -145,41 +125,51 @@ def hopcroft_karp(node_count: int, adjacency: list[list[int]]) -> dict[int, int]
                     queue.append(q)
         return found
 
-    def dfs(p: int) -> bool:
-        for m in adjacency[p]:
-            q = pair_minus.get(m)
-            if q is None or (dist[q] == dist[p] + 1 and dfs(q)):
-                pair_plus[p] = m
-                pair_minus[m] = p
-                return True
-        dist[p] = _INF
-        return False
+    def dfs(p: int) -> None:
+        # The alternating path is kept on an explicit stack of
+        # (plus node, its untried neighbours, minus node leading onward).
+        untried = iter(adjacency[p])
+        stack: list[tuple[int, Iterator[int], int]] = []
+        while True:
+            layer = dist[p] + 1
+            for m in untried:
+                q = pair_minus.get(m)
+                if q is None:  # free minus node: augment along the path
+                    pair_plus[p] = m
+                    pair_minus[m] = p
+                    for p, _, m in stack:
+                        pair_plus[p] = m
+                        pair_minus[m] = p
+                    return
+                if dist[q] == layer:
+                    stack.append((p, untried, m))
+                    p, untried = q, iter(adjacency[q])
+                    break
+            else:
+                dist[p] = _INF  # dead end: no augmenting path through p
+                if not stack:
+                    return
+                p, untried, _ = stack.pop()
 
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * node_count + 100))
-    try:
-        while bfs():
-            for p in range(node_count):
-                if p not in pair_plus:
-                    dfs(p)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    while bfs():
+        for p in range(node_count):
+            if p not in pair_plus:
+                dfs(p)
     return pair_plus
 
 
-def max_matching(b: BipartiteGraph) -> Matching:
-    """Canonical maximum matching of the bipartite graph."""
-    pair = hopcroft_karp(b.node_count, b.plus_adjacency())
+def max_matching(g: Digraph) -> Matching:
+    """Canonical maximum matching of the digraph's bipartite view."""
+    pair = hopcroft_karp(g.node_count, g.successors())
     return Matching(frozenset(pair.items()))
 
 
-def _has_augmenting_path(b: BipartiteGraph, m: Matching) -> bool:
+def _has_augmenting_path(g: Digraph, m: Matching) -> bool:
     """Berge's criterion: a matching is maximum iff no augmenting path exists."""
-    adj = b.plus_adjacency()
+    adj = g.successors()
     plus_of = m.plus_of()
     minus_of = m.minus_of()
-    frontier = deque(m.unmatched_plus(b.node_count))
+    frontier = deque(m.unmatched_plus(g.node_count))
     seen_plus = set(frontier)
     while frontier:
         p = frontier.popleft()
@@ -194,10 +184,10 @@ def _has_augmenting_path(b: BipartiteGraph, m: Matching) -> bool:
     return False
 
 
-def is_maximum(b: BipartiteGraph, m: Matching) -> bool:
-    if not m.pairs <= b.edges:
+def is_maximum(g: Digraph, m: Matching) -> bool:
+    if not m.pairs <= g.edges:
         raise MatchingError("matching contains edges outside the graph")
-    return not _has_augmenting_path(b, m)
+    return not _has_augmenting_path(g, m)
 
 
 def structural_rank(s: StructuredMatrix) -> int:
@@ -214,23 +204,21 @@ def s_rank(a: StructuredMatrix) -> int:
     """Structural rank of a square structure (size of a maximum matching)."""
     if not a.is_square:
         raise DimensionError(f"s_rank requires a square structure, got {a.rows}x{a.cols}")
-    return max_matching(build_bipartite(digraph_from_structure(a))).size
+    return structural_rank(a)
 
 
-def family_for_matching(b: BipartiteGraph, m: Matching) -> ContractionFamily:
-    """Contraction family by alternating BFS under a *specific* matching.
+def _alternating_family(g: Digraph, m: Matching) -> ContractionFamily:
+    """Contraction family of a maximum matching ``m``, by alternating BFS.
 
     The auxiliary graph keeps non-matching edges plus->minus and reverses
     matching edges minus->plus, so a plain directed BFS encodes the
     alternation without parity bookkeeping.
     """
-    if not is_maximum(b, m):
-        raise MatchingError("contractions require a maximum matching")
-    adj = b.plus_adjacency()
+    adj = g.successors()
     plus_of = m.plus_of()
     minus_of = m.minus_of()
     sets = []
-    for witness in m.unmatched_plus(b.node_count):
+    for witness in m.unmatched_plus(g.node_count):
         members = {witness}
         queue = deque([witness])
         while queue:
@@ -246,29 +234,20 @@ def family_for_matching(b: BipartiteGraph, m: Matching) -> ContractionFamily:
     return ContractionFamily(tuple(sets))
 
 
-def contractions(b: BipartiteGraph, m: Matching) -> ContractionFamily:
-    """Canonical contraction family of the bipartite graph.
-
-    The supplied matching is validated (it must be maximum) but the family
-    itself is computed from the canonical matching of :func:`max_matching`,
-    so the result is independent of which maximum matching the caller
-    supplies.  See the module docstring for why this canonicalization is
-    needed.
-    """
-    if not is_maximum(b, m):
+def family_for_matching(g: Digraph, m: Matching) -> ContractionFamily:
+    """Contraction family under a *specific* matching, which must be maximum."""
+    if not is_maximum(g, m):
         raise MatchingError("contractions require a maximum matching")
-    return family_for_matching(b, max_matching(b))
+    return _alternating_family(g, m)
 
 
-def matching_report(a: StructuredMatrix) -> dict:
-    """JSON-ready report: s_rank, unmatched witnesses, contraction sets."""
-    b = build_bipartite(digraph_from_structure(a))
-    m = max_matching(b)
-    family = family_for_matching(b, m)
-    return {
-        "s_rank": m.size,
-        "unmatched": sorted(m.unmatched_plus(b.node_count)),
-        "contractions": [
-            {"witness": c.witness, "members": sorted(c.members)} for c in family.sets
-        ],
-    }
+def contractions(g: Digraph) -> ContractionFamily:
+    """Canonical contraction family of the digraph.
+
+    The family is computed from the canonical matching of
+    :func:`max_matching`, so it does not depend on any matching a caller
+    holds.  See the module docstring for why this canonicalization is
+    needed.  Its witnesses are the nodes that matching leaves unmatched, in
+    increasing order, so the structural rank is ``node_count - len(sets)``.
+    """
+    return _alternating_family(g, max_matching(g))

@@ -18,10 +18,9 @@ Conditions verified per agent ``i``:
 
 For (ii-b) the path runs in the *send* direction: agent ``i``'s block of
 the global error dynamics is driven into observed blocks along the chain
-``i`` sends through, which is what makes its states accessible.  The
-reversed reading is also computed and reported for diagnosis, since the
-two are easy to confuse; the numeric suite confirms the send direction is
-the one tied to observability of the fused pair.
+``i`` sends through, which is what makes its states accessible.  The two
+directions are easy to confuse; the numeric suite confirms the send
+direction is the one tied to observability of the fused pair.
 """
 
 from __future__ import annotations
@@ -133,14 +132,6 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
             violations.append(
                 (i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
     return TopologyVerdict(ok=not violations, violations=tuple(violations))
-
-
-def verify_topology_reversed_beta(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
-    """Diagnostic variant of (ii-b) with the beta path direction reversed."""
-    flipped = AgentNetwork(
-        net.agent_count, net.alpha_edges,
-        frozenset((v, u) for u, v in net.beta_edges), net.observations)
-    return verify_topology(flipped, dec)
 
 
 def w_structure(net: AgentNetwork) -> StructuredMatrix:

@@ -163,15 +163,3 @@ def kron_numeric(w: Realization, a: Realization) -> Realization:
         mat = np.mod(mat.astype(object), PRIME).astype(np.int64)
     return Realization(mat, w.field, w.seed)
 
-
-def block_diag_realization(blocks: list[np.ndarray], field: str, seed: int) -> Realization:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    dtype = np.int64 if field == GF else float
-    mat = np.zeros((rows, cols), dtype=dtype)
-    r = c = 0
-    for b in blocks:
-        mat[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return Realization(mat, field, seed)

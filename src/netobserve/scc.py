@@ -5,14 +5,16 @@ An SCC is *parent* when its component has no outgoing condensation edges,
 union of disjoint cycles covering all of its nodes, i.e. the bipartite
 graph of the component's internal edges has a perfect matching.  Cycles
 cannot leave an SCC, so only internal edges participate; in particular a
-singleton without a self-loop is unmatched.
+singleton without a self-loop is unmatched.  The bipartite graph of all
+intra-SCC edges is block-diagonal per component, so one maximum matching
+of it labels every component: a component is matched iff all its nodes are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import Digraph, reachable
+from .graph_core import Digraph
 from .matching import hopcroft_karp
 
 
@@ -91,54 +93,25 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
     )
 
 
-def _has_internal_cycle_cover(g: Digraph, comp: frozenset[int]) -> bool:
-    nodes = sorted(comp)
-    local = {v: k for k, v in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in nodes]
-    for s, t in g.edges:
-        if s in comp and t in comp:
-            adj[local[s]].append(local[t])
-    for lst in adj:
-        lst.sort()
-    return len(hopcroft_karp(len(nodes), adj)) == len(nodes)
-
-
 def classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...]:
     """Label every component as parent/child and matched/unmatched."""
     out_degree = [0] * len(d.components)
     for s, _ in d.condensation.edges:
         out_degree[s] += 1
+    comp = d.component_of
+    internal = [[t for t in succ if comp[t] == comp[s]]
+                for s, succ in enumerate(g.successors())]
+    matched = hopcroft_karp(g.node_count, internal)
+    covered = [True] * len(d.components)
+    for v in range(g.node_count):
+        if v not in matched:
+            covered[comp[v]] = False
     return tuple(
-        SccLabel(
-            is_parent=(out_degree[i] == 0),
-            is_matched=_has_internal_cycle_cover(g, comp),
-        )
-        for i, comp in enumerate(d.components)
+        SccLabel(is_parent=(out_degree[i] == 0), is_matched=covered[i])
+        for i in range(len(d.components))
     )
-
-
-def partial_order(d: SccDecomposition, i: int, j: int) -> bool:
-    """True when component ``i`` precedes ``j``: some node of ``i`` reaches ``j``.
-
-    Reflexive by convention (``i == j`` is True).
-    """
-    if not (0 <= i < len(d.components) and 0 <= j < len(d.components)):
-        raise IndexError("component index out of range")
-    return j in reachable(d.condensation, [i])
 
 
 def matched_parent_indices(labels: tuple[SccLabel, ...]) -> tuple[int, ...]:
     return tuple(i for i, lab in enumerate(labels) if lab.is_parent and lab.is_matched)
 
-
-def scc_report(g: Digraph) -> dict:
-    """JSON-ready decomposition and taxonomy report."""
-    d = tarjan_scc(g)
-    labels = classify_sccs(g, d)
-    return {
-        "components": [
-            {"nodes": sorted(comp), "parent": lab.is_parent, "matched": lab.is_matched}
-            for comp, lab in zip(d.components, labels)
-        ],
-        "condensation_edges": sorted(map(list, d.condensation.edges)),
-    }

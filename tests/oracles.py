@@ -63,6 +63,13 @@ def brute_sccs(g: Digraph) -> list[frozenset[int]]:
     return out
 
 
+def brute_component_matched(g: Digraph, comp: frozenset[int]) -> bool:
+    """Internal edges of ``comp`` admit a perfect matching (a cycle cover)."""
+    adjacency = {s: frozenset(t for u, t in g.edges if u == s and t in comp)
+                 for s in comp}
+    return brute_max_matching_size(g.node_count, adjacency) == len(comp)
+
+
 def brute_accessible(g: Digraph, outputs: frozenset[int]) -> bool:
     """Every state reaches some directly observed state."""
     r = reachability_matrix(g)

@@ -23,7 +23,6 @@ from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import structure_from_digraph
 from netobserve.matching import (
     Matching,
-    build_bipartite,
     contractions,
     family_for_matching,
     hopcroft_karp,
@@ -67,10 +66,10 @@ def _report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _alternative_matching(b):
+def _alternative_matching(g):
     """A second maximum matching: augment in reversed adjacency order."""
-    adj = [list(reversed(a)) for a in b.plus_adjacency()]
-    return Matching(frozenset(hopcroft_karp(b.node_count, adj).items()))
+    adj = [list(reversed(a)) for a in g.successors()]
+    return Matching(frozenset(hopcroft_karp(g.node_count, adj).items()))
 
 
 def test_criterion_1_worked_example():
@@ -106,7 +105,7 @@ def test_criterion_2_dataset_table(name):
     spec = REGISTRY[name]
     start = time.perf_counter()
     lg = load_dataset(name)
-    row = structural_counts_report(lg.digraph, name=name)
+    row = structural_counts_report(decompose(lg.digraph), name=name)
     elapsed = time.perf_counter() - start
     diffs = {k: (row[k], want) for k, want in spec.expected.items()
              if row[k] != want}
@@ -136,14 +135,13 @@ def test_criterion_3_oracle_equivalence():
     first_bad = None
     for g in graphs():
         checked += 1
-        b = build_bipartite(g)
-        m = max_matching(b)
+        m = max_matching(g)
         adj: dict[int, set] = {}
         for p, mi in g.edges:
             adj.setdefault(p, set()).add(mi)
         brute = brute_max_matching_size(
             g.node_count, {p: frozenset(v) for p, v in adj.items()})
-        fam = contractions(b, m)
+        fam = contractions(g)
         violators = set(minimal_deficient_sets(structure_from_digraph(g)))
         union_violators = frozenset().union(*violators) if violators else frozenset()
         good = (m.size == brute
@@ -174,16 +172,15 @@ def test_criterion_4_matching_invariance():
     for _ in range(200):
         n = int(rng.integers(4, 11))
         g = random_digraph(rng, n, 1.8 / n)
-        b = build_bipartite(g)
-        m1 = max_matching(b)
-        m2 = _alternative_matching(b)
-        assert is_maximum(b, m2)
+        m1 = max_matching(g)
+        m2 = _alternative_matching(g)
+        assert is_maximum(g, m2)
         if m1.pairs == m2.pairs:
             continue
         graphs_with_two += 1
-        if contractions(b, m1).as_sets() != contractions(b, m2).as_sets():
+        f1, f2 = family_for_matching(g, m1), family_for_matching(g, m2)
+        if contractions(g).as_sets() != f1.as_sets():
             canonical_mismatch += 1
-        f1, f2 = family_for_matching(b, m1), family_for_matching(b, m2)
         raw_mismatch += int(f1.as_sets() != f2.as_sets())
         union_mismatch += int(f1.union_members != f2.union_members)
     ok = canonical_mismatch == 0 and union_mismatch == 0 and graphs_with_two > 50

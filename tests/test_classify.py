@@ -132,8 +132,8 @@ class TestEquivalence:
 
 
 class TestCountsReport:
-    def test_six_state_row(self, six_state):
-        row = structural_counts_report(six_state, name="fixture")
+    def test_six_state_row(self, six_state_dec):
+        row = structural_counts_report(six_state_dec, name="fixture")
         assert row["n"] == 6 and row["edges"] == 9
         assert row["s_rank"] == 4
         assert row["n_alpha"] == 2 and row["n_beta_min"] == 1

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,17 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["summary"]["s_rank"] == 4
         assert (out / "manifest.json").is_file()
+
+    def test_formats_doc_example_is_fixture_output(self, fixture_gml, tmp_path):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        block = re.search(r"`analyze` → `analysis\.json`.*?```json\n(.*?)```", doc, re.S)
+        documented = json.loads(block.group(1))
+        out = tmp_path / "out"
+        assert main(["analyze", str(fixture_gml), "--out", str(out)]) == EXIT_OK
+        produced = json.loads((out / "analysis.json").read_text())
+        for report in (documented, produced):
+            del report["summary"]["name"]
+        assert documented == produced
 
     def test_empty_edgelist_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -10,11 +10,9 @@ from netobserve.ingest import (
     UnknownNodeError,
     drop_isolates,
     emit_gml,
-    from_json,
     largest_component,
     parse_edge_list,
     parse_gml,
-    to_json,
 )
 
 MINIMAL_GML = """
@@ -155,12 +153,6 @@ class TestRoundTrips:
         assert again.digraph == lg.digraph
         assert again.labels == lg.labels
         assert again.directed == lg.directed
-
-    def test_json_round_trip(self):
-        lg = parse_edge_list("0 1\n1 2\n2 0")
-        again = from_json(to_json(lg))
-        assert again.digraph == lg.digraph
-        assert again.labels == lg.labels
 
     @given(st.integers(1, 6).flatmap(
         lambda n: st.tuples(

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,9 @@ from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digr
 from netobserve.matching import (
     Matching,
     MatchingError,
-    build_bipartite,
     contractions,
     family_for_matching,
     is_maximum,
-    matching_report,
     max_matching,
     s_rank,
     structural_rank,
@@ -25,33 +25,9 @@ from .oracles import (
 )
 
 
-class TestBuildBipartite:
-    def test_self_loop(self):
-        b = build_bipartite(Digraph(1, frozenset({(0, 0)})))
-        assert b.edges == frozenset({(0, 0)})
-
-    def test_fan_pattern_degrees(self):
-        # three states each feeding the same two states
-        b = build_bipartite(fan_contraction())
-        plus_deg = {p: 0 for p in range(5)}
-        minus_deg = {m: 0 for m in range(5)}
-        for p, m in b.edges:
-            plus_deg[p] += 1
-            minus_deg[m] += 1
-        assert plus_deg[0] == plus_deg[2] == plus_deg[4] == 2
-        assert minus_deg[1] == minus_deg[3] == 3
-
-    def test_edge_count_preserved(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            g = random_digraph(rng, 7, 0.3)
-            assert len(build_bipartite(g).edges) == g.edge_count
-
-
 class TestMaxMatching:
     def test_fan_pattern_deficiency_one(self):
-        b = build_bipartite(fan_contraction())
-        m = max_matching(b)
+        m = max_matching(fan_contraction())
         assert m.size == 4
         # exactly one of the three fan sources stays unmatched
         unmatched = set(m.unmatched_plus(5))
@@ -60,7 +36,7 @@ class TestMaxMatching:
     def test_self_loops_perfect(self):
         n = 6
         g = Digraph(n, frozenset((i, i) for i in range(n)))
-        m = max_matching(build_bipartite(g))
+        m = max_matching(g)
         assert m.size == n
         assert m.unmatched_plus(n) == ()
 
@@ -68,21 +44,19 @@ class TestMaxMatching:
         rng = np.random.default_rng(2)
         for _ in range(10):
             g = random_digraph(rng, 9, 0.2)
-            b = build_bipartite(g)
-            assert max_matching(b) == max_matching(b)
+            assert max_matching(g) == max_matching(g)
 
     def test_exhaustive_small_against_brute_force(self):
         for n in (1, 2, 3):
             for g in all_digraphs(n):
-                b = build_bipartite(g)
-                m = max_matching(b)
+                m = max_matching(g)
                 adj = {}
                 for p, mi in g.edges:
                     adj.setdefault(p, set()).add(mi)
                 oracle = brute_max_matching_size(
                     n, {p: frozenset(v) for p, v in adj.items()})
                 assert m.size == oracle
-                assert is_maximum(b, m)
+                assert is_maximum(g, m)
 
     def test_random_against_brute_force(self):
         rng = np.random.default_rng(3)
@@ -92,16 +66,33 @@ class TestMaxMatching:
                 s = structure_from_digraph(g)
                 assert s_rank(s) == brute_structural_rank(s)
 
+    def test_long_augmenting_path_needs_no_recursion(self, monkeypatch):
+        # Plus node i reaches minus nodes L-i-1 and L-i.  The first phase
+        # greedily matches i -> L-i-1, leaving one augmenting path through
+        # all n plus nodes, far deeper than the default recursion limit.
+        n = 3000
+        last = n - 1
+        g = Digraph(n, frozenset({(i, last - i) for i in range(n)}
+                                 | {(i, last - i - 1) for i in range(last)}))
+
+        def refuse(limit):
+            raise AssertionError("matching changed the interpreter recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        m = max_matching(g)
+        assert m.size == n
+        assert is_maximum(g, m)
+
 
 class TestIsMaximum:
     def test_empty_matching_on_nonempty_graph(self):
-        b = build_bipartite(Digraph(2, frozenset({(0, 1)})))
-        assert not is_maximum(b, Matching(frozenset()))
+        g = Digraph(2, frozenset({(0, 1)}))
+        assert not is_maximum(g, Matching(frozenset()))
 
     def test_rejects_foreign_edges(self):
-        b = build_bipartite(Digraph(2, frozenset({(0, 1)})))
+        g = Digraph(2, frozenset({(0, 1)}))
         with pytest.raises(MatchingError):
-            is_maximum(b, Matching(frozenset({(1, 0)})))
+            is_maximum(g, Matching(frozenset({(1, 0)})))
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(MatchingError):
@@ -132,19 +123,17 @@ class TestStructuralRank:
 
 class TestContractions:
     def test_fan_pattern_single_family_member(self):
-        b = build_bipartite(fan_contraction())
-        fam = contractions(b, max_matching(b))
+        fam = contractions(fan_contraction())
         assert fam.as_sets() == {frozenset({0, 2, 4})}
 
     def test_perfect_matching_empty_family(self):
         g = Digraph(3, frozenset((i, i) for i in range(3)))
-        b = build_bipartite(g)
-        assert contractions(b, max_matching(b)).sets == ()
+        assert contractions(g).sets == ()
 
     def test_requires_maximum_matching(self):
-        b = build_bipartite(Digraph(2, frozenset({(0, 1)})))
+        g = Digraph(2, frozenset({(0, 1)}))
         with pytest.raises(MatchingError):
-            contractions(b, Matching(frozenset()))
+            family_for_matching(g, Matching(frozenset()))
 
     def test_members_are_minimal_deficient_sets(self):
         # Every contraction set is a Hall violator; the family witnesses the
@@ -154,9 +143,8 @@ class TestContractions:
         graphs += [random_digraph(rng, n, 0.25) for n in (4, 5, 6) for _ in range(40)]
         for g in graphs:
             s = structure_from_digraph(g)
-            b = build_bipartite(g)
-            m = max_matching(b)
-            fam = contractions(b, m)
+            m = max_matching(g)
+            fam = contractions(g)
             assert len(fam.sets) == g.node_count - m.size
             violators = minimal_deficient_sets(s)
             neighbors = {j: {i for i, jj in s.support if jj == j}
@@ -176,24 +164,15 @@ class TestContractions:
         canonicalizes on the matching from ``max_matching``.
         """
         g = six_state_demo()
-        b = build_bipartite(g)
-        canonical = max_matching(b)
+        canonical = max_matching(g)
         # alternative maximum matching: x2 is matched via x2->x1 instead of x1
         alternative = Matching(frozenset({(1, 0), (2, 1), (3, 4), (5, 5)}))
-        assert is_maximum(b, alternative)
-        fam_a = family_for_matching(b, canonical)
-        fam_b = family_for_matching(b, alternative)
+        assert is_maximum(g, alternative)
+        fam_a = family_for_matching(g, canonical)
+        fam_b = family_for_matching(g, alternative)
         assert fam_a.as_sets() != fam_b.as_sets()
         assert fam_a.union_members == fam_b.union_members
         assert len(fam_a.sets) == len(fam_b.sets)
         # the canonical API hides the dependence
-        assert contractions(b, canonical).as_sets() == contractions(b, alternative).as_sets()
+        assert contractions(g).as_sets() == fam_a.as_sets()
 
-
-class TestMatchingReport:
-    def test_six_state_report(self):
-        rep = matching_report(six_state_structure())
-        assert rep["s_rank"] == 4
-        assert len(rep["unmatched"]) == 2
-        members = {frozenset(c["members"]) for c in rep["contractions"]}
-        assert members == {frozenset({0, 2}), frozenset({0, 3, 4, 5})}

@@ -13,7 +13,6 @@ from netobserve.netdesign import (
     network_to_dot,
     network_to_json,
     verify_topology,
-    verify_topology_reversed_beta,
     w_structure,
 )
 
@@ -73,9 +72,6 @@ class TestDesignCanonical:
 class TestVerifyTopology:
     def test_canonical_passes(self, six_state_net, six_state_dec):
         assert verify_topology(six_state_net, six_state_dec).ok
-
-    def test_reversed_ring_still_passes(self, six_state_net, six_state_dec):
-        assert verify_topology_reversed_beta(six_state_net, six_state_dec).ok
 
     def test_missing_alpha_edge_names_deprived_agent(self, six_state_net, six_state_dec):
         for drop in sorted(six_state_net.alpha_edges):

@@ -6,7 +6,6 @@ from netobserve.numeric import (
     GF,
     PRIME,
     REAL,
-    block_diag_realization,
     kron_numeric,
     observability_matrix,
     observability_rank,
@@ -212,9 +211,3 @@ class TestKronAndBlocks:
         lhs = kron_numeric(w, a).matrix @ stacked
         rhs = np.tile(a.matrix @ x, 3)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_block_diag_realization(self):
-        blocks = [np.eye(2), 2 * np.eye(3)]
-        r = block_diag_realization(blocks, REAL, seed=0)
-        assert r.matrix.shape == (5, 5)
-        assert np.allclose(r.matrix[2:, 2:], 2 * np.eye(3))

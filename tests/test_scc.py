@@ -1,16 +1,9 @@
 import numpy as np
-import pytest
 
 from netobserve.graph_core import Digraph, reachable
-from netobserve.scc import (
-    classify_sccs,
-    matched_parent_indices,
-    partial_order,
-    scc_report,
-    tarjan_scc,
-)
+from netobserve.scc import classify_sccs, matched_parent_indices, tarjan_scc
 
-from .oracles import brute_sccs, random_digraph
+from .oracles import all_digraphs, brute_component_matched, brute_sccs, random_digraph
 
 
 class TestTarjan:
@@ -94,24 +87,22 @@ class TestClassify:
         observed = {six_state_dec.sccs.components[j] for j in parents}
         assert observed == {frozenset({4}), frozenset({5})}
 
+    def test_labels_match_brute_force(self):
+        # matched: brute-force perfect matching of each component's internal
+        # edges; parent: no edge leaves the component.
+        rng = np.random.default_rng(9)
+        graphs = [g for n in (1, 2, 3) for g in all_digraphs(n)]
+        graphs += [random_digraph(rng, int(rng.integers(4, 9)), float(rng.uniform(0.1, 0.5)))
+                   for _ in range(300)]
+        for g in graphs:
+            d = tarjan_scc(g)
+            for comp, lab in zip(d.components, classify_sccs(g, d)):
+                assert lab.is_matched == brute_component_matched(g, comp), sorted(g.edges)
+                leaves = any(s in comp and t not in comp for s, t in g.edges)
+                assert lab.is_parent == (not leaves), sorted(g.edges)
+
 
 class TestPartialOrder:
-    def test_reflexive(self):
-        d = tarjan_scc(Digraph(3, frozenset({(0, 1)})))
-        for i in range(len(d.components)):
-            assert partial_order(d, i, i)
-
-    def test_chain_order(self):
-        d = tarjan_scc(Digraph(2, frozenset({(0, 1)})))
-        i, j = d.component_of[0], d.component_of[1]
-        assert partial_order(d, i, j)
-        assert not partial_order(d, j, i)
-
-    def test_out_of_range(self):
-        d = tarjan_scc(Digraph(1, frozenset()))
-        with pytest.raises(IndexError):
-            partial_order(d, 0, 1)
-
     def test_every_child_reaches_some_parent(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -123,9 +114,3 @@ class TestPartialOrder:
                 if not lab.is_parent:
                     assert reachable(d.condensation, [i]) & parents
 
-
-class TestReport:
-    def test_report_shape(self, six_state):
-        rep = scc_report(six_state)
-        assert len(rep["components"]) == 5
-        assert sum(1 for c in rep["components"] if c["parent"] and c["matched"]) == 2
