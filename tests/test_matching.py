@@ -176,3 +176,12 @@ class TestContractions:
         # the canonical API hides the dependence
         assert contractions(g).as_sets() == fam_a.as_sets()
 
+
+
+class TestMatchingReport:
+    def test_six_state_report(self, six_state_analysis):
+        rep = six_state_analysis["matching"]
+        assert rep["s_rank"] == 4
+        assert len(rep["unmatched"]) == 2
+        members = {frozenset(c["members"]) for c in rep["contractions"]}
+        assert members == {frozenset({0, 2}), frozenset({0, 3, 4, 5})}

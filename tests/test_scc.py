@@ -114,3 +114,10 @@ class TestPartialOrder:
                 if not lab.is_parent:
                     assert reachable(d.condensation, [i]) & parents
 
+
+
+class TestReport:
+    def test_report_shape(self, six_state_analysis):
+        rep = six_state_analysis["sccs"]
+        assert len(rep["components"]) == 5
+        assert sum(1 for c in rep["components"] if c["parent"] and c["matched"]) == 2
