@@ -17,10 +17,8 @@ from .classify import (
     structural_counts_report,
 )
 from .graph_core import (
-    CompositeDigraph,
     Digraph,
     StructuredMatrix,
-    composite,
     digraph_from_structure,
     reachable,
     structure_from_digraph,
@@ -35,13 +33,12 @@ from .matching import (
 )
 from .netdesign import AgentNetwork, design_canonical, verify_topology, w_structure
 from .scc import SccDecomposition, classify_sccs, tarjan_scc
-from .structural_check import ObservabilityVerdict, check_centralized, check_distributed, kron_structure
+from .structural_check import ObservabilityVerdict, check_centralized, check_distributed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentNetwork",
-    "CompositeDigraph",
     "ContractionFamily",
     "Digraph",
     "Matching",
@@ -52,13 +49,11 @@ __all__ = [
     "check_centralized",
     "check_distributed",
     "classify_sccs",
-    "composite",
     "contractions",
     "decompose",
     "design_canonical",
     "digraph_from_structure",
     "equivalence_report",
-    "kron_structure",
     "max_matching",
     "necessary_counts",
     "place_agents",

@@ -85,16 +85,19 @@ class ObservationPlan:
 
 
 def plan_from_json(data: dict) -> ObservationPlan:
-    placements = tuple(
-        Placement(
-            state=item["state"],
-            agent=item["agent"],
-            kind=item["kind"],
-            covers_contraction=item.get("covers_contraction"),
-            covers_scc=item.get("covers_scc"),
+    try:
+        placements = tuple(
+            Placement(
+                state=item["state"],
+                agent=item["agent"],
+                kind=item["kind"],
+                covers_contraction=item.get("covers_contraction"),
+                covers_scc=item.get("covers_scc"),
+            )
+            for item in data["placements"]
         )
-        for item in data["placements"]
-    )
+    except KeyError as exc:
+        raise ValueError(f"plan JSON is missing key {exc.args[0]!r}") from None
     return ObservationPlan(placements)
 
 
@@ -256,7 +259,7 @@ def _accessibility_repairs(
 ) -> list[Placement]:
     observed = {p.state for p in placements}
     g = dec.digraph
-    accessible = reachable(g.reversed(), observed) if observed else frozenset()
+    accessible = reachable(g.reversed().successors(), observed)
     uncovered_comps = {dec.sccs.component_of[v]
                        for v in range(g.node_count) if v not in accessible}
     if not uncovered_comps:

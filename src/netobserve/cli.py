@@ -42,7 +42,7 @@ from .numeric import (
     stochastic_realization,
     stochastic_realization_gf,
 )
-from .structural_check import block_diag, check_distributed, fused_observation_blocks
+from .structural_check import check_distributed, fused_observation_structure
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
     if args.numeric:
         n = lg.digraph.node_count
         w = w_structure(net)
-        d = block_diag(fused_observation_blocks(net, n))
+        d = fused_observation_structure(net, n)
         realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
         full = net.agent_count * n
         agree = 0

@@ -84,7 +84,7 @@ def fused_observation_realization(net: AgentNetwork, n: int) -> np.ndarray:
     big = np.zeros((net.agent_count * n, net.agent_count * n))
     for i in range(net.agent_count):
         block = np.zeros((n, n))
-        for j in (i, *net.alpha_in_neighbors(i)):
+        for j in net.alpha_sources[i]:
             block += hs[j].T @ hs[j]
         big[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
     return big
@@ -111,7 +111,7 @@ def update_step(state: FilterState, observations: dict[int, np.ndarray],
     out = state.estimates.copy()
     for i in range(n_agents):
         innovation = np.zeros(n)
-        for j in (i, *net.alpha_in_neighbors(i)):
+        for j in net.alpha_sources[i]:
             if len(net.observations[j]) == 0:
                 continue
             if j not in observations:
@@ -129,29 +129,34 @@ def _assemble_gain(blocks, n_agents: int, n: int) -> np.ndarray:
     return big
 
 
+def _closed_loop(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray
+                 ) -> tuple[np.ndarray, float]:
+    f = m - kbar @ d_h @ m
+    return f, float(np.max(np.abs(np.linalg.eigvals(f))))
+
+
 def error_matrix(w: Realization, a: Realization, gains: GainSchedule,
                  d_h: np.ndarray) -> tuple[np.ndarray, float]:
     """F = (W (x) A) - Kbar D_H (W (x) A) and its spectral radius."""
-    m = np.kron(w.matrix, a.matrix)
-    n_agents = w.matrix.shape[0]
-    n = a.matrix.shape[0]
-    kbar = _assemble_gain(gains.blocks, n_agents, n)
-    f = m - kbar @ d_h @ m
-    rho = float(np.max(np.abs(np.linalg.eigvals(f))))
-    return f, rho
-
-
-def _spectral_radius(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray) -> float:
-    f = m - kbar @ d_h @ m
-    return float(np.max(np.abs(np.linalg.eigvals(f))))
+    kbar = _assemble_gain(gains.blocks, w.matrix.shape[0], a.matrix.shape[0])
+    return _closed_loop(np.kron(w.matrix, a.matrix), kbar, d_h)
 
 
 def _observability_rank_real(m: np.ndarray, d_h: np.ndarray) -> int:
-    dim = m.shape[0]
-    blocks = [d_h]
-    for _ in range(dim - 1):
-        blocks.append(blocks[-1] @ m)
-    return rank_real(np.vstack(blocks))
+    """Rank of [D_H; D_H M; ...; D_H M^(dim-1)], each block scaled to unit
+    spectral norm.  Scaling a block keeps its row space, so the exact rank
+    is unchanged, while blocks that grow or shrink with the powers of M
+    stay clear of the relative tolerance set by the largest one."""
+    blocks = []
+    block = d_h
+    for _ in range(m.shape[0]):
+        norm = np.linalg.norm(block, 2)
+        if norm == 0:
+            break  # every later block is zero too
+        block = block / norm
+        blocks.append(block)
+        block = block @ m
+    return rank_real(np.vstack(blocks)) if blocks else 0
 
 
 def gain_search(w: Realization, a: Realization, net: AgentNetwork,
@@ -182,7 +187,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     p = np.eye(dim)
     evaluations = 0
     best_blocks = [np.zeros((n, n)) for _ in range(n_agents)]
-    best_rho = _spectral_radius(m, _assemble_gain(best_blocks, n_agents, n), d_h)
+    _, best_rho = _closed_loop(m, _assemble_gain(best_blocks, n_agents, n), d_h)
     evaluations += 1
 
     for _ in range(min(200, budget)):
@@ -190,7 +195,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
         g = s @ d_h.T @ np.linalg.pinv(d_h @ s @ d_h.T + r)
         blocks = project(g)
         kbar = _assemble_gain(blocks, n_agents, n)
-        rho = _spectral_radius(m, kbar, d_h)
+        _, rho = _closed_loop(m, kbar, d_h)
         evaluations += 1
         if rho < best_rho:
             best_rho, best_blocks = rho, blocks
@@ -203,7 +208,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     scale = 0.5
     while best_rho >= 1.0 and evaluations < budget:
         blocks = [k + scale * rng.standard_normal(k.shape) for k in best_blocks]
-        rho = _spectral_radius(m, _assemble_gain(blocks, n_agents, n), d_h)
+        _, rho = _closed_loop(m, _assemble_gain(blocks, n_agents, n), d_h)
         evaluations += 1
         if rho < best_rho:
             best_rho, best_blocks = rho, blocks

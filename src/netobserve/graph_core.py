@@ -16,13 +16,10 @@ threads; all operations are pure functions.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
-
-logger = logging.getLogger(__name__)
+from typing import Iterable, Sequence
 
 
 class DimensionError(ValueError):
@@ -68,12 +65,6 @@ class Digraph:
             adj[s].append(t)
         return tuple(map(tuple, adj))
 
-    def predecessors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for s, t in sorted(self.edges):
-            adj[t].append(s)
-        return adj
-
     def reversed(self) -> "Digraph":
         return Digraph(self.node_count, frozenset((t, s) for s, t in self.edges))
 
@@ -104,50 +95,6 @@ class StructuredMatrix:
     def nnz(self) -> int:
         return len(self.support)
 
-    def row_support(self, i: int) -> frozenset[int]:
-        return frozenset(j for r, j in self.support if r == i)
-
-    def transpose(self) -> "StructuredMatrix":
-        return StructuredMatrix(self.cols, self.rows,
-                                frozenset((j, i) for i, j in self.support))
-
-
-def stack_rows(top: StructuredMatrix, bottom: StructuredMatrix) -> StructuredMatrix:
-    """Vertical stack of two structures with equal column counts."""
-    if top.cols != bottom.cols:
-        raise DimensionError(f"column mismatch: {top.cols} vs {bottom.cols}")
-    support = set(top.support)
-    support.update((i + top.rows, j) for i, j in bottom.support)
-    return StructuredMatrix(top.rows + bottom.rows, top.cols, frozenset(support))
-
-
-@dataclass(frozen=True)
-class CompositeDigraph:
-    """State digraph augmented with output nodes and state->output edges.
-
-    Output nodes are sinks: they have no outgoing edges.  ``output_edges``
-    holds pairs ``(state, output)``.  ``output_rows`` maps each retained
-    output node back to the row of the observation structure it came from
-    (rows with empty support are dropped at construction).
-    """
-
-    state_count: int
-    output_count: int
-    state_edges: frozenset[tuple[int, int]]
-    output_edges: frozenset[tuple[int, int]]
-    output_rows: tuple[int, ...]
-
-    @property
-    def node_count(self) -> int:
-        return self.state_count + self.output_count
-
-    def full_graph(self) -> Digraph:
-        """One digraph over states then outputs (output k is node n + k)."""
-        n = self.state_count
-        edges = set(self.state_edges)
-        edges.update((s, n + o) for s, o in self.output_edges)
-        return Digraph(self.node_count, frozenset(edges))
-
 
 def digraph_from_structure(a: StructuredMatrix) -> Digraph:
     """Digraph of a square structure: entry ``(i, j)`` gives edge ``j -> i``."""
@@ -162,53 +109,20 @@ def structure_from_digraph(g: Digraph) -> StructuredMatrix:
                             frozenset((t, s) for s, t in g.edges))
 
 
-def composite(a: StructuredMatrix, h: StructuredMatrix) -> CompositeDigraph:
-    """Composite digraph of a system/observation structure pair.
-
-    Observation rows with empty support are dropped with a diagnostic
-    rather than rejected: datasets and user plans may contain placeholder
-    agents.
-    """
-    if not a.is_square:
-        raise DimensionError(f"system structure must be square, got {a.rows}x{a.cols}")
-    if h.cols != a.cols:
-        raise DimensionError(f"observation columns {h.cols} != state count {a.cols}")
-
-    by_row: dict[int, set[int]] = {}
-    for i, j in h.support:
-        by_row.setdefault(i, set()).add(j)
-    kept = tuple(sorted(by_row))
-    dropped = h.rows - len(kept)
-    if dropped:
-        logger.warning("dropping %d observation row(s) with empty support", dropped)
-
-    out_edges = set()
-    for k, row in enumerate(kept):
-        out_edges.update((j, k) for j in by_row[row])
-
-    return CompositeDigraph(
-        state_count=a.rows,
-        output_count=len(kept),
-        state_edges=digraph_from_structure(a).edges,
-        output_edges=frozenset(out_edges),
-        output_rows=kept,
-    )
-
-
-def reachable(g: Digraph, sources: Iterable[int]) -> frozenset[int]:
-    """Forward reachability closure of ``sources`` (sources included)."""
+def reachable(successors: Sequence[Sequence[int]], sources: Iterable[int]) -> frozenset[int]:
+    """Forward reachability closure of ``sources`` (sources included) over
+    adjacency lists, e.g. :meth:`Digraph.successors`."""
     seen = set()
     queue: deque[int] = deque()
     for s in sources:
-        if not (0 <= s < g.node_count):
+        if not (0 <= s < len(successors)):
             raise ValueError(f"source {s} out of range")
         if s not in seen:
             seen.add(s)
             queue.append(s)
-    adj = g.successors()
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
+        for v in successors[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)

@@ -26,6 +26,7 @@ direction is the one tied to observability of the fused pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .classify import ALPHA, Decomposition, ObservationPlan, Placement
 from .graph_core import Digraph, StructuredMatrix, reachable
@@ -49,11 +50,14 @@ class AgentNetwork:
         if len(self.observations) != self.agent_count:
             raise ValueError("observations must list every agent")
 
-    def alpha_in_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, v in self.alpha_edges if v == i))
-
-    def beta_in_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, v in self.beta_edges if v == i))
+    @cached_property
+    def alpha_sources(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent ``i``: the agents whose raw observations reach it, ``i``
+        itself first, then its alpha in-neighbors in increasing order."""
+        into: list[list[int]] = [[] for _ in range(self.agent_count)]
+        for u, v in sorted(self.alpha_edges):
+            into[v].append(u)
+        return tuple((i, *us) for i, us in enumerate(into))
 
     def beta_graph(self) -> Digraph:
         return Digraph(self.agent_count, frozenset(self.beta_edges))
@@ -100,34 +104,38 @@ def design_canonical(plan: ObservationPlan, agent_count: int | None = None) -> A
     return AgentNetwork(n, frozenset(alpha), frozenset(ring), observations)
 
 
-def _observers_of(net: AgentNetwork, states: frozenset[int],
-                  alpha_only: bool) -> set[int]:
-    found = set()
-    for agent, placements in enumerate(net.observations):
-        for p in placements:
-            if p.state in states and (not alpha_only or p.kind == ALPHA):
-                found.add(agent)
-    return found
+def _observer_union(index: dict[int, set[int]], states: frozenset[int]) -> set[int]:
+    return set().union(*(index[s] for s in states if s in index))
 
 
 def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     """Check conditions (i) and (ii) for every agent; the verdict carries
     one entry per unmet condition instead of raising."""
-    violations: list[tuple[int, str]] = []
-    beta_fwd = net.beta_graph()
+    observers: dict[int, set[int]] = {}
+    alpha_observers: dict[int, set[int]] = {}
+    for agent, placements in enumerate(net.observations):
+        for p in placements:
+            observers.setdefault(p.state, set()).add(agent)
+            if p.kind == ALPHA:
+                alpha_observers.setdefault(p.state, set()).add(agent)
+    contraction_observers = [_observer_union(alpha_observers, c.members)
+                             for c in dec.family.sets]
+    scc_observers = [(j, _observer_union(observers, dec.sccs.components[j]))
+                     for j in dec.matched_parents]
 
-    for i in range(net.agent_count):
-        direct = set(net.alpha_in_neighbors(i)) | {i}
-        for ci, c in enumerate(dec.family.sets):
-            if not (direct & _observers_of(net, c.members, alpha_only=True)):
+    violations: list[tuple[int, str]] = []
+    beta_fwd = net.beta_graph().successors()
+    for i, sources in enumerate(net.alpha_sources):
+        direct = set(sources)
+        for ci, found in enumerate(contraction_observers):
+            if direct.isdisjoint(found):
                 violations.append(
                     (i, f"(i): no direct alpha link covering contraction {ci}"))
         sends_to = reachable(beta_fwd, [i])
-        for j in dec.matched_parents:
-            observers = _observers_of(net, dec.sccs.components[j], alpha_only=False)
-            if direct & observers:
+        for j, found in scc_observers:
+            if not direct.isdisjoint(found):
                 continue  # (ii-a)
-            if sends_to & observers:
+            if not sends_to.isdisjoint(found):
                 continue  # (ii-b), send direction
             violations.append(
                 (i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
@@ -156,12 +164,15 @@ def network_to_json(net: AgentNetwork) -> dict:
 
 def network_from_json(data: dict, plan: ObservationPlan) -> AgentNetwork:
     """Rebuild a network from its JSON dump plus the matching plan."""
-    observations = agents_from_plan(plan, data["agents"])
+    try:
+        agents, alpha, beta = data["agents"], data["alpha_edges"], data["beta_edges"]
+    except KeyError as exc:
+        raise ValueError(f"network JSON is missing key {exc.args[0]!r}") from None
     return AgentNetwork(
-        agent_count=data["agents"],
-        alpha_edges=frozenset(tuple(e) for e in data["alpha_edges"]),
-        beta_edges=frozenset(tuple(e) for e in data["beta_edges"]),
-        observations=observations,
+        agent_count=agents,
+        alpha_edges=frozenset(tuple(e) for e in alpha),
+        beta_edges=frozenset(tuple(e) for e in beta),
+        observations=agents_from_plan(plan, agents),
     )
 
 

@@ -1,30 +1,32 @@
 """Structural observability tests for (A, H) and the fused agent pair.
 
-A pair is structurally observable iff, in the composite digraph,
+A pair is structurally observable iff
 
-* every state begins a path ending at an output (*accessibility*), and
+* every state has a path in the state digraph to an observed state
+  (*accessibility*), and
 * the stacked structure [A; H] has full structural rank, tested as the
   size of its maximum matching rather than by enumerating cycle/path
   covers (the two are equivalent and matching is polynomial).
 
+Both questions are answered from the row adjacency of the pair: row ``i``
+of A lists the states that drive state ``i``, so read as successor lists
+the rows are the reversed state digraph, and the accessible states are
+those reachable from the columns the observation rows touch.
+
 The distributed test applies the same machinery to the pair
 ``(W (x) A, D_H)``: the Kronecker support of the fusion structure with the
 system structure, observed through the block-diagonal of the per-agent
-accumulated observation structures.
+accumulated observation structures.  The Kronecker rows are listed
+directly from the rows of W and A; the product is never materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph_core import (
-    DimensionError,
-    StructuredMatrix,
-    composite,
-    reachable,
-    stack_rows,
-)
-from .matching import structural_rank
+from .graph_core import DimensionError, StructuredMatrix, reachable
+from .matching import hopcroft_karp
 from .netdesign import AgentNetwork, w_structure
 
 
@@ -49,19 +51,23 @@ class ObservabilityVerdict:
         }
 
 
-def check_centralized(a: StructuredMatrix, h: StructuredMatrix) -> ObservabilityVerdict:
-    """Two-part structural test on the pair (A, H): every state must reach
-    an output, and the stacked support must have full structural rank."""
-    comp = composite(a, h)
-    n = comp.state_count
-    full = comp.full_graph()
-    outputs = range(n, n + comp.output_count)
-    # A state is accessible iff it reaches an output, i.e. iff an output
-    # reaches it in the reversed composite graph.
-    accessible_set = reachable(full.reversed(), outputs) if comp.output_count else frozenset()
-    inaccessible = tuple(v for v in range(n) if v not in accessible_set)
+def _rows(s: StructuredMatrix) -> list[list[int]]:
+    """Column lists of every row of a structure, sorted."""
+    rows: list[list[int]] = [[] for _ in range(s.rows)]
+    for i, j in sorted(s.support):
+        rows[i].append(j)
+    return rows
 
-    rank = structural_rank(stack_rows(a, h))
+
+def _verdict(rows: Sequence[Sequence[int]],
+             observations: Sequence[Sequence[int]]) -> ObservabilityVerdict:
+    """Accessibility and structural rank of [A; H] from the row lists of a
+    square A and of H."""
+    n = len(rows)
+    observations = [r for r in observations if r]
+    accessible = reachable(rows, {j for r in observations for j in r})
+    inaccessible = tuple(v for v in range(n) if v not in accessible)
+    rank = len(hopcroft_karp(n + len(observations), [*rows, *observations]))
     return ObservabilityVerdict(
         accessible=not inaccessible,
         inaccessible_states=inaccessible,
@@ -70,50 +76,33 @@ def check_centralized(a: StructuredMatrix, h: StructuredMatrix) -> Observability
     )
 
 
-def kron_structure(w: StructuredMatrix, a: StructuredMatrix) -> StructuredMatrix:
-    """Support of the Kronecker product: block (i, j) is a copy of A's
-    support wherever (i, j) lies in W's support."""
-    support = frozenset(
-        (iw * a.rows + ia, jw * a.cols + ja)
-        for iw, jw in w.support
-        for ia, ja in a.support
-    )
-    return StructuredMatrix(w.rows * a.rows, w.cols * a.cols, support)
+def check_centralized(a: StructuredMatrix, h: StructuredMatrix) -> ObservabilityVerdict:
+    """Two-part structural test on the pair (A, H): every state must reach
+    an observed state, and the stacked support must have full structural
+    rank."""
+    if not a.is_square:
+        raise DimensionError(f"system structure must be square, got {a.rows}x{a.cols}")
+    if h.cols != a.cols:
+        raise DimensionError(f"observation columns {h.cols} != state count {a.cols}")
+    return _verdict(_rows(a), _rows(h))
 
 
-def block_diag(blocks: list[StructuredMatrix]) -> StructuredMatrix:
-    rows = cols = 0
-    support = set()
-    for b in blocks:
-        support.update((rows + i, cols + j) for i, j in b.support)
-        rows += b.rows
-        cols += b.cols
-    return StructuredMatrix(rows, cols, frozenset(support))
-
-
-def agent_fused_structure(net: AgentNetwork, agent: int, n: int) -> StructuredMatrix:
-    """Structure of the agent's accumulated observation: the union of
-    H_j^T H_j over the agent itself and its alpha in-neighborhood."""
-    support = set()
-    for j in (agent, *net.alpha_in_neighbors(agent)):
-        for p in net.observations[j]:
-            support.add((p.state, p.state))
-    return StructuredMatrix(n, n, frozenset(support))
-
-
-def fused_observation_blocks(net: AgentNetwork, n: int) -> list[StructuredMatrix]:
-    return [agent_fused_structure(net, i, n) for i in range(net.agent_count)]
-
-
-def _drop_empty_rows(s: StructuredMatrix) -> StructuredMatrix:
-    occupied = sorted({i for i, _ in s.support})
-    renumber = {i: k for k, i in enumerate(occupied)}
-    return StructuredMatrix(len(occupied), s.cols,
-                            frozenset((renumber[i], j) for i, j in s.support))
+def fused_observation_structure(net: AgentNetwork, n: int) -> StructuredMatrix:
+    """Block-diagonal D_H: block ``i`` is the union of H_j^T H_j over agent
+    ``i``'s alpha sources (itself and its alpha in-neighborhood)."""
+    dim = net.agent_count * n
+    return StructuredMatrix(dim, dim, frozenset(
+        (i * n + p.state, i * n + p.state)
+        for i, sources in enumerate(net.alpha_sources)
+        for j in sources
+        for p in net.observations[j]))
 
 
 def check_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVerdict:
     """Observability of the fused pair (W (x) A, D_H) for the given network.
+
+    Row ``iw * n + ia`` of W (x) A holds ``jw * n + ja`` for every ``jw`` in
+    row ``iw`` of W and every ``ja`` in row ``ia`` of A.
 
     Caveat: the test treats every nonzero of W (x) A as a free parameter,
     while the filter repeats the same A entries across blocks, so a passing
@@ -123,12 +112,11 @@ def check_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVe
     """
     if not a.is_square:
         raise DimensionError("system structure must be square")
-    w = w_structure(net)
-    # The fused blocks are square with mostly empty rows; empty observation
-    # rows carry no information, so drop them up front instead of letting
-    # the composite construction warn about each one.
-    d_h = _drop_empty_rows(block_diag(fused_observation_blocks(net, a.rows)))
-    return check_centralized(kron_structure(w, a), d_h)
+    n = a.rows
+    a_rows = _rows(a)
+    fused = [[jw * n + ja for jw in w_row for ja in a_row]
+             for w_row in _rows(w_structure(net)) for a_row in a_rows]
+    return _verdict(fused, _rows(fused_observation_structure(net, n)))
 
 
 def plan_observation_structure(states: tuple[int, ...], n: int) -> StructuredMatrix:

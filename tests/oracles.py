@@ -38,6 +38,17 @@ def brute_structural_rank(s: StructuredMatrix) -> int:
     return brute_max_matching_size(s.cols, adj)
 
 
+def kron_structure(w: StructuredMatrix, a: StructuredMatrix) -> StructuredMatrix:
+    """Materialised support of the Kronecker product: block (i, j) is a copy
+    of A's support wherever (i, j) lies in W's support."""
+    support = frozenset(
+        (iw * a.rows + ia, jw * a.cols + ja)
+        for iw, jw in w.support
+        for ia, ja in a.support
+    )
+    return StructuredMatrix(w.rows * a.rows, w.cols * a.cols, support)
+
+
 def reachability_matrix(g: Digraph) -> np.ndarray:
     """Boolean reachability closure by repeated squaring (includes self)."""
     n = g.node_count

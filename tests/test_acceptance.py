@@ -45,10 +45,9 @@ from netobserve.numeric import (
 )
 from netobserve.scc import tarjan_scc
 from netobserve.structural_check import (
-    block_diag,
     check_centralized,
     check_distributed,
-    fused_observation_blocks,
+    fused_observation_structure,
     plan_observation_structure,
 )
 
@@ -251,7 +250,7 @@ def test_criterion_6_structural_numeric_agreement():
         a_s = structure_from_digraph(g)
         verdict = (check_distributed(net, a_s).observable
                    and verify_topology(net, dec).ok)
-        d_s = block_diag(fused_observation_blocks(net, n))
+        d_s = fused_observation_structure(net, n)
         full = net.agent_count * n
         for seed in range(20):
             w = stochastic_realization_gf(w_structure(net), seed=seed)
@@ -286,8 +285,8 @@ def test_criterion_7_distributed_ablation():
     crippled = AgentNetwork(net.agent_count, net.alpha_edges - {drop},
                             net.beta_edges, net.observations)
 
-    d_full = block_diag(fused_observation_blocks(net, n))
-    d_crip = block_diag(fused_observation_blocks(crippled, n))
+    d_full = fused_observation_structure(net, n)
+    d_crip = fused_observation_structure(crippled, n)
     full_ok = drop_ok = 0
     for seed in range(20):
         a = random_realization(a_s, GF, seed=seed)

@@ -10,7 +10,7 @@ from netobserve.classify import (
     plan_from_json,
     structural_counts_report,
 )
-from netobserve.graph_core import Digraph, stack_rows, structure_from_digraph
+from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
 from netobserve.matching import structural_rank
 from netobserve.structural_check import check_centralized, plan_observation_structure
 
@@ -127,8 +127,9 @@ class TestEquivalence:
         a = structure_from_digraph(g)
         for members in six_state_dec.family.sets:
             for state in members.members:
-                h = plan_observation_structure((state,), g.node_count)
-                assert structural_rank(stack_rows(a, h)) == six_state_dec.s_rank + 1
+                n = g.node_count
+                stacked = StructuredMatrix(n + 1, n, a.support | {(n, state)})
+                assert structural_rank(stacked) == six_state_dec.s_rank + 1
 
 
 class TestCountsReport:

@@ -30,14 +30,26 @@ class TestAnalyze:
 
     def test_formats_doc_example_is_fixture_output(self, fixture_gml, tmp_path):
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
-        block = re.search(r"`analyze` → `analysis\.json`.*?```json\n(.*?)```", doc, re.S)
-        documented = json.loads(block.group(1))
-        out = tmp_path / "out"
-        assert main(["analyze", str(fixture_gml), "--out", str(out)]) == EXIT_OK
-        produced = json.loads((out / "analysis.json").read_text())
-        for report in (documented, produced):
-            del report["summary"]["name"]
-        assert documented == produced
+
+        def documented(heading):
+            return json.loads(re.search(heading + r".*?```json\n(.*?)```", doc, re.S).group(1))
+
+        for command in ("analyze", "classify", "design"):
+            assert main([command, str(fixture_gml), "--out", str(tmp_path / command)]) == EXIT_OK
+
+        def produced(command, name):
+            return json.loads((tmp_path / command / name).read_text())
+
+        analysis = documented(r"`analyze` → `analysis\.json`")
+        report = produced("analyze", "analysis.json")
+        for r in (analysis, report):
+            del r["summary"]["name"]
+        assert analysis == report
+        assert documented(r"`classify` → `plan\.json`") == produced("classify", "plan.json")
+        assert documented(r"`network\.json` for the fixture:") == \
+            produced("design", "network.json")
+        assert documented(r"`verdict\.json` for the fixture:") == \
+            produced("design", "verdict.json")
 
     def test_empty_edgelist_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -108,6 +120,21 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         deprived = {agent for agent, _ in report["violations"]}
         assert deprived == {1}
+
+    @pytest.mark.parametrize("name, key", [("plan", "agent"), ("network", "beta_edges")])
+    def test_missing_key_is_input_error(self, fixture_gml, tmp_path, capsys, name, key):
+        files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))
+        data = json.loads(files[name].read_text())
+        if name == "plan":
+            del data["placements"][0][key]
+        else:
+            del data[key]
+        files[name] = tmp_path / f"broken-{name}.json"
+        files[name].write_text(json.dumps(data))
+        code = main(["verify", str(fixture_gml), "--plan", str(files["plan"]),
+                     "--network", str(files["network"]), "--out", str(tmp_path / "v")])
+        assert code == EXIT_INPUT
+        assert f"input error: {name} JSON is missing key '{key}'" in capsys.readouterr().err
 
     def test_numeric_agreement_report(self, fixture_gml, tmp_path):
         plan, network = self._design(fixture_gml, tmp_path)

@@ -200,6 +200,16 @@ class TestGainSearch:
         assert exc_info.value.full == 18
 
 
+    def test_fast_growing_powers_not_refused(self, six_state, six_state_net):
+        # rho(A) near 10 makes the unscaled blocks D_H M^k span many orders
+        # of magnitude; the design is observable, so the rank test must pass
+        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        a = Realization(base.matrix * 10, REAL, 0)
+        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        sched = gain_search(w, a, six_state_net, budget=20, seed=0)
+        assert sched.evaluations == 20
+
+
 class TestSimulate:
     def test_noiseless_decay_rate_matches_rho_squared(self, six_state, six_state_net):
         a = scaled_system(six_state, 0.95)

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +7,8 @@ from netobserve.graph_core import (
     Digraph,
     DimensionError,
     StructuredMatrix,
-    composite,
     digraph_from_structure,
     reachable,
-    stack_rows,
     structure_from_digraph,
 )
 
@@ -35,24 +31,6 @@ class TestStructuredMatrix:
         with pytest.raises(ValueError):
             StructuredMatrix(-1, 3, frozenset())
 
-    def test_transpose_involution(self):
-        s = StructuredMatrix(2, 3, frozenset({(0, 1), (1, 2)}))
-        assert s.transpose().transpose() == s
-        assert s.transpose().support == frozenset({(1, 0), (2, 1)})
-
-    def test_stack_rows(self):
-        a = StructuredMatrix(2, 2, frozenset({(0, 0)}))
-        h = StructuredMatrix(1, 2, frozenset({(0, 1)}))
-        stacked = stack_rows(a, h)
-        assert stacked.rows == 3
-        assert stacked.support == frozenset({(0, 0), (2, 1)})
-
-    def test_stack_rows_column_mismatch(self):
-        a = StructuredMatrix(2, 2, frozenset())
-        h = StructuredMatrix(1, 3, frozenset())
-        with pytest.raises(DimensionError):
-            stack_rows(a, h)
-
 
 class TestDigraphConversion:
     def test_self_loop_support(self):
@@ -73,40 +51,14 @@ class TestDigraphConversion:
             digraph_from_structure(StructuredMatrix(2, 3, frozenset()))
 
 
-class TestComposite:
-    def test_single_state_single_output(self):
-        a = StructuredMatrix(1, 1, frozenset({(0, 0)}))
-        h = StructuredMatrix(1, 1, frozenset({(0, 0)}))
-        c = composite(a, h)
-        assert c.state_count == 1 and c.output_count == 1
-        assert c.state_edges == frozenset({(0, 0)})
-        assert c.output_edges == frozenset({(0, 0)})
-
-    def test_empty_output_rows_dropped_with_warning(self, caplog):
-        a = StructuredMatrix(2, 2, frozenset({(0, 0)}))
-        h = StructuredMatrix(3, 2, frozenset({(1, 0)}))
-        with caplog.at_level(logging.WARNING, logger="netobserve.graph_core"):
-            c = composite(a, h)
-        assert c.output_count == 1
-        assert any("empty" in rec.message for rec in caplog.records)
-
-    def test_six_state_fixture_composite(self, six_state):
-        # observe states x3, x5, x6 (ids 2, 4, 5): 6 states + 3 outputs
-        a = structure_from_digraph(six_state)
-        h = StructuredMatrix(3, 6, frozenset({(0, 2), (1, 4), (2, 5)}))
-        c = composite(a, h)
-        assert c.node_count == 9
-        assert c.output_count == 3
-
-
 class TestReachable:
     def test_chain_from_head(self):
         g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-        assert reachable(g, [0]) == frozenset({0, 1, 2})
+        assert reachable(g.successors(), [0]) == frozenset({0, 1, 2})
 
     def test_chain_from_tail(self):
         g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-        assert reachable(g, [2]) == frozenset({2})
+        assert reachable(g.successors(), [2]) == frozenset({2})
 
     def test_matches_matrix_power_oracle(self):
         rng = np.random.default_rng(7)
@@ -114,12 +66,12 @@ class TestReachable:
             g = random_digraph(rng, 8, 0.25)
             r = reachability_matrix(g)
             for s in range(8):
-                assert reachable(g, [s]) == frozenset(np.flatnonzero(r[s]))
+                assert reachable(g.successors(), [s]) == frozenset(np.flatnonzero(r[s]))
 
     @given(small_digraphs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_idempotent(self, g, data):
         sources = data.draw(st.frozensets(st.integers(0, g.node_count - 1)))
-        closed = reachable(g, sources)
+        closed = reachable(g.successors(), sources)
         assert sources <= closed
-        assert reachable(g, closed) == closed
+        assert reachable(g.successors(), closed) == closed

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from netobserve.classify import ALPHA, BETA, Placement, ObservationPlan, decompose, place_agents
@@ -15,6 +16,9 @@ from netobserve.netdesign import (
     verify_topology,
     w_structure,
 )
+
+
+from .oracles import random_digraph, reachability_matrix
 
 
 def single_state_plan():
@@ -112,6 +116,49 @@ class TestVerifyTopology:
             plan = place_agents(dec)
             net = design_canonical(plan)
             assert verify_topology(net, dec).ok
+
+
+    def test_violations_match_naive_conditions(self):
+        # conditions re-derived by scanning every placement and every
+        # alpha edge, on canonical designs with random edges removed
+        rng = np.random.default_rng(35)
+        total = 0
+        for _ in range(60):
+            g = random_digraph(rng, int(rng.integers(2, 9)), 0.3)
+            dec = decompose(g)
+            net = design_canonical(place_agents(dec))
+            alpha = {e for e in net.alpha_edges if rng.random() < 0.7}
+            beta = {e for e in net.beta_edges if rng.random() < 0.7}
+            net = AgentNetwork(net.agent_count, frozenset(alpha), frozenset(beta),
+                               net.observations)
+            expected = naive_violations(net, dec)
+            assert verify_topology(net, dec).violations == expected
+            total += len(expected)
+        assert total > 0
+
+
+def naive_violations(net, dec):
+    sends = reachability_matrix(net.beta_graph())
+    out = []
+    for i in range(net.agent_count):
+        direct = {i} | {u for u, v in net.alpha_edges if v == i}
+        for ci, c in enumerate(dec.family.sets):
+            found = {a for a, obs in enumerate(net.observations) for p in obs
+                     if p.kind == ALPHA and p.state in c.members}
+            if not direct & found:
+                out.append((i, f"(i): no direct alpha link covering contraction {ci}"))
+        for j in dec.matched_parents:
+            found = {a for a, obs in enumerate(net.observations) for p in obs
+                     if p.state in dec.sccs.components[j]}
+            if not direct & found and not any(sends[i, a] for a in found):
+                out.append((i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
+    return tuple(out)
+
+
+class TestAlphaSources:
+    def test_self_then_sorted_in_neighbors(self, six_state_net):
+        # alpha edges (0, 1), (0, 2), (1, 0), (1, 2): agent 2 hears 0 and 1
+        assert six_state_net.alpha_sources == ((0, 1), (1, 0), (2, 0, 1))
 
 
 class TestWStructure:

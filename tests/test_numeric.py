@@ -17,7 +17,7 @@ from netobserve.numeric import (
 )
 from netobserve.structural_check import check_centralized, plan_observation_structure
 
-from .oracles import brute_observability_rank, random_digraph
+from .oracles import brute_observability_rank, kron_structure, random_digraph
 
 
 def identity_structure(n):
@@ -154,12 +154,7 @@ class TestKroneckerTiedGenericity:
         from netobserve.graph_core import structure_from_digraph
         from netobserve.netdesign import AgentNetwork, verify_topology, w_structure
         from netobserve.classify import decompose
-        from netobserve.structural_check import (
-            block_diag,
-            check_distributed,
-            fused_observation_blocks,
-            kron_structure,
-        )
+        from netobserve.structural_check import check_distributed, fused_observation_structure
 
         a_s = structure_from_digraph(six_state)
         crippled = AgentNetwork(
@@ -171,7 +166,7 @@ class TestKroneckerTiedGenericity:
         assert not verify_topology(crippled, decompose(six_state)).ok
 
         n, full = 6, 18
-        d_s = block_diag(fused_observation_blocks(crippled, n))
+        d_s = fused_observation_structure(crippled, n)
         m_s = kron_structure(w_structure(crippled), a_s)
         tied_ranks, free_ranks = [], []
         for seed in range(5):

@@ -112,7 +112,7 @@ class TestPartialOrder:
             parents = {i for i, lab in enumerate(labels) if lab.is_parent}
             for i, lab in enumerate(labels):
                 if not lab.is_parent:
-                    assert reachable(d.condensation, [i]) & parents
+                    assert reachable(d.condensation.successors(), [i]) & parents
 
 
 

@@ -1,19 +1,19 @@
-import numpy as np
+from dataclasses import replace
 
-from netobserve.classify import decompose, place_agents
-from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
-from netobserve.netdesign import AgentNetwork, design_canonical
+import numpy as np
+import pytest
+
+from netobserve.classify import Placement, decompose, place_agents
+from netobserve.graph_core import DimensionError, StructuredMatrix, structure_from_digraph
+from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
 from netobserve.structural_check import (
-    agent_fused_structure,
-    block_diag,
     check_centralized,
     check_distributed,
-    fused_observation_blocks,
-    kron_structure,
+    fused_observation_structure,
     plan_observation_structure,
 )
 
-from .oracles import brute_accessible, random_digraph
+from .oracles import brute_accessible, brute_structural_rank, kron_structure, random_digraph
 
 
 class TestCheckCentralized:
@@ -55,6 +55,32 @@ class TestCheckCentralized:
                 plan_observation_structure(states, 7))
             assert verdict.accessible == brute_accessible(g, frozenset(states))
 
+    def test_empty_and_repeated_rows_match_oracles(self):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            g = random_digraph(rng, n, 0.25)
+            a = structure_from_digraph(g)
+            rows = int(rng.integers(1, 5))
+            entries = [(int(rng.integers(rows)), int(rng.integers(n)))
+                       for _ in range(int(rng.integers(0, 4)))]
+            entries += [(rows, j) for i, j in entries if i == 0]  # last row repeats row 0
+            h = StructuredMatrix(rows + 1, n, frozenset(entries))
+            verdict = check_centralized(a, h)
+            observed = frozenset(j for _, j in h.support)
+            assert verdict.accessible == brute_accessible(g, observed)
+            stacked = StructuredMatrix(n + h.rows, n, a.support | frozenset(
+                (n + i, j) for i, j in h.support))
+            assert verdict.deficiency == n - brute_structural_rank(stacked)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            check_centralized(StructuredMatrix(2, 3, frozenset()),
+                              StructuredMatrix(1, 3, frozenset()))
+        with pytest.raises(DimensionError):
+            check_centralized(StructuredMatrix(2, 2, frozenset()),
+                              StructuredMatrix(1, 3, frozenset()))
+
     def test_verdict_json(self, six_state, six_state_plan):
         a = structure_from_digraph(six_state)
         h = plan_observation_structure(six_state_plan.states, 6)
@@ -91,30 +117,34 @@ class TestKronStructure:
 
 class TestBlockDiag:
     def test_two_blocks(self):
-        b1 = StructuredMatrix(1, 2, frozenset({(0, 0)}))
-        b2 = StructuredMatrix(2, 2, frozenset({(1, 1)}))
-        d = block_diag([b1, b2])
-        assert d.rows == 3 and d.cols == 4
-        assert d.support == frozenset({(0, 0), (2, 3)})
+        # agent 0 observes state 0 and receives agent 1's state-2 alpha
+        # observation; agent 1 observes only state 2
+        net = AgentNetwork(
+            2, frozenset({(1, 0)}), frozenset(),
+            ((Placement(0, 0, "alpha"),), (Placement(2, 1, "alpha"),)))
+        d = fused_observation_structure(net, 3)
+        assert d.rows == 6 and d.cols == 6
+        assert d.support == frozenset({(0, 0), (2, 2), (5, 5)})
 
 
 class TestFusedStructures:
     def test_agent_fusion_unions_alpha_neighborhood(self, six_state_net):
         # agent 2 (the beta agent) receives alpha links from agents 0 and 1,
         # so its fused observation covers all three observed states
-        fused = agent_fused_structure(six_state_net, 2, 6)
-        observed = {j for _, j in fused.support}
+        fused = fused_observation_structure(six_state_net, 6)
+        observed = {j - 12 for _, j in fused.support if j >= 12}
         all_states = {p.state for obs in six_state_net.observations for p in obs}
         assert observed == all_states
 
     def test_idle_agent_without_links_sees_nothing(self):
         net = AgentNetwork(2, frozenset(), frozenset({(0, 1), (1, 0)}),
                            ((), ()))
-        assert agent_fused_structure(net, 0, 4).support == frozenset()
+        assert fused_observation_structure(net, 4).support == frozenset()
 
     def test_one_block_per_agent(self, six_state_net):
-        blocks = fused_observation_blocks(six_state_net, 6)
-        assert len(blocks) == six_state_net.agent_count
+        fused = fused_observation_structure(six_state_net, 6)
+        assert fused.rows == fused.cols == six_state_net.agent_count * 6
+        assert all(i == j for i, j in fused.support)
 
 
 class TestCheckDistributed:
@@ -158,3 +188,28 @@ class TestCheckDistributed:
             plan = place_agents(decompose(g))
             net = design_canonical(plan)
             assert check_distributed(net, structure_from_digraph(g)).observable
+
+    def test_matches_materialised_kronecker_pair(self):
+        """The row-list check equals check_centralized on the materialised
+        (W kron A, D_H) for canonical designs and crippled copies."""
+        rng = np.random.default_rng(34)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            g = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
+            a = structure_from_digraph(g)
+            net = design_canonical(place_agents(decompose(g)))
+            nets = [net]
+            for layer in ("alpha_edges", "beta_edges"):
+                edges = sorted(getattr(net, layer))
+                if edges:
+                    drop = edges[int(rng.integers(len(edges)))]
+                    nets.append(replace(net, **{layer: getattr(net, layer) - {drop}}))
+            for candidate in nets:
+                verdict = check_distributed(candidate, a)
+                reference = check_centralized(
+                    kron_structure(w_structure(candidate), a),
+                    fused_observation_structure(candidate, n))
+                assert verdict == reference
+                seen.add(verdict.observable)
+        assert seen == {True, False}
