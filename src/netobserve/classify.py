@@ -84,7 +84,18 @@ class ObservationPlan:
         }
 
 
+def is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, so exclude it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def plan_from_json(data: dict) -> ObservationPlan:
+    if not isinstance(data, dict):
+        raise ValueError(f"plan JSON must be an object, not {type(data).__name__}")
+    items = data.get("placements")
+    if items is not None and not (
+            isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise ValueError("plan JSON field 'placements' must be a list of objects")
     try:
         placements = tuple(
             Placement(
@@ -98,6 +109,8 @@ def plan_from_json(data: dict) -> ObservationPlan:
         )
     except KeyError as exc:
         raise ValueError(f"plan JSON is missing key {exc.args[0]!r}") from None
+    if not all(is_int(p.state) and is_int(p.agent) for p in placements):
+        raise ValueError("plan JSON fields 'state' and 'agent' must be integers")
     return ObservationPlan(placements)
 
 

@@ -233,6 +233,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True):
     if needs_input:
         p.add_argument("input", nargs="?", help="graph file (GML or edge list)")
@@ -273,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--network", required=True)
     p.add_argument("--numeric", action="store_true")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_positive_int, default=20)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="distributed estimator simulation")
     _add_common(p)
     p.add_argument("--agents", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--horizon", type=_positive_int, default=1000)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--budget", type=int, default=10_000)
     p.set_defaults(func=cmd_simulate)

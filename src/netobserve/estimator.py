@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netdesign import AgentNetwork
-from .numeric import REAL, Realization, rank_real
+from .numeric import REAL, Realization, kron_numeric, observability_rank
 
 
 class UnobservableSystemError(RuntimeError):
@@ -142,23 +142,6 @@ def error_matrix(w: Realization, a: Realization, gains: GainSchedule,
     return _closed_loop(np.kron(w.matrix, a.matrix), kbar, d_h)
 
 
-def _observability_rank_real(m: np.ndarray, d_h: np.ndarray) -> int:
-    """Rank of [D_H; D_H M; ...; D_H M^(dim-1)], each block scaled to unit
-    spectral norm.  Scaling a block keeps its row space, so the exact rank
-    is unchanged, while blocks that grow or shrink with the powers of M
-    stay clear of the relative tolerance set by the largest one."""
-    blocks = []
-    block = d_h
-    for _ in range(m.shape[0]):
-        norm = np.linalg.norm(block, 2)
-        if norm == 0:
-            break  # every later block is zero too
-        block = block / norm
-        blocks.append(block)
-        block = block @ m
-    return rank_real(np.vstack(blocks)) if blocks else 0
-
-
 def gain_search(w: Realization, a: Realization, net: AgentNetwork,
                 budget: int = 10_000, seed: int = 0) -> GainSchedule:
     """Find static per-agent gains with rho(F) < 1.
@@ -172,10 +155,11 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     n_agents = net.agent_count
     n = a.matrix.shape[0]
     dim = n_agents * n
-    m = np.kron(w.matrix, a.matrix)
+    fused = kron_numeric(w, a)
+    m = fused.matrix
     d_h = fused_observation_realization(net, n)
 
-    rank = _observability_rank_real(m, d_h)
+    rank = observability_rank(fused, Realization(d_h, REAL, 0))
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .classify import ALPHA, Decomposition, ObservationPlan, Placement
+from .classify import ALPHA, Decomposition, ObservationPlan, Placement, is_int
 from .graph_core import Digraph, StructuredMatrix, reachable
 
 
@@ -77,6 +77,8 @@ def agents_from_plan(plan: ObservationPlan, agent_count: int | None = None
         raise DesignError(f"{n} agents cannot hold {len(plan.placements)} placements")
     obs: list[list[Placement]] = [[] for _ in range(n)]
     for p in plan.placements:
+        if not 0 <= p.agent < n:
+            raise DesignError(f"placement agent {p.agent} out of range for {n} agents")
         obs[p.agent].append(p)
     return tuple(tuple(o) for o in obs)
 
@@ -164,10 +166,19 @@ def network_to_json(net: AgentNetwork) -> dict:
 
 def network_from_json(data: dict, plan: ObservationPlan) -> AgentNetwork:
     """Rebuild a network from its JSON dump plus the matching plan."""
+    if not isinstance(data, dict):
+        raise ValueError(f"network JSON must be an object, not {type(data).__name__}")
     try:
         agents, alpha, beta = data["agents"], data["alpha_edges"], data["beta_edges"]
     except KeyError as exc:
         raise ValueError(f"network JSON is missing key {exc.args[0]!r}") from None
+    if not is_int(agents):
+        raise ValueError(f"network JSON field 'agents' must be an integer, not {agents!r}")
+    for key, edges in (("alpha_edges", alpha), ("beta_edges", beta)):
+        if not (isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in edges)):
+            raise ValueError(f"network JSON field {key!r} must be a list of "
+                             f"[source, target] integer pairs")
     return AgentNetwork(
         agent_count=agents,
         alpha_edges=frozenset(tuple(e) for e in alpha),

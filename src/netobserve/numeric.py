@@ -3,8 +3,8 @@
 The primary oracle works over the prime field GF(p), p = 2^31 - 1: rank is
 exact, so genericity arguments ("a random realization of an observable
 structure has full observability rank with probability >= 1 - n/p") hold
-without any conditioning headaches.  A real-valued path exists for the
-estimator simulation only.
+without any conditioning headaches.  The same rank routine also runs over
+the reals, for ``verify --field real`` and the estimator's refusal test.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class Realization:
     matrix: np.ndarray
     field: str
     seed: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def _support_mask(s: StructuredMatrix) -> np.ndarray:
@@ -101,58 +97,71 @@ def stochastic_realization_gf(w: StructuredMatrix, seed: int = 0) -> Realization
     return Realization(mat, GF, seed)
 
 
-def _matmul_gf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Python-int objects avoid int64 overflow for p ~ 2^31.
-    prod = (a.astype(object) @ b.astype(object)) % PRIME
-    return prod.astype(np.int64)
+def _basis_gf(m: np.ndarray) -> np.ndarray:
+    """Rows of the reduced echelon form of ``m`` over GF(p), in int64.
 
-
-def rank_gf(m: np.ndarray) -> int:
-    """Exact rank over GF(p) by Gaussian elimination with modular inverses."""
-    a = np.mod(m.astype(object), PRIME)
-    rows, cols = a.shape
+    Residues are below 2^31, so each outer-product update stays below 2^62.
+    """
+    e = np.mod(m, PRIME)
     rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r, col] != 0), None)
-        if pivot is None:
+    for col in range(e.shape[1]):
+        nonzero = np.flatnonzero(e[rank:, col])
+        if nonzero.size == 0:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), PRIME - 2, PRIME)
-        a[rank] = (a[rank] * inv) % PRIME
-        for r in range(rows):
-            if r != rank and a[r, col] != 0:
-                a[r] = (a[r] - a[r, col] * a[rank]) % PRIME
+        e[[rank, rank + nonzero[0]]] = e[[rank + nonzero[0], rank]]
+        e[rank] = e[rank] * pow(int(e[rank, col]), PRIME - 2, PRIME) % PRIME
+        rows = np.flatnonzero(e[:, col])
+        rows = rows[rows != rank]
+        e[rows] = (e[rows] - np.outer(e[rows, col], e[rank]) % PRIME) % PRIME
         rank += 1
-        if rank == rows:
+        if rank == e.shape[0]:
             break
-    return rank
+    return e[:rank]
 
 
-def rank_real(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    smax = np.linalg.norm(m, 2)
-    if smax == 0:
-        return 0
-    return int(np.linalg.matrix_rank(m, tol=1e-9 * smax))
-
-
-def observability_matrix(a: Realization, h: Realization) -> np.ndarray:
-    """Stacked [H; HA; ...; HA^(n-1)] (Cayley-Hamilton truncation)."""
-    if a.field != h.field:
-        raise ValueError("mixed-field observability matrix")
-    n = a.matrix.shape[0]
-    blocks = []
-    block = h.matrix
-    for _ in range(n):
-        blocks.append(block)
-        block = _matmul_gf(block, a.matrix) if a.field == GF else block @ a.matrix
-    return np.vstack(blocks)
+def _basis_real(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``m``: right singular vectors with
+    sigma > 1e-9 sigma_max."""
+    if not m.size:
+        return m[:0]
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    return vt[:int(np.count_nonzero(s > 1e-9 * s[0]))]
 
 
 def observability_rank(a: Realization, h: Realization) -> int:
-    obs = observability_matrix(a, h)
-    return rank_gf(obs) if a.field == GF else rank_real(obs)
+    """Rank of [H; HA; ...; HA^(n-1)], grown as a Krylov row basis.
+
+    A row basis E of span(H) is replaced by a basis of [E; E A] until its
+    row count stops growing: then span(E) is A-invariant and no later power
+    adds rank.  Over GF(p), E A splits A into 16-bit limbs, which is exact
+    while n < 2^16 (larger n raises ``ValueError``).  Over the reals A is
+    scaled to unit spectral norm, which keeps the row space; as E is
+    orthonormal, growing or shrinking powers of A cannot fall below the
+    tolerance.
+    """
+    if a.field != h.field:
+        raise ValueError("mixed-field observability rank")
+    n = a.matrix.shape[0]
+    if a.field == GF:
+        if n >= 1 << 16:
+            raise ValueError(f"GF(p) observability rank needs dimension < 2^16, got {n}")
+        hi, lo = np.divmod(np.mod(a.matrix, PRIME), 1 << 16)
+        basis = _basis_gf
+
+        def times_a(e):
+            return ((e @ hi % PRIME) * (1 << 16) + e @ lo % PRIME) % PRIME
+    else:
+        scaled = a.matrix / (np.linalg.norm(a.matrix, 2) or 1.0)
+        basis = _basis_real
+
+        def times_a(e):
+            return e @ scaled
+    e = basis(h.matrix)
+    while True:
+        grown = basis(np.vstack([e, times_a(e)]))
+        if len(grown) == len(e):
+            return len(e)
+        e = grown
 
 
 def kron_numeric(w: Realization, a: Realization) -> Realization:
@@ -160,6 +169,5 @@ def kron_numeric(w: Realization, a: Realization) -> Realization:
         raise ValueError("mixed-field Kronecker product")
     mat = np.kron(w.matrix, a.matrix)
     if w.field == GF:
-        mat = np.mod(mat.astype(object), PRIME).astype(np.int64)
+        mat = np.mod(mat, PRIME)
     return Realization(mat, w.field, w.seed)
-

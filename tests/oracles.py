@@ -138,3 +138,28 @@ def brute_observability_rank(a: np.ndarray, h: np.ndarray) -> int:
     for _ in range(n - 1):
         blocks.append(blocks[-1] @ a)
     return int(np.linalg.matrix_rank(np.vstack(blocks)))
+
+
+def gf_observability_rank(a: np.ndarray, h: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of the stacked [H; HA; ...; HA^(n-1)], eliminated over
+    Python ints (object arrays), so no product can overflow."""
+    a = np.mod(a.astype(object), p)
+    blocks = [np.mod(h.astype(object), p)]
+    for _ in range(a.shape[0] - 1):
+        blocks.append((blocks[-1] @ a) % p)
+    m = np.vstack(blocks)
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r, col] != 0), None)
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = (m[rank] * pow(int(m[rank, col]), p - 2, p)) % p
+        for r in range(rows):
+            if r != rank and m[r, col] != 0:
+                m[r] = (m[r] - m[r, col] * m[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank

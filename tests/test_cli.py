@@ -136,6 +136,39 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert f"input error: {name} JSON is missing key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, breaks, message", [
+        ("plan", lambda d: {**d, "placements": [1, *d["placements"][1:]]},
+         "plan JSON field 'placements' must be a list of objects"),
+        ("plan", lambda d: d["placements"], "plan JSON must be an object, not list"),
+        ("plan", lambda d: {**d, "placements": [{**d["placements"][0], "agent": 7}]},
+         "placement agent 7 out of range for 3 agents"),
+        ("network", lambda d: {**d, "alpha_edges": [1, 2]},
+         "network JSON field 'alpha_edges' must be a list of [source, target] integer pairs"),
+        ("network", lambda d: {**d, "agents": "3"},
+         "network JSON field 'agents' must be an integer, not '3'"),
+    ], ids=["placement-not-object", "plan-is-list", "agent-out-of-range", "alpha-edges-flat",
+          "agents-string"])
+    def test_wrong_typed_json_is_input_error(self, fixture_gml, tmp_path, capsys,
+                                             name, breaks, message):
+        files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))
+        data = breaks(json.loads(files[name].read_text()))
+        files[name] = tmp_path / f"broken-{name}.json"
+        files[name].write_text(json.dumps(data))
+        code = main(["verify", str(fixture_gml), "--plan", str(files["plan"]),
+                     "--network", str(files["network"]), "--out", str(tmp_path / "v")])
+        assert code == EXIT_INPUT
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["-2", "0"])
+    def test_seeds_must_be_positive(self, fixture_gml, tmp_path, capsys, seeds):
+        plan, network = self._design(fixture_gml, tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", str(fixture_gml), "--plan", str(plan), "--network", str(network),
+                  "--numeric", "--seeds", seeds, "--out", str(tmp_path / "v")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "--seeds: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     def test_numeric_agreement_report(self, fixture_gml, tmp_path):
         plan, network = self._design(fixture_gml, tmp_path)
         out = tmp_path / "v"
@@ -168,3 +201,10 @@ class TestSimulate:
                          "--seed", "3", "--out", str(out)]) == EXIT_OK
             outs.append((out / "trace.csv").read_text())
         assert outs[0] == outs[1]
+
+    def test_horizon_must_be_positive(self, fixture_gml, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", str(fixture_gml), "--horizon", "0", "--out", str(tmp_path / "s")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "--horizon: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()

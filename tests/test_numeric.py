@@ -6,18 +6,27 @@ from netobserve.numeric import (
     GF,
     PRIME,
     REAL,
+    Realization,
     kron_numeric,
-    observability_matrix,
     observability_rank,
     random_realization,
-    rank_gf,
-    rank_real,
     stochastic_realization,
     stochastic_realization_gf,
 )
-from netobserve.structural_check import check_centralized, plan_observation_structure
+from netobserve.classify import decompose, place_agents
+from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
+from netobserve.structural_check import (
+    check_centralized,
+    fused_observation_structure,
+    plan_observation_structure,
+)
 
-from .oracles import brute_observability_rank, kron_structure, random_digraph
+from .oracles import (
+    brute_observability_rank,
+    gf_observability_rank,
+    kron_structure,
+    random_digraph,
+)
 
 
 def identity_structure(n):
@@ -72,22 +81,29 @@ class TestStochasticRealization:
 
 
 class TestRanks:
+    """With an identity A the observability rank is the rank of H."""
+
+    @staticmethod
+    def rank_of(h, field=GF):
+        eye = np.eye(h.shape[1], dtype=h.dtype)
+        return observability_rank(Realization(eye, field, 0), Realization(h, field, 0))
+
     def test_gf_identity(self):
-        assert rank_gf(np.eye(5, dtype=object)) == 5
+        assert self.rank_of(np.eye(5, dtype=np.int64)) == 5
 
     def test_gf_rank_deficient(self):
-        m = np.array([[1, 2], [2, 4]], dtype=object)
-        assert rank_gf(m) == 1
+        m = np.array([[1, 2], [2, 4]], dtype=np.int64)
+        assert self.rank_of(m) == 1
 
     def test_gf_wraps_modulus(self):
         # a matrix singular only mod p: [[1, 1], [1, p+1]] == [[1,1],[1,1]]
-        m = np.array([[1, 1], [1, PRIME + 1]], dtype=object)
-        assert rank_gf(m) == 1
+        m = np.array([[1, 1], [1, PRIME + 1]], dtype=np.int64)
+        assert self.rank_of(m) == 1
 
     def test_real_matches_numpy(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((6, 4))
-        assert rank_real(m) == np.linalg.matrix_rank(m)
+        assert self.rank_of(m, REAL) == np.linalg.matrix_rank(m)
 
 
 class TestObservability:
@@ -101,10 +117,56 @@ class TestObservability:
         h = random_realization(StructuredMatrix(1, 4, frozenset()), GF, seed=1)
         assert observability_rank(a, h) == 0
 
-    def test_matrix_has_n_blocks(self):
-        a = random_realization(identity_structure(3), REAL, seed=0)
-        h = random_realization(StructuredMatrix(1, 3, frozenset({(0, 0)})), REAL, seed=1)
-        assert observability_matrix(a, h).shape == (3, 3)
+    def test_matches_gf_reference(self):
+        """The Krylov basis agrees with eliminating the stacked n blocks."""
+        rng = np.random.default_rng(11)
+        pairs = []
+        for _ in range(240):  # centralized pairs
+            n = int(rng.integers(1, 9))
+            g = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
+            rows = int(rng.integers(1, 4))
+            h_s = StructuredMatrix(rows, n, frozenset(
+                (r, int(c)) for r in range(rows)
+                for c in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+            seed = int(rng.integers(1 << 30))
+            pairs.append((random_realization(structure_from_digraph(g), GF, seed),
+                          random_realization(h_s, GF, seed + 1)))
+        while len(pairs) < 280:  # fused pairs of canonical designs, whole and crippled
+            g = random_digraph(rng, int(rng.integers(3, 8)), 0.35)
+            net = design_canonical(place_agents(decompose(g)))
+            nets = [net] + [
+                AgentNetwork(net.agent_count, net.alpha_edges - {e}, net.beta_edges,
+                             net.observations)
+                for e in sorted(net.alpha_edges)[:1]]
+            a = random_realization(structure_from_digraph(g), GF, seed=len(pairs))
+            for each in nets:
+                w = stochastic_realization_gf(w_structure(each), seed=len(pairs))
+                d = random_realization(
+                    fused_observation_structure(each, g.node_count), GF, seed=len(pairs))
+                pairs.append((kron_numeric(w, a), d))
+        # dense uniform residues at dimension 64: a plain int64 product overflows;
+        # the second A has rank 40, so its observability rank is deficient
+        a = rng.integers(0, PRIME, (64, 64))
+        low = np.mod(rng.integers(0, PRIME, (64, 40)).astype(object)
+                     @ rng.integers(0, PRIME, (40, 64)).astype(object), PRIME)
+        h = rng.integers(0, PRIME, (2, 64))
+        pairs += [(Realization(a, GF, 0), Realization(h, GF, 0)),
+                  (Realization(low.astype(np.int64), GF, 0), Realization(h[:1], GF, 0))]
+
+        ranks = [observability_rank(a, h) for a, h in pairs]
+        assert ranks == [gf_observability_rank(a.matrix, h.matrix, PRIME)
+                         for a, h in pairs]
+        assert ranks[-2:] == [64, 41]
+        assert any(r < a.matrix.shape[0] for r, (a, _) in zip(ranks, pairs))
+
+    def test_real_scaled_powers_keep_full_rank(self, six_state, six_state_net):
+        # A times 10 makes the blocks H A^k span many orders of magnitude;
+        # eliminating them stacked loses all but 6 of the 18 directions
+        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        a = Realization(base.matrix * 10, REAL, 0)
+        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        d = random_realization(fused_observation_structure(six_state_net, 6), REAL, seed=1)
+        assert observability_rank(kron_numeric(w, a), d) == 18
 
     def test_real_matches_oracle(self):
         rng = np.random.default_rng(5)
