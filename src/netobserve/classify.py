@@ -89,7 +89,8 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def plan_from_json(data: dict) -> ObservationPlan:
+def plan_from_json(data: dict, n: int) -> ObservationPlan:
+    """Rebuild a plan for an ``n``-state graph from its JSON dump."""
     if not isinstance(data, dict):
         raise ValueError(f"plan JSON must be an object, not {type(data).__name__}")
     items = data.get("placements")
@@ -111,6 +112,9 @@ def plan_from_json(data: dict) -> ObservationPlan:
         raise ValueError(f"plan JSON is missing key {exc.args[0]!r}") from None
     if not all(is_int(p.state) and is_int(p.agent) for p in placements):
         raise ValueError("plan JSON fields 'state' and 'agent' must be integers")
+    for p in placements:
+        if not 0 <= p.state < n:
+            raise ValueError(f"plan JSON field 'state' must lie in [0, {n}), got {p.state}")
     return ObservationPlan(placements)
 
 

@@ -7,7 +7,8 @@
     netobserve simulate  GRAPH        gain search + estimator error trace (CSV)
 
 Exit codes: 0 ok, 1 internal error, 2 input/parse error, 3 design
-verification or gain search failed, 4 external verification failed.
+verification or gain search failed or the fused dimension is too large for
+a dense realization, 4 external verification failed.
 Every command writes a manifest so runs are reproducible byte-for-byte
 given (input, seed).
 """
@@ -26,6 +27,7 @@ from . import ingest
 from .datasets import REGISTRY, load_dataset
 from .graph_core import structure_from_digraph
 from .netdesign import (
+    AgentNetwork,
     design_canonical,
     network_from_json,
     network_to_dot,
@@ -35,6 +37,7 @@ from .netdesign import (
 )
 from .numeric import (
     GF,
+    MAX_FUSED_DIM,
     REAL,
     kron_numeric,
     observability_rank,
@@ -85,6 +88,16 @@ def _manifest(args, extra: dict) -> str:
 def _plan_and_dec(lg: ingest.LabeledGraph):
     dec = classify_mod.decompose(lg.digraph)
     return dec, classify_mod.place_agents(dec)
+
+
+def _too_large(net: AgentNetwork, n: int) -> bool:
+    """Refuse a dense realization of W kron A above ``MAX_FUSED_DIM``."""
+    dim = net.agent_count * n
+    if dim <= MAX_FUSED_DIM:
+        return False
+    print(f"fused dimension {dim} ({net.agent_count} agents x {n} states) exceeds "
+          f"the dense realization cap {MAX_FUSED_DIM}", file=sys.stderr)
+    return True
 
 
 def cmd_analyze(args) -> int:
@@ -160,8 +173,11 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     lg = _load_graph(args)
-    plan = classify_mod.plan_from_json(json.loads(Path(args.plan).read_text()))
+    n = lg.digraph.node_count
+    plan = classify_mod.plan_from_json(json.loads(Path(args.plan).read_text()), n)
     net = network_from_json(json.loads(Path(args.network).read_text()), plan)
+    if args.numeric and _too_large(net, n):
+        return EXIT_DESIGN
     dec = classify_mod.decompose(lg.digraph)
     verdict = verify_topology(net, dec)
     a = structure_from_digraph(lg.digraph)
@@ -172,7 +188,6 @@ def cmd_verify(args) -> int:
         "distributed": structural.to_json(),
     }
     if args.numeric:
-        n = lg.digraph.node_count
         w = w_structure(net)
         d = fused_observation_structure(net, n)
         realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
@@ -197,6 +212,8 @@ def cmd_simulate(args) -> int:
     lg = _load_graph(args)
     dec, plan = _plan_and_dec(lg)
     net = design_canonical(plan, args.agents)
+    if _too_large(net, lg.digraph.node_count):
+        return EXIT_DESIGN
     if not verify_topology(net, dec).ok:
         print("design does not verify; refusing to simulate", file=sys.stderr)
         return EXIT_DESIGN
@@ -288,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, default=None)
     p.add_argument("--horizon", type=_positive_int, default=1000)
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_simulate)
     return parser
 

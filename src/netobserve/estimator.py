@@ -12,6 +12,10 @@ Stacked over agents these equal the centralized recursion on
 ``(W (x) A, D_H)`` with a block-diagonal gain, whose error matrix is
 ``F = (I - K D_H)(W (x) A)``; the filter is stable iff rho(F) < 1.
 
+``W`` must be row-stochastic: then every agent's prediction of the truth
+is the truth, and the simulation runs the filter as one recursion on the
+error matrix ``E = Xhat - 1 x^T`` (agents x n) without a truth trajectory.
+
 Gains are static.  The search replaces the cone-complementarity LMI
 synthesis the theory points at: it iterates a covariance recursion whose
 centralized gain is projected onto the block-diagonal at every step, then
@@ -41,14 +45,6 @@ class UnobservableSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Per-agent estimates, shape (agents, n)."""
-
-    estimates: np.ndarray
-    step: int = 0
-
-
-@dataclass(frozen=True)
 class GainSchedule:
     blocks: tuple[np.ndarray, ...]  # per-agent, each n x n
     spectral_radius: float
@@ -67,59 +63,21 @@ class ErrorTrace:
         return float(np.median(tail))
 
 
-def observation_matrices(net: AgentNetwork, n: int) -> list[np.ndarray]:
-    """Per-agent raw observation matrix H_i (one row per placement)."""
-    mats = []
-    for obs in net.observations:
-        h = np.zeros((len(obs), n))
-        for r, p in enumerate(obs):
-            h[r, p.state] = 1.0
-        mats.append(h)
-    return mats
+def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows ``H`` (one per placement, in agent order) and the agents x
+    rows matrix ``R`` that selects each agent's alpha sources."""
+    states = [p.state for obs in net.observations for p in obs]
+    owner = np.repeat(np.arange(net.agent_count), [len(obs) for obs in net.observations])
+    sources = np.zeros((net.agent_count, net.agent_count))
+    for i, js in enumerate(net.alpha_sources):
+        sources[i, list(js)] = 1.0
+    return np.eye(n)[states], sources[:, owner]
 
 
 def fused_observation_realization(net: AgentNetwork, n: int) -> np.ndarray:
     """Block-diagonal D_H with blocks sum_j H_j^T H_j over alpha in-neighborhoods."""
-    hs = observation_matrices(net, n)
-    big = np.zeros((net.agent_count * n, net.agent_count * n))
-    for i in range(net.agent_count):
-        block = np.zeros((n, n))
-        for j in net.alpha_sources[i]:
-            block += hs[j].T @ hs[j]
-        big[i * n:(i + 1) * n, i * n:(i + 1) * n] = block
-    return big
-
-
-def predict_step(state: FilterState, w: Realization, a: Realization) -> FilterState:
-    """Prediction fusion; touches only beta in-neighborhoods (W's support)."""
-    n_agents, n = state.estimates.shape
-    if w.matrix.shape != (n_agents, n_agents):
-        raise ValueError("fusion matrix does not match agent count")
-    out = np.zeros_like(state.estimates)
-    for i in range(n_agents):
-        neighbors = np.flatnonzero(w.matrix[i])  # {i} and beta in-neighbors only
-        for j in neighbors:
-            out[i] += w.matrix[i, j] * (a.matrix @ state.estimates[j])
-    return FilterState(out, state.step)
-
-
-def update_step(state: FilterState, observations: dict[int, np.ndarray],
-                gains: GainSchedule, net: AgentNetwork) -> FilterState:
-    """Innovation fusion; touches only alpha in-neighborhoods."""
-    n_agents, n = state.estimates.shape
-    hs = observation_matrices(net, n)
-    out = state.estimates.copy()
-    for i in range(n_agents):
-        innovation = np.zeros(n)
-        for j in net.alpha_sources[i]:
-            if len(net.observations[j]) == 0:
-                continue
-            if j not in observations:
-                raise KeyError(f"missing observation from agent {j} "
-                               f"declared on an alpha edge into {i}")
-            innovation += hs[j].T @ (observations[j] - hs[j] @ state.estimates[i])
-        out[i] = state.estimates[i] + gains.blocks[i] @ innovation
-    return FilterState(out, state.step + 1)
+    h, r = _observation_rows(net, n)
+    return np.diag((r @ h).ravel())
 
 
 def _assemble_gain(blocks, n_agents: int, n: int) -> np.ndarray:
@@ -133,13 +91,6 @@ def _closed_loop(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray
                  ) -> tuple[np.ndarray, float]:
     f = m - kbar @ d_h @ m
     return f, float(np.max(np.abs(np.linalg.eigvals(f))))
-
-
-def error_matrix(w: Realization, a: Realization, gains: GainSchedule,
-                 d_h: np.ndarray) -> tuple[np.ndarray, float]:
-    """F = (W (x) A) - Kbar D_H (W (x) A) and its spectral radius."""
-    kbar = _assemble_gain(gains.blocks, w.matrix.shape[0], a.matrix.shape[0])
-    return _closed_loop(np.kron(w.matrix, a.matrix), kbar, d_h)
 
 
 def gain_search(w: Realization, a: Realization, net: AgentNetwork,
@@ -205,24 +156,33 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
              gains: GainSchedule, horizon: int = 1000,
              process_noise: float = 0.1, observation_noise: float = 0.1,
              seed: int = 0) -> ErrorTrace:
-    """Run the distributed filter against a simulated truth trajectory."""
+    """Run the distributed filter as one recursion on the stacked error.
+
+    Per step, with ``d = R H`` the diagonals of the blocks of ``D_H``:
+    ``E <- W E A^T - v`` (process noise ``v``), then
+    ``E_i <- E_i - K_i (d_i o E_i - sum_rows R_ir nu_r H_r)`` (observation
+    noise ``nu``).  Noise is drawn as ``x0``, then per step ``n`` process
+    and one observation draw per placement row, in agent order.
+    """
     if a.field != REAL or w.field != REAL:
         raise ValueError("simulation runs on real-valued realizations")
-    rng = np.random.default_rng(seed)
     n_agents = net.agent_count
+    if w.matrix.shape != (n_agents, n_agents):
+        raise ValueError(f"fusion matrix of shape {w.matrix.shape} does not match "
+                         f"{n_agents} agents")
+    if np.abs(w.matrix.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValueError("fusion matrix rows must sum to one")
+    rng = np.random.default_rng(seed)
     n = a.matrix.shape[0]
-    hs = observation_matrices(net, n)
+    h, r = _observation_rows(net, n)
+    d = r @ h
+    k = np.stack(gains.blocks)
 
-    x = rng.standard_normal(n)
-    state = FilterState(np.zeros((n_agents, n)))
+    e = np.tile(-rng.standard_normal(n), (n_agents, 1))
     mse = np.zeros((horizon, n_agents))
-    for k in range(horizon):
-        x = a.matrix @ x + process_noise * rng.standard_normal(n)
-        observations = {
-            j: hs[j] @ x + observation_noise * rng.standard_normal(hs[j].shape[0])
-            for j in range(n_agents) if hs[j].shape[0] > 0
-        }
-        state = predict_step(state, w, a)
-        state = update_step(state, observations, gains, net)
-        mse[k] = np.mean((state.estimates - x) ** 2, axis=1)
+    for step in range(horizon):
+        e = w.matrix @ e @ a.matrix.T - process_noise * rng.standard_normal(n)
+        nu = observation_noise * rng.standard_normal(len(h))
+        e = e - np.einsum("inm,im->in", k, d * e - (r * nu) @ h)
+        mse[step] = np.mean(e ** 2, axis=1)
     return ErrorTrace(mse, process_noise, observation_noise)

@@ -103,7 +103,7 @@ class TestPlaceAgents:
 class TestPlanSerialization:
     def test_round_trip(self, six_state_plan):
         data = six_state_plan.to_json()
-        rebuilt = plan_from_json(data)
+        rebuilt = plan_from_json(data, 6)
         assert rebuilt.states == six_state_plan.states
         assert rebuilt.n_alpha == six_state_plan.n_alpha
         assert rebuilt.n_beta == six_state_plan.n_beta

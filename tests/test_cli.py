@@ -142,12 +142,14 @@ class TestVerify:
         ("plan", lambda d: d["placements"], "plan JSON must be an object, not list"),
         ("plan", lambda d: {**d, "placements": [{**d["placements"][0], "agent": 7}]},
          "placement agent 7 out of range for 3 agents"),
+        ("plan", lambda d: {**d, "placements": [{**d["placements"][0], "state": 99}]},
+         "plan JSON field 'state' must lie in [0, 6), got 99"),
         ("network", lambda d: {**d, "alpha_edges": [1, 2]},
          "network JSON field 'alpha_edges' must be a list of [source, target] integer pairs"),
         ("network", lambda d: {**d, "agents": "3"},
          "network JSON field 'agents' must be an integer, not '3'"),
-    ], ids=["placement-not-object", "plan-is-list", "agent-out-of-range", "alpha-edges-flat",
-          "agents-string"])
+    ], ids=["placement-not-object", "plan-is-list", "agent-out-of-range", "state-out-of-range",
+          "alpha-edges-flat", "agents-string"])
     def test_wrong_typed_json_is_input_error(self, fixture_gml, tmp_path, capsys,
                                              name, breaks, message):
         files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))
@@ -167,6 +169,17 @@ class TestVerify:
                   "--numeric", "--seeds", seeds, "--out", str(tmp_path / "v")])
         assert exc_info.value.code == EXIT_INPUT
         assert "--seeds: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_numeric_above_dense_cap_refused(self, fixture_gml, tmp_path, capsys):
+        out = tmp_path / "design"
+        assert main(["design", str(fixture_gml), "--agents", "50", "--out", str(out)]) == EXIT_OK
+        code = main(["verify", str(fixture_gml), "--plan", str(out / "plan.json"),
+                     "--network", str(out / "network.json"), "--numeric", "--seeds", "1",
+                     "--out", str(tmp_path / "v")])
+        assert code == EXIT_DESIGN
+        assert "fused dimension 300 (50 agents x 6 states) exceeds the dense " \
+               "realization cap 256" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
     def test_numeric_agreement_report(self, fixture_gml, tmp_path):
@@ -207,4 +220,19 @@ class TestSimulate:
             main(["simulate", str(fixture_gml), "--horizon", "0", "--out", str(tmp_path / "s")])
         assert exc_info.value.code == EXIT_INPUT
         assert "--horizon: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_must_be_positive(self, fixture_gml, tmp_path, capsys, budget):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", str(fixture_gml), "--budget", budget, "--out", str(tmp_path / "s")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "--budget: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_above_dense_cap_refused(self, fixture_gml, tmp_path, capsys):
+        code = main(["simulate", str(fixture_gml), "--agents", "50", "--out", str(tmp_path / "s")])
+        assert code == EXIT_DESIGN
+        assert "fused dimension 300 (50 agents x 6 states) exceeds the dense " \
+               "realization cap 256" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()

@@ -3,17 +3,11 @@ import pytest
 
 from netobserve.classify import Placement, ObservationPlan
 from netobserve.estimator import (
-    ErrorTrace,
-    FilterState,
     GainSchedule,
     UnobservableSystemError,
-    error_matrix,
     fused_observation_realization,
     gain_search,
-    observation_matrices,
-    predict_step,
     simulate,
-    update_step,
 )
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import structure_from_digraph
@@ -40,12 +34,6 @@ def single_agent_full_obs(n):
 
 
 class TestBuildingBlocks:
-    def test_observation_matrices_rows(self, six_state_net):
-        hs = observation_matrices(six_state_net, 6)
-        assert [h.shape[0] for h in hs] == [1, 1, 1]
-        for h, obs in zip(hs, six_state_net.observations):
-            assert h[0, obs[0].state] == 1.0
-
     def test_fused_observation_block_diag(self, six_state_net):
         d = fused_observation_realization(six_state_net, 6)
         assert d.shape == (18, 18)
@@ -57,113 +45,49 @@ class TestBuildingBlocks:
         assert set(np.flatnonzero(np.diag(beta_block))) == observed
 
 
-class TestPredictStep:
-    def test_identity_w_independent_predictors(self):
-        a = Realization(np.diag([0.5, 2.0]), REAL, 0)
-        w = Realization(np.eye(3), REAL, 0)
-        est = np.arange(6, dtype=float).reshape(3, 2)
-        out = predict_step(FilterState(est), w, a)
-        for i in range(3):
-            assert np.allclose(out.estimates[i], a.matrix @ est[i])
-
-    def test_single_agent_standard_predictor(self):
-        a = Realization(np.array([[0.0, 1.0], [-0.5, 0.3]]), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
-        est = np.array([[1.0, -2.0]])
-        out = predict_step(FilterState(est), w, a)
-        assert np.allclose(out.estimates[0], a.matrix @ est[0])
-
-    def test_stacked_form_matches_kron(self, six_state, six_state_net):
-        a = scaled_system(six_state, 0.9)
-        w = stochastic_realization(w_structure(six_state_net), seed=1)
-        est = np.random.default_rng(2).standard_normal((3, 6))
-        out = predict_step(FilterState(est), w, a)
-        stacked = np.kron(w.matrix, a.matrix) @ est.ravel()
-        assert np.allclose(out.estimates.ravel(), stacked, atol=1e-12)
-
-    def test_agent_count_mismatch(self):
-        a = Realization(np.eye(2), REAL, 0)
-        w = Realization(np.eye(2), REAL, 0)
-        with pytest.raises(ValueError):
-            predict_step(FilterState(np.zeros((3, 2))), w, a)
+def zero_gains(n_agents, n):
+    return GainSchedule(tuple(np.zeros((n, n)) for _ in range(n_agents)), 1.0, False, 0)
 
 
-class TestUpdateStep:
-    def test_zero_gain_no_change(self, six_state_net):
-        est = np.random.default_rng(3).standard_normal((3, 6))
-        gains = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)),
-                             1.0, False, 0)
-        obs = {j: np.zeros(1) for j in range(3)}
-        out = update_step(FilterState(est), obs, gains, six_state_net)
-        assert np.allclose(out.estimates, est)
-        assert out.step == 1
-
-    def test_single_agent_exact_recovery(self):
-        # noiseless full observation with the pseudo-inverse correction
-        # recovers the state in one step
-        n = 3
-        net = single_agent_full_obs(n)
-        h = observation_matrices(net, n)[0]
-        x = np.array([1.0, -2.0, 0.5])
-        est = np.zeros((1, n))
-        gains = GainSchedule((np.linalg.inv(h.T @ h),), 0.0, True, 0)
-        out = update_step(FilterState(est), {0: h @ x}, gains, net)
-        assert np.allclose(out.estimates[0], x, atol=1e-12)
-
-    def test_missing_declared_observation_raises(self, six_state_net):
-        est = np.zeros((3, 6))
-        gains = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)),
-                             1.0, False, 0)
-        with pytest.raises(KeyError):
-            update_step(FilterState(est), {0: np.zeros(1)}, gains, six_state_net)
-
-    def test_stacked_form_matches_centralized(self, six_state, six_state_net):
-        # one update step equals xhat + Kbar (y_stacked - D_H xhat) with the
-        # block-diagonal assembled gain
-        rng = np.random.default_rng(4)
-        n, n_agents = 6, 3
-        est = rng.standard_normal((n_agents, n))
-        blocks = tuple(rng.standard_normal((n, n)) * 0.1 for _ in range(n_agents))
-        gains = GainSchedule(blocks, 1.0, False, 0)
-        hs = observation_matrices(six_state_net, n)
-        x = rng.standard_normal(n)
-        obs = {j: hs[j] @ x for j in range(n_agents)}
-        out = update_step(FilterState(est), obs, gains, six_state_net)
-
-        d_h = fused_observation_realization(six_state_net, n)
-        kbar = np.zeros((n_agents * n, n_agents * n))
-        for i, k in enumerate(blocks):
-            kbar[i * n:(i + 1) * n, i * n:(i + 1) * n] = k
-        stacked_truth = np.tile(x, n_agents)
-        stacked = est.ravel() + kbar @ d_h @ (stacked_truth - est.ravel())
-        assert np.allclose(out.estimates.ravel(), stacked, atol=1e-12)
+def six_state_case(six_state, six_state_net, blocks):
+    a = scaled_system(six_state, 0.9)
+    w = stochastic_realization(w_structure(six_state_net), seed=1)
+    return w, a, six_state_net, GainSchedule(blocks, 1.0, False, 0)
 
 
-class TestErrorMatrix:
-    def test_zero_gain_kron_spectral_radius(self, six_state, six_state_net):
-        a = scaled_system(six_state, 0.8)
-        w = stochastic_realization(w_structure(six_state_net), seed=5)
-        gains = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)),
-                             1.0, False, 0)
-        d_h = fused_observation_realization(six_state_net, 6)
-        f, rho = error_matrix(w, a, gains, d_h)
-        kron = np.kron(w.matrix, a.matrix)
-        assert np.allclose(f, kron)
-        rho_kron = max(abs(np.linalg.eigvals(kron)))
-        assert rho == pytest.approx(rho_kron, abs=1e-9)
+def deadbeat_case():
+    # full observation of one agent: D_H = I, so K = I gives K D_H = I
+    n = 3
+    a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
+    w = Realization(np.eye(1), REAL, 0)
+    return w, a, single_agent_full_obs(n), GainSchedule((np.eye(n),), 0.0, True, 0)
 
-    def test_single_agent_kalman_style_gain_stabilizes(self):
-        # classical output injection: with full observation the deadbeat
-        # gain K = A H^{-1}-style correction gives rho < 1
-        n = 3
-        net = single_agent_full_obs(n)
-        rng = np.random.default_rng(6)
-        a = Realization(rng.uniform(-1, 1, (n, n)), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
-        d_h = fused_observation_realization(net, n)
-        gains = GainSchedule((np.eye(n),), 0.0, True, 0)  # K D_H = I
-        _, rho = error_matrix(w, a, gains, d_h)
-        assert rho < 1e-9
+
+@pytest.mark.parametrize("case, vanishes", [
+    (lambda g, net: six_state_case(g, net, zero_gains(3, 6).blocks), False),
+    (lambda g, net: six_state_case(g, net, tuple(
+        np.random.default_rng(4).standard_normal((3, 6, 6)) * 0.1)), False),
+    (lambda g, net: deadbeat_case(), True),
+], ids=["zero-gain", "random-gains", "deadbeat"])
+def test_error_recursion_matches_dense(six_state, six_state_net, case, vanishes):
+    # noiseless, the stacked error after step k is F^(k+1) e0 with
+    # F = (I - Kbar D_H)(W kron A) and e0 = -x0 in every agent's block
+    w, a, net, gains = case(six_state, six_state_net)
+    n_agents, n = net.agent_count, a.matrix.shape[0]
+    kbar = np.zeros((n_agents * n, n_agents * n))
+    for i, k in enumerate(gains.blocks):
+        kbar[i * n:(i + 1) * n, i * n:(i + 1) * n] = k
+    d_h = fused_observation_realization(net, n)
+    f = (np.eye(n_agents * n) - kbar @ d_h) @ np.kron(w.matrix, a.matrix)
+    e = np.tile(-np.random.default_rng(5).standard_normal(n), n_agents)
+    trace = simulate(w, a, net, gains, horizon=20, process_noise=0.0,
+                     observation_noise=0.0, seed=5)
+    for step in range(20):
+        e = f @ e
+        expected = np.mean(e.reshape(n_agents, n) ** 2, axis=1)
+        assert np.allclose(trace.mse[step], expected, rtol=1e-9, atol=1e-15)
+    if vanishes:
+        assert not trace.mse.any()
 
 
 class TestGainSearch:
@@ -241,6 +165,27 @@ class TestSimulate:
         trace = simulate(w, a, six_state_net, zero, horizon=200,
                          process_noise=0.05, observation_noise=0.05, seed=4)
         assert trace.mse.max() > 1e6
+
+    def test_unstable_plant_mse_stays_small(self, six_state, six_state_net):
+        # rho(A) = 1.1: the estimate and the truth both diverge, yet their
+        # difference contracts at rho(F) < 1
+        a = scaled_system(six_state, 1.1)
+        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        sched = gain_search(w, a, six_state_net, budget=10_000, seed=1)
+        assert sched.found
+        trace = simulate(w, a, six_state_net, sched, horizon=1000,
+                         process_noise=0.05, observation_noise=0.05, seed=3)
+        assert trace.steady_state() < 1.0
+        assert trace.mse[800:].max() < 1.0
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((3, 3), 0.5),  # rows sum to 1.5
+        np.eye(2),             # two agents for a three-agent network
+    ], ids=["not-stochastic", "wrong-shape"])
+    def test_rejects_bad_fusion_matrix(self, six_state, six_state_net, matrix):
+        a = scaled_system(six_state, 0.9)
+        with pytest.raises(ValueError, match="fusion matrix"):
+            simulate(Realization(matrix, REAL, 0), a, six_state_net, zero_gains(3, 6))
 
     def test_requires_real_field(self, six_state, six_state_net):
         from netobserve.numeric import GF
