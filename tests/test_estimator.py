@@ -49,6 +49,108 @@ def zero_gains(n_agents, n):
     return GainSchedule(tuple(np.zeros((n, n)) for _ in range(n_agents)), 1.0, False, 0)
 
 
+def initial_error(n, seed):
+    # simulate draws x0 first, and every agent starts from xhat = 0
+    return -np.random.default_rng(seed).standard_normal(n)
+
+
+def noiseless(w, a, net, gains, horizon=20, seed=5):
+    return simulate(w, a, net, gains, horizon=horizon, process_noise=0.0,
+                    observation_noise=0.0, seed=seed)
+
+
+def unobserving_agents(n_agents):
+    # observations are irrelevant under zero gains; each agent needs one
+    return AgentNetwork(n_agents, frozenset(), frozenset(), tuple(
+        (Placement(state=0, agent=i, kind="alpha"),) for i in range(n_agents)))
+
+
+class TestPredictStep:
+    # with zero gains every step is the prediction E <- W E A^T alone
+
+    def test_identity_w_independent_predictors(self):
+        a = Realization(np.diag([0.5, 2.0]), REAL, 0)
+        w = Realization(np.eye(3), REAL, 0)
+        trace = noiseless(w, a, unobserving_agents(3), zero_gains(3, 2))
+        e = initial_error(2, 5)
+        for step in range(20):
+            e = a.matrix @ e
+            assert np.allclose(trace.mse[step], np.mean(e ** 2), rtol=1e-12)
+
+    def test_single_agent_standard_predictor(self):
+        a = Realization(np.array([[0.0, 1.0], [-0.5, 0.3]]), REAL, 0)
+        w = Realization(np.eye(1), REAL, 0)
+        trace = noiseless(w, a, unobserving_agents(1), zero_gains(1, 2))
+        e = initial_error(2, 5)
+        for step in range(20):
+            e = a.matrix @ e
+            assert trace.mse[step, 0] == pytest.approx(np.mean(e ** 2), rel=1e-12)
+
+    def test_stacked_form_matches_kron(self, six_state, six_state_net):
+        a = scaled_system(six_state, 0.9)
+        w = stochastic_realization(w_structure(six_state_net), seed=1)
+        trace = noiseless(w, a, six_state_net, zero_gains(3, 6))
+        kron = np.kron(w.matrix, a.matrix)
+        e = np.tile(initial_error(6, 5), 3)
+        for step in range(20):
+            e = kron @ e
+            expected = np.mean(e.reshape(3, 6) ** 2, axis=1)
+            assert np.allclose(trace.mse[step], expected, rtol=1e-9, atol=1e-15)
+
+
+class TestUpdateStep:
+    def test_zero_gain_no_change(self, six_state, six_state_net):
+        # a zero gain ignores the innovation, so observation noise is inert
+        a = scaled_system(six_state, 0.9)
+        w = stochastic_realization(w_structure(six_state_net), seed=1)
+        runs = [simulate(w, a, six_state_net, zero_gains(3, 6), horizon=50,
+                         process_noise=0.1, observation_noise=noise, seed=3)
+                for noise in (0.0, 1.0)]
+        assert np.array_equal(runs[0].mse, runs[1].mse)
+
+    def test_single_agent_exact_recovery(self):
+        # noiseless full observation with the pseudo-inverse correction
+        # (H^T H)^-1 = I recovers the state at every step, whatever the
+        # process noise drove it to
+        n = 3
+        a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
+        w = Realization(np.eye(1), REAL, 0)
+        gains = GainSchedule((np.eye(n),), 0.0, True, 0)
+        trace = simulate(w, a, single_agent_full_obs(n), gains, horizon=20,
+                         process_noise=0.5, observation_noise=0.0, seed=2)
+        assert not trace.mse.any()
+
+
+class TestErrorMatrix:
+    def test_zero_gain_kron_spectral_radius(self, six_state, six_state_net):
+        # F = W kron A under zero gains: the noiseless squared error
+        # contracts per step at rho(W kron A)^2
+        a = scaled_system(six_state, 0.8)
+        w = stochastic_realization(w_structure(six_state_net), seed=5)
+        rho_kron = max(abs(np.linalg.eigvals(np.kron(w.matrix, a.matrix))))
+        m = noiseless(w, a, six_state_net, zero_gains(3, 6), horizon=80).mse.mean(axis=1)
+        window = 10
+        observed = (m[60] / m[60 - window]) ** (1 / window)
+        assert observed == pytest.approx(rho_kron ** 2, rel=0.05)
+
+    def test_single_agent_kalman_style_gain_stabilizes(self):
+        # classical output injection: with full observation K D_H = I
+        # gives rho(F) = 0, so even an unstable plant leaves only the
+        # last observation noise as error
+        n = 3
+        a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
+        a = Realization(a.matrix * 3 / max(abs(np.linalg.eigvals(a.matrix))), REAL, 0)
+        w = Realization(np.eye(1), REAL, 0)
+        gains = GainSchedule((np.eye(n),), 0.0, True, 0)  # K D_H = I
+        trace = simulate(w, a, single_agent_full_obs(n), gains, horizon=200,
+                         process_noise=0.1, observation_noise=0.1, seed=4)
+        assert trace.mse.max() < 0.1
+        unstabilized = simulate(w, a, single_agent_full_obs(n), zero_gains(1, n),
+                                horizon=200, process_noise=0.1,
+                                observation_noise=0.1, seed=4)
+        assert unstabilized.mse.max() > 1e6
+
+
 def six_state_case(six_state, six_state_net, blocks):
     a = scaled_system(six_state, 0.9)
     w = stochastic_realization(w_structure(six_state_net), seed=1)
