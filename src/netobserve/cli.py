@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,16 +57,17 @@ EXIT_VERIFY = 4
 
 def _load_graph(args) -> ingest.LabeledGraph:
     if args.dataset:
-        return load_dataset(args.dataset, data_dir=args.data_dir)
-    path = Path(args.input)
-    data = path.read_bytes()
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "gml" if path.suffix.lower() == ".gml" else "edgelist"
-    if fmt == "gml":
-        lg = ingest.parse_gml(data, source=str(path))
+        lg = load_dataset(args.dataset, data_dir=args.data_dir)
     else:
-        lg = ingest.parse_edge_list(data, directed=not args.undirected, source=str(path))
+        path = Path(args.input)
+        data = path.read_bytes()
+        fmt = args.format
+        if fmt == "auto":
+            fmt = "gml" if path.suffix.lower() == ".gml" else "edgelist"
+        if fmt == "gml":
+            lg = ingest.parse_gml(data, source=str(path))
+        else:
+            lg = ingest.parse_edge_list(data, directed=not args.undirected, source=str(path))
     if args.drop_isolates:
         lg = ingest.drop_isolates(lg)
     if args.largest:
@@ -257,20 +259,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True):
-    if needs_input:
-        p.add_argument("input", nargs="?", help="graph file (GML or edge list)")
-        p.add_argument("--dataset", choices=sorted(REGISTRY),
-                       help="load a registered corpus instead of a file")
-        p.add_argument("--data-dir", default=None)
-        p.add_argument("--format", choices=["auto", "gml", "edgelist"], default="auto")
-        p.add_argument("--undirected", action="store_true",
-                       help="treat an edge list as undirected")
-        p.add_argument("--drop-isolates", action="store_true")
-        p.add_argument("--largest", action="store_true",
-                       help="keep only the largest weakly connected component")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=[GF, REAL], default=GF)
+def _noise(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("input", nargs="?", help="graph file (GML or edge list)")
+    p.add_argument("--dataset", choices=sorted(REGISTRY),
+                   help="load a registered corpus instead of a file")
+    p.add_argument("--data-dir", default=None)
+    p.add_argument("--format", choices=["auto", "gml", "edgelist"], default="auto")
+    p.add_argument("--undirected", action="store_true",
+                   help="treat an edge list as undirected")
+    p.add_argument("--drop-isolates", action="store_true")
+    p.add_argument("--largest", action="store_true",
+                   help="keep only the largest weakly connected component")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -298,22 +304,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--seeds", type=_positive_int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--field", choices=[GF, REAL], default=GF)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="distributed estimator simulation")
     _add_common(p)
     p.add_argument("--agents", type=int, default=None)
     p.add_argument("--horizon", type=_positive_int, default=1000)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_noise, default=0.1)
     p.add_argument("--budget", type=_positive_int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "input", None) is None and getattr(args, "dataset", None) is None \
-            and args.command in {"analyze", "classify", "design", "verify", "simulate"}:
+    if args.input is None and args.dataset is None:
         print("error: provide an input file or --dataset", file=sys.stderr)
         return EXIT_INPUT
     try:

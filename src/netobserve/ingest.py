@@ -3,8 +3,10 @@
 Supported inputs:
 
 * a GML subset: ``graph [ directed 0|1 node [ id N label "..." ] ...
-  edge [ source N target N ] ... ]``, with unknown (possibly nested) keys
-  skipped;
+  edge [ source N target N ] ... ]``, read in one pass with a stack of the
+  open blocks, so unknown keys and blocks nested to any depth are skipped.
+  Ids and endpoints must be integers, an id may not repeat, and only
+  ``directed 1`` means directed;
 * whitespace- or comma-separated integer edge lists with ``#`` comments.
 
 Undirected files are symmetrized into bidirectional arcs (the analysis
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .graph_core import Digraph
 
@@ -53,61 +56,36 @@ class LabeledGraph:
 
 
 def _dedup_labels(labels: list[str]) -> tuple[str, ...]:
-    seen: dict[str, int] = {}
-    out = []
+    """Suffix repeats with ``#2``, ``#3``, ..., skipping taken names: the result is unique."""
+    out: dict[str, None] = {}  # insertion-ordered set
+    repeats: dict[str, int] = {}
     for lab in labels:
-        if lab in seen:
-            seen[lab] += 1
-            out.append(f"{lab}#{seen[lab]}")
-        else:
-            seen[lab] = 1
-            out.append(lab)
+        name = lab
+        while name in out:
+            repeats[lab] = repeats.get(lab, 1) + 1
+            name = f"{lab}#{repeats[lab]}"
+        out[name] = None
     return tuple(out)
+
+
+def _relabel(ids: Iterable[int], label_of: Callable[[int], str],
+             arcs: Iterable[tuple[int, int]], directed: bool, meta: dict) -> LabeledGraph:
+    """Number ``ids`` 0..n-1 in sorted order, remap ``arcs`` onto those
+    numbers (in both directions when undirected) and dedup the labels."""
+    order = sorted(ids)
+    index = {v: k for k, v in enumerate(order)}
+    edges = {(index[s], index[t]) for s, t in arcs}
+    if not directed:
+        edges |= {(t, s) for s, t in edges}
+    return LabeledGraph(Digraph(len(order), frozenset(edges)),
+                        _dedup_labels([label_of(v) for v in order]), directed, meta)
 
 
 _TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
 
-
-def _tokenize_gml(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0] if line.lstrip().startswith("#") else line
-        for match in _TOKEN.finditer(body):
-            tokens.append((match.group(0), lineno))
-    return tokens
-
-
-def _parse_gml_value(tok: str):
-    if tok.startswith('"'):
-        return tok[1:-1]
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        return tok
-
-
-def _parse_gml_object(tokens: list[tuple[str, int]], pos: int) -> tuple[list, int]:
-    """Parse a `[ ... ]` block into a list of (key, value, line) triples."""
-    items = []
-    while pos < len(tokens):
-        tok, line = tokens[pos]
-        if tok == "]":
-            return items, pos + 1
-        if tok == "[":
-            raise MalformedInput("unexpected '['", line)
-        if pos + 1 >= len(tokens):
-            raise MalformedInput(f"key {tok!r} without a value", line)
-        nxt, nxt_line = tokens[pos + 1]
-        if nxt == "[":
-            value, pos = _parse_gml_object(tokens, pos + 2)
-        else:
-            value, pos = _parse_gml_value(nxt), pos + 2
-        items.append((tok.lower(), value, line))
-    raise MalformedInput("unclosed '['", tokens[-1][1] if tokens else 1)
+# Scope inside a block by (outer scope, key); any other block is skipped (None).
+_SCOPES = {("", "graph"): "graph", ("graph", "node"): "node", ("graph", "edge"): "edge"}
+_READ = {"node": ("id", "label"), "edge": ("source", "target")}
 
 
 def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
@@ -117,66 +95,76 @@ def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
     both edge directions; duplicate edges collapse.
     """
     text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    tokens = _tokenize_gml(text)
-    graph_items = None
-    pos = 0
-    while pos < len(tokens):
-        tok, line = tokens[pos]
-        if tok == "]" or tok == "[":
-            raise MalformedInput(f"unexpected {tok!r} at top level", line)
-        if pos + 1 >= len(tokens):
-            raise MalformedInput(f"key {tok!r} without a value", line)
-        if tokens[pos + 1][0] == "[":
-            block, pos = _parse_gml_object(tokens, pos + 2)
-            if tok.lower() == "graph":
-                graph_items = block
-                break
-        else:
-            pos += 2  # top-level key/value (Creator, Version, ...)
-    if graph_items is None:
-        raise MalformedInput("no 'graph [ ... ]' block found", 1)
-
-    directed = False
-    ids: list[int] = []
+    tokens = ((tok, lineno) for lineno, line in enumerate(text.splitlines(), start=1)
+              if not line.lstrip().startswith("#") for tok in _TOKEN.findall(line))
+    scope = ""  # "" at top level; "graph", "node", "edge", or None in a skipped block
+    stack: list[tuple[int, str | None]] = []  # per open block: its key's line, outer scope
+    key = None  # lowercased key awaiting its value
+    fields: dict[str, int | str] = {}  # values read in the open node or edge block
     labels: dict[int, str] = {}
-    raw_edges: list[tuple[int, int, int]] = []
-    for key, value, line in graph_items:
-        if key == "directed":
-            directed = bool(value)
-        elif key == "node":
-            if not isinstance(value, list):
-                raise MalformedInput("node must be a block", line)
-            fields = {k: v for k, v, _ in value}
-            if "id" not in fields:
-                raise MalformedInput("node without id", line)
-            node_id = int(fields["id"])
-            ids.append(node_id)
-            labels[node_id] = str(fields.get("label", node_id))
-        elif key == "edge":
-            if not isinstance(value, list):
-                raise MalformedInput("edge must be a block", line)
-            fields = {k: v for k, v, _ in value}
-            if "source" not in fields or "target" not in fields:
-                raise MalformedInput("edge without source/target", line)
-            raw_edges.append((int(fields["source"]), int(fields["target"]), line))
-        # unknown keys (graphics, Creator, etc.) are skipped
-
-    if not ids:
+    edges: list[tuple[int, int, int]] = []
+    directed = False
+    for tok, lineno in tokens:
+        if key is not None:
+            if tok == "[":
+                if key in _READ.get(scope, ()):
+                    raise MalformedInput(f"{key!r} must be a value, not a block", key_line)
+                stack.append((key_line, scope))
+                scope = _SCOPES.get((scope, key))
+                if scope in _READ:
+                    fields = {}
+            elif scope == "graph":
+                if key in _READ:
+                    raise MalformedInput(f"{key} must be a block", key_line)
+                if key == "directed":
+                    directed = tok in ("1", '"1"')
+            elif key in _READ.get(scope, ()):
+                value = tok[1:-1] if tok.startswith('"') else tok
+                if key != "label":
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise MalformedInput(f"{key!r} must be an integer, got {tok}",
+                                             key_line) from None
+                fields[key] = value
+            key = None
+        elif tok == "]":
+            if not stack:
+                raise MalformedInput("unexpected ']' at top level", lineno)
+            if scope == "graph":
+                break
+            block_line, outer = stack.pop()
+            if scope == "node":
+                if "id" not in fields:
+                    raise MalformedInput("node without id", block_line)
+                node_id = fields["id"]
+                if node_id in labels:
+                    raise MalformedInput(f"repeated node id {node_id}", block_line)
+                labels[node_id] = fields.get("label", str(node_id))
+            elif scope == "edge":
+                if "source" not in fields or "target" not in fields:
+                    raise MalformedInput("edge without source/target", block_line)
+                edges.append((fields["source"], fields["target"], block_line))
+            scope = outer
+        elif tok == "[":
+            raise MalformedInput("unexpected '['" + ("" if stack else " at top level"), lineno)
+        else:
+            key, key_text, key_line = tok.lower(), tok, lineno
+    else:  # the input ended before the first top-level graph block closed
+        if key is not None:
+            raise MalformedInput(f"key {key_text!r} without a value", key_line)
+        if stack:
+            raise MalformedInput("unclosed '['", lineno)
+        raise MalformedInput("no 'graph [ ... ]' block found", 1)
+    if not labels:
         raise EmptyGraphError("graph declares no nodes", 1)
-    index = {node_id: k for k, node_id in enumerate(sorted(set(ids)))}
-    edges = set()
-    for s, t, line in raw_edges:
-        if s not in index or t not in index:
-            missing = s if s not in index else t
+    for s, t, line in edges:
+        if s not in labels or t not in labels:
+            missing = s if s not in labels else t
             raise UnknownNodeError(f"edge references unknown node id {missing}", line)
-        edges.add((index[s], index[t]))
-        if not directed:
-            edges.add((index[t], index[s]))
-
-    digraph = Digraph(len(index), frozenset(edges))
-    ordered_labels = _dedup_labels([labels[i] for i in sorted(index)])
-    meta = {"source": source, "raw_nodes": len(ids), "raw_edges": len(raw_edges)}
-    return LabeledGraph(digraph, ordered_labels, directed, meta)
+    meta = {"source": source, "raw_nodes": len(labels), "raw_edges": len(edges)}
+    return _relabel(labels, labels.__getitem__, ((s, t) for s, t, _ in edges),
+                    directed, meta)
 
 
 def parse_edge_list(data: bytes | str, directed: bool = True,
@@ -198,28 +186,15 @@ def parse_edge_list(data: bytes | str, directed: bool = True,
         pairs.append((s, t))
     if not pairs:
         raise EmptyGraphError("no edges found", 1)
-    node_ids = sorted({v for pair in pairs for v in pair})
-    index = {v: k for k, v in enumerate(node_ids)}
-    edges = set()
-    for s, t in pairs:
-        edges.add((index[s], index[t]))
-        if not directed:
-            edges.add((index[t], index[s]))
-    digraph = Digraph(len(node_ids), frozenset(edges))
-    labels = _dedup_labels([str(v) for v in node_ids])
-    return LabeledGraph(digraph, labels, directed,
-                        {"source": source, "raw_edges": len(pairs)})
+    return _relabel({v for pair in pairs for v in pair}, str, pairs, directed,
+                    {"source": source, "raw_edges": len(pairs)})
 
 
 def drop_isolates(lg: LabeledGraph) -> LabeledGraph:
     """Remove nodes that touch no edge (common dataset preprocessing)."""
-    touched = sorted({v for e in lg.digraph.edges for v in e})
-    index = {v: k for k, v in enumerate(touched)}
-    edges = frozenset((index[s], index[t]) for s, t in lg.digraph.edges)
-    meta = dict(lg.meta)
-    meta["dropped_isolates"] = lg.digraph.node_count - len(touched)
-    return LabeledGraph(Digraph(len(touched), edges),
-                        tuple(lg.labels[v] for v in touched), lg.directed, meta)
+    touched = {v for e in lg.digraph.edges for v in e}
+    meta = {**lg.meta, "dropped_isolates": lg.digraph.node_count - len(touched)}
+    return _relabel(touched, lg.labels.__getitem__, lg.digraph.edges, lg.directed, meta)
 
 
 def largest_component(lg: LabeledGraph) -> LabeledGraph:
@@ -230,27 +205,6 @@ def largest_component(lg: LabeledGraph) -> LabeledGraph:
                   lg.digraph.edges | frozenset((t, s) for s, t in lg.digraph.edges))
     comps = tarjan_scc(sym).components
     keep = max(comps, key=lambda c: (len(c), -min(c) if c else 0))
-    nodes = sorted(keep)
-    index = {v: k for k, v in enumerate(nodes)}
-    edges = frozenset((index[s], index[t]) for s, t in lg.digraph.edges
-                      if s in keep and t in keep)
-    meta = dict(lg.meta)
-    meta["component_nodes"] = len(nodes)
-    return LabeledGraph(Digraph(len(nodes), edges),
-                        tuple(lg.labels[v] for v in nodes), lg.directed, meta)
-
-
-def emit_gml(lg: LabeledGraph) -> str:
-    """Canonical GML emitter for the supported subset (round-trips)."""
-    lines = ["graph [", f"  directed {1 if lg.directed else 0}"]
-    for i, label in enumerate(lg.labels):
-        lines.append(f'  node [ id {i} label "{label}" ]')
-    if lg.directed:
-        edges = sorted(lg.digraph.edges)
-    else:
-        edges = sorted({(min(s, t), max(s, t)) for s, t in lg.digraph.edges})
-    for s, t in edges:
-        lines.append(f"  edge [ source {s} target {t} ]")
-    lines.append("]")
-    return "\n".join(lines) + "\n"
-
+    meta = {**lg.meta, "component_nodes": len(keep)}
+    arcs = ((s, t) for s, t in lg.digraph.edges if s in keep)  # t is in s's component
+    return _relabel(keep, lg.labels.__getitem__, arcs, lg.directed, meta)

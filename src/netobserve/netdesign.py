@@ -44,6 +44,8 @@ class AgentNetwork:
     observations: tuple[tuple[Placement, ...], ...]  # per agent
 
     def __post_init__(self):
+        if self.agent_count < 1:
+            raise ValueError(f"a network needs at least one agent, got {self.agent_count}")
         for u, v in self.alpha_edges | self.beta_edges:
             if not (0 <= u < self.agent_count and 0 <= v < self.agent_count):
                 raise ValueError(f"edge ({u}, {v}) out of agent range")

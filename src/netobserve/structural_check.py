@@ -118,8 +118,3 @@ def check_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVe
              for w_row in _rows(w_structure(net)) for a_row in a_rows]
     return _verdict(fused, _rows(fused_observation_structure(net, n)))
 
-
-def plan_observation_structure(states: tuple[int, ...], n: int) -> StructuredMatrix:
-    """Stacked single-state observation rows (one row per observed state)."""
-    return StructuredMatrix(len(states), n,
-                            frozenset((k, s) for k, s in enumerate(states)))

@@ -5,8 +5,10 @@ import pytest
 from netobserve.classify import decompose, place_agents
 from netobserve.cli import EXIT_OK, main
 from netobserve.fixtures import six_state_demo
-from netobserve.ingest import LabeledGraph, emit_gml
+from netobserve.ingest import LabeledGraph
 from netobserve.netdesign import design_canonical
+
+from .oracles import emit_gml
 
 
 @pytest.fixture(scope="session")

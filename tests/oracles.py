@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from netobserve.graph_core import Digraph, StructuredMatrix
+from netobserve.ingest import LabeledGraph
 
 
 def brute_max_matching_size(n_plus: int, adjacency: dict[int, frozenset[int]]) -> int:
@@ -47,6 +48,28 @@ def kron_structure(w: StructuredMatrix, a: StructuredMatrix) -> StructuredMatrix
         for ia, ja in a.support
     )
     return StructuredMatrix(w.rows * a.rows, w.cols * a.cols, support)
+
+
+def plan_observation_structure(states: tuple[int, ...], n: int) -> StructuredMatrix:
+    """Stacked single-state observation rows (one row per observed state)."""
+    return StructuredMatrix(len(states), n,
+                            frozenset((k, s) for k, s in enumerate(states)))
+
+
+def emit_gml(lg: LabeledGraph) -> str:
+    """Canonical GML for the supported subset, for writing test inputs and
+    round-tripping through ``parse_gml``."""
+    lines = ["graph [", f"  directed {1 if lg.directed else 0}"]
+    for i, label in enumerate(lg.labels):
+        lines.append(f'  node [ id {i} label "{label}" ]')
+    if lg.directed:
+        edges = sorted(lg.digraph.edges)
+    else:
+        edges = sorted({(min(s, t), max(s, t)) for s, t in lg.digraph.edges})
+    for s, t in edges:
+        lines.append(f"  edge [ source {s} target {t} ]")
+    lines.append("]")
+    return "\n".join(lines) + "\n"
 
 
 def reachability_matrix(g: Digraph) -> np.ndarray:

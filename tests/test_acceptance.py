@@ -48,7 +48,6 @@ from netobserve.structural_check import (
     check_centralized,
     check_distributed,
     fused_observation_structure,
-    plan_observation_structure,
 )
 
 from .oracles import (
@@ -56,6 +55,7 @@ from .oracles import (
     brute_max_matching_size,
     brute_sccs,
     minimal_deficient_sets,
+    plan_observation_structure,
     random_digraph,
 )
 

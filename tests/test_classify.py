@@ -12,9 +12,9 @@ from netobserve.classify import (
 )
 from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
 from netobserve.matching import structural_rank
-from netobserve.structural_check import check_centralized, plan_observation_structure
+from netobserve.structural_check import check_centralized
 
-from .oracles import brute_accessible, random_digraph
+from .oracles import brute_accessible, plan_observation_structure, random_digraph
 
 
 class TestNecessaryCounts:

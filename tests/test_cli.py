@@ -6,7 +6,10 @@ import pytest
 
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
-from netobserve.ingest import LabeledGraph, emit_gml
+from netobserve.graph_core import Digraph
+from netobserve.ingest import LabeledGraph
+
+from .oracles import emit_gml
 
 
 @pytest.fixture()
@@ -64,6 +67,44 @@ class TestAnalyze:
 
     def test_nonexistent_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.gml")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("node", ["node [ id 1.5 ]", 'node [ id "a" ]', "node [ id [ ] ]",
+                                      "node [ id 0 ]\n node [ id 0 ]"],
+                             ids=["float-id", "string-id", "block-id", "repeated-id"])
+    def test_malformed_gml_exit_2(self, tmp_path, capsys, node):
+        path = tmp_path / "bad.gml"
+        path.write_text(f"graph [\n node [ id 0 ]\n {node}\n]\n")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "(line 3)" in err
+
+    @pytest.mark.parametrize("flag, n", [("--largest", 3), ("--drop-isolates", 5)])
+    def test_dataset_applies_preprocessing_flags(self, tmp_path, capsys, flag, n):
+        # two weak components, {0, 1, 2} and {3, 4}, plus the isolated node 5
+        g = Digraph(6, frozenset({(0, 1), (1, 2), (3, 4)}))
+        path = tmp_path / "monks.gml"
+        path.write_text(emit_gml(LabeledGraph(g, tuple("abcdef"), True, {})))
+        reports = []
+        for name, source in (("path", [str(path)]),
+                             ("dataset", ["--dataset", "monks", "--data-dir", str(tmp_path)])):
+            out = tmp_path / name
+            assert main(["analyze", *source, flag, "--out", str(out)]) == EXIT_OK
+            assert f"n={n} " in capsys.readouterr().out
+            report = json.loads((out / "analysis.json").read_text())
+            del report["summary"]["name"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", "--seed"), ("classify", "--field"), ("design", "--seed"),
+        ("simulate", "--field")])
+    def test_unread_options_are_not_registered(self, fixture_gml, tmp_path, capsys,
+                                               command, option):
+        value = "gf" if option == "--field" else "1"
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, str(fixture_gml), option, value, "--out", str(tmp_path / "o")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestClassifyAndDesign:
@@ -136,26 +177,30 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert f"input error: {name} JSON is missing key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, breaks, message", [
-        ("plan", lambda d: {**d, "placements": [1, *d["placements"][1:]]},
+    @pytest.mark.parametrize("breaks, message", [
+        ({"plan": lambda d: {**d, "placements": [1, *d["placements"][1:]]}},
          "plan JSON field 'placements' must be a list of objects"),
-        ("plan", lambda d: d["placements"], "plan JSON must be an object, not list"),
-        ("plan", lambda d: {**d, "placements": [{**d["placements"][0], "agent": 7}]},
+        ({"plan": lambda d: d["placements"]}, "plan JSON must be an object, not list"),
+        ({"plan": lambda d: {**d, "placements": [{**d["placements"][0], "agent": 7}]}},
          "placement agent 7 out of range for 3 agents"),
-        ("plan", lambda d: {**d, "placements": [{**d["placements"][0], "state": 99}]},
+        ({"plan": lambda d: {**d, "placements": [{**d["placements"][0], "state": 99}]}},
          "plan JSON field 'state' must lie in [0, 6), got 99"),
-        ("network", lambda d: {**d, "alpha_edges": [1, 2]},
+        ({"network": lambda d: {**d, "alpha_edges": [1, 2]}},
          "network JSON field 'alpha_edges' must be a list of [source, target] integer pairs"),
-        ("network", lambda d: {**d, "agents": "3"},
+        ({"network": lambda d: {**d, "agents": "3"}},
          "network JSON field 'agents' must be an integer, not '3'"),
+        ({"plan": lambda d: {"placements": []},
+          "network": lambda d: {"agents": 0, "alpha_edges": [], "beta_edges": []}},
+         "a network needs at least one agent, got 0"),
     ], ids=["placement-not-object", "plan-is-list", "agent-out-of-range", "state-out-of-range",
-          "alpha-edges-flat", "agents-string"])
+          "alpha-edges-flat", "agents-string", "zero-agents"])
     def test_wrong_typed_json_is_input_error(self, fixture_gml, tmp_path, capsys,
-                                             name, breaks, message):
+                                             breaks, message):
         files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))
-        data = breaks(json.loads(files[name].read_text()))
-        files[name] = tmp_path / f"broken-{name}.json"
-        files[name].write_text(json.dumps(data))
+        for name, broken in breaks.items():
+            data = broken(json.loads(files[name].read_text()))
+            files[name] = tmp_path / f"broken-{name}.json"
+            files[name].write_text(json.dumps(data))
         code = main(["verify", str(fixture_gml), "--plan", str(files["plan"]),
                      "--network", str(files["network"]), "--out", str(tmp_path / "v")])
         assert code == EXIT_INPUT
@@ -220,6 +265,14 @@ class TestSimulate:
             main(["simulate", str(fixture_gml), "--horizon", "0", "--out", str(tmp_path / "s")])
         assert exc_info.value.code == EXIT_INPUT
         assert "--horizon: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_noise_must_be_finite_and_nonnegative(self, fixture_gml, tmp_path, capsys, noise):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", str(fixture_gml), "--noise", noise, "--out", str(tmp_path / "s")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert f"--noise: must be a finite number >= 0, got {noise}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("budget", ["0", "-3"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,12 @@ from netobserve.ingest import (
     MalformedInput,
     UnknownNodeError,
     drop_isolates,
-    emit_gml,
     largest_component,
     parse_edge_list,
     parse_gml,
 )
+
+from .oracles import emit_gml
 
 MINIMAL_GML = """
 graph [
@@ -92,6 +95,88 @@ class TestParseGml:
     def test_unbalanced_bracket(self):
         with pytest.raises(MalformedInput):
             parse_gml("graph [ node [ id 0 ]")
+
+    def test_deep_nesting_parses(self):
+        depth = 5000
+        deep = "deep " + "[ k " * depth + "v" + " ]" * depth
+        lg = parse_gml(f"graph [ directed 1\n node [ id 0 {deep} ]\n node [ id 1 ]\n"
+                       f" edge [ source 0 target 1 ]\n]")
+        assert lg.digraph.edges == frozenset({(0, 1)})
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("graph [\n node [ id 1.5 ]\n]", "'id' must be an integer, got 1.5", 2),
+        ('graph [\n node [ id "a" ]\n]', "'id' must be an integer, got \"a\"", 2),
+        ("graph [\n node [ id [ ] ]\n]", "'id' must be a value, not a block", 2),
+        ("graph [\n node [ id 1 ]\n node [ id 1 ]\n]", "repeated node id 1", 3),
+        ("graph [ node [ id 0 ]\n edge [ source 0\n target x ] ]",
+         "'target' must be an integer, got x", 3),
+        ("graph [\n node 5\n]", "node must be a block", 2),
+        ('graph [\n node [ label "a" ]\n]', "node without id", 2),
+        ("graph [ node [ id 0 ]\n edge [ source 0 ]\n]", "edge without source/target", 2),
+        ("Creator 1\n]", "unexpected ']' at top level", 2),
+        ("graph [ node [ id 0 ] [ ] ]", "unexpected '['", 1),
+        ('Creator "x"\nVersion', "key 'Version' without a value", 2),
+        ("graph [\n node [ id 0 ]\n\n# trailing comment\n", "unclosed '['", 2),
+        ('# comment\nCreator "x"', "no 'graph [ ... ]' block found", 1),
+    ], ids=["float-id", "string-id", "block-id", "repeated-id", "string-target",
+            "scalar-node", "node-without-id", "edge-without-target", "stray-close",
+            "stray-open", "key-without-value", "unclosed", "no-graph"])
+    def test_refusal_names_its_line(self, text, message, line):
+        with pytest.raises(MalformedInput) as e:
+            parse_gml(text)
+        assert message in str(e.value)
+        assert e.value.line == line
+
+    @pytest.mark.parametrize("value, directed", [
+        ("1", True), ('"1"', True), ("0", False), ("2", False), ('"0"', False)])
+    def test_only_directed_1_is_directed(self, value, directed):
+        lg = parse_gml(f"graph [ directed {value} node [ id 0 ] node [ id 1 ]"
+                       f" edge [ source 0 target 1 ] ]")
+        assert lg.directed is directed
+        assert lg.digraph.edges == (frozenset({(0, 1)}) if directed
+                                    else frozenset({(0, 1), (1, 0)}))
+
+    def test_unquoted_label_keeps_token_text(self):
+        lg = parse_gml('graph [ node [ id 7 label 007 ] node [ id 8 label 1.50 ] '
+                       'node [ id 9 ] ]')
+        assert lg.labels == ("007", "1.50", "9")
+
+    def test_dedup_never_repeats_a_label(self):
+        lg = parse_gml('graph [ node [ id 0 label "a" ] node [ id 1 label "a" ] '
+                       'node [ id 2 label "a#2" ] ]')
+        assert lg.labels == ("a", "a#2", "a#2#2")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        directed = seed % 2 == 0
+        ids = rng.sample(range(-50, 1000), rng.randint(1, 25))
+        pairs = [(s, t) for s in ids for t in ids if directed or s <= t]
+        lines = ['Creator "generated"', "# comment line", "graph ["]
+        lines += ["  directed 1"] if directed else []
+        for v in ids:
+            label = f'label "n{v}"' if rng.random() < 0.7 else ""
+            extra = "graphics [ x 1.5 style [ w 2 ] ]" if rng.random() < 0.3 else ""
+            lines.append(f"  node [ {extra} id {v} {label} ]")
+            if rng.random() < 0.1:
+                lines.append("  # comment between nodes")
+        for s, t in rng.sample(pairs, min(len(pairs), rng.randint(0, 3 * len(ids)))):
+            extra = "value 2.5" if rng.random() < 0.5 else "style [ a [ b 1 ] ]"
+            lines.append(f"  edge [ source {s} {extra} target {t} ]")
+        text = "\n".join(lines + ["]"])
+
+        lg = parse_gml(text)
+        ref = nx.parse_gml(text, label="id")
+        order = sorted(ref.nodes)
+        index = {v: k for k, v in enumerate(order)}
+        arcs = {(index[s], index[t]) for s, t in ref.edges}
+        if not ref.is_directed():
+            arcs |= {(t, s) for s, t in arcs}
+        assert lg.directed == ref.is_directed() == directed
+        assert lg.digraph.node_count == ref.number_of_nodes()
+        assert lg.digraph.edges == arcs
+        assert lg.labels == tuple(ref.nodes[v].get("label", str(v)) for v in order)
 
 
 class TestParseEdgeList:

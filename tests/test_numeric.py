@@ -15,16 +15,13 @@ from netobserve.numeric import (
 )
 from netobserve.classify import decompose, place_agents
 from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
-from netobserve.structural_check import (
-    check_centralized,
-    fused_observation_structure,
-    plan_observation_structure,
-)
+from netobserve.structural_check import check_centralized, fused_observation_structure
 
 from .oracles import (
     brute_observability_rank,
     gf_observability_rank,
     kron_structure,
+    plan_observation_structure,
     random_digraph,
 )
 

@@ -10,10 +10,15 @@ from netobserve.structural_check import (
     check_centralized,
     check_distributed,
     fused_observation_structure,
-    plan_observation_structure,
 )
 
-from .oracles import brute_accessible, brute_structural_rank, kron_structure, random_digraph
+from .oracles import (
+    brute_accessible,
+    brute_structural_rank,
+    kron_structure,
+    plan_observation_structure,
+    random_digraph,
+)
 
 
 class TestCheckCentralized:
