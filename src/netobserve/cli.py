@@ -26,7 +26,8 @@ from . import classify as classify_mod
 from . import estimator as estimator_mod
 from . import ingest
 from .datasets import REGISTRY, load_dataset
-from .graph_core import structure_from_digraph
+from .graph_core import DimensionError, structure_from_digraph
+from .matching import MatchingError
 from .netdesign import (
     AgentNetwork,
     design_canonical,
@@ -39,6 +40,7 @@ from .netdesign import (
 from .numeric import (
     GF,
     MAX_FUSED_DIM,
+    MAX_TRACE_ENTRIES,
     REAL,
     kron_numeric,
     observability_rank,
@@ -216,6 +218,9 @@ def cmd_simulate(args) -> int:
     net = design_canonical(plan, args.agents)
     if _too_large(net, lg.digraph.node_count):
         return EXIT_DESIGN
+    if args.horizon * net.agent_count > MAX_TRACE_ENTRIES:
+        raise ValueError(f"a trace of {args.horizon} steps x {net.agent_count} agents "
+                         f"exceeds the cap of {MAX_TRACE_ENTRIES} entries")
     if not verify_topology(net, dec).ok:
         print("design does not verify; refusing to simulate", file=sys.stderr)
         return EXIT_DESIGN
@@ -326,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
+    except (DimensionError, MatchingError) as exc:  # contradictions, not user input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ingest.ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,8 +5,8 @@ Supported inputs:
 * a GML subset: ``graph [ directed 0|1 node [ id N label "..." ] ...
   edge [ source N target N ] ... ]``, read in one pass with a stack of the
   open blocks, so unknown keys and blocks nested to any depth are skipped.
-  Ids and endpoints must be integers, an id may not repeat, and only
-  ``directed 1`` means directed;
+  Ids and endpoints must be integers, an id may not repeat, a quoted
+  string must close on its line, and only ``directed 1`` means directed;
 * whitespace- or comma-separated integer edge lists with ``#`` comments.
 
 Undirected files are symmetrized into bidirectional arcs (the analysis
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graph_core import Digraph
 
@@ -88,6 +88,20 @@ _SCOPES = {("", "graph"): "graph", ("graph", "node"): "node", ("graph", "edge"):
 _READ = {"node": ("id", "label"), "edge": ("source", "target")}
 
 
+def _gml_tokens(text: str) -> Iterator[tuple[str, int]]:
+    """(token, line) pairs of the non-comment lines.  A quoted string must
+    close on its own line: a token opening a quote the line leaves open is
+    refused at that line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith("#"):
+            continue
+        found = _TOKEN.findall(line)
+        if '"' in line and any(t[0] == '"' and (len(t) == 1 or t[-1] != '"') for t in found):
+            raise MalformedInput("unterminated quoted string", lineno)
+        for tok in found:
+            yield tok, lineno
+
+
 def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
     """Parse the GML subset into a labeled digraph.
 
@@ -95,8 +109,7 @@ def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
     both edge directions; duplicate edges collapse.
     """
     text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    tokens = ((tok, lineno) for lineno, line in enumerate(text.splitlines(), start=1)
-              if not line.lstrip().startswith("#") for tok in _TOKEN.findall(line))
+    tokens = _gml_tokens(text)
     scope = ""  # "" at top level; "graph", "node", "edge", or None in a skipped block
     stack: list[tuple[int, str | None]] = []  # per open block: its key's line, outer scope
     key = None  # lowercased key awaiting its value

@@ -12,6 +12,13 @@ import numpy as np
 
 from netobserve.graph_core import Digraph, StructuredMatrix
 from netobserve.ingest import LabeledGraph
+from netobserve.netdesign import AgentNetwork, w_structure
+from netobserve.structural_check import (
+    ObservabilityVerdict,
+    _rows,
+    _verdict,
+    fused_observation_structure,
+)
 
 
 def brute_max_matching_size(n_plus: int, adjacency: dict[int, frozenset[int]]) -> int:
@@ -48,6 +55,18 @@ def kron_structure(w: StructuredMatrix, a: StructuredMatrix) -> StructuredMatrix
         for ia, ja in a.support
     )
     return StructuredMatrix(w.rows * a.rows, w.cols * a.cols, support)
+
+
+def row_list_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVerdict:
+    """The fused pair (W kron A, D_H) checked from its listed rows: row
+    ``iw * n + ia`` holds ``jw * n + ja`` for every ``jw`` in row ``iw`` of W
+    and every ``ja`` in row ``ia`` of A.  Lists all nnz(W) * nnz(A) entries,
+    so it serves as the mid-scale reference for ``check_distributed``."""
+    n = a.rows
+    a_rows = _rows(a)
+    fused = [[jw * n + ja for jw in w_row for ja in a_row]
+             for w_row in _rows(w_structure(net)) for a_row in a_rows]
+    return _verdict(fused, _rows(fused_observation_structure(net, n)))
 
 
 def plan_observation_structure(states: tuple[int, ...], n: int) -> StructuredMatrix:

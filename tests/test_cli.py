@@ -1,13 +1,16 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from netobserve import cli
+from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import Digraph
+from netobserve.graph_core import Digraph, DimensionError
 from netobserve.ingest import LabeledGraph
+from netobserve.matching import MatchingError
 
 from .oracles import emit_gml
 
@@ -69,8 +72,10 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.gml")]) == EXIT_INPUT
 
     @pytest.mark.parametrize("node", ["node [ id 1.5 ]", 'node [ id "a" ]', "node [ id [ ] ]",
-                                      "node [ id 0 ]\n node [ id 0 ]"],
-                             ids=["float-id", "string-id", "block-id", "repeated-id"])
+                                      "node [ id 0 ]\n node [ id 0 ]",
+                                      'node [ id 1 label "a\n b" ]'],
+                             ids=["float-id", "string-id", "block-id", "repeated-id",
+                                  "multi-line-string"])
     def test_malformed_gml_exit_2(self, tmp_path, capsys, node):
         path = tmp_path / "bad.gml"
         path.write_text(f"graph [\n node [ id 0 ]\n {node}\n]\n")
@@ -125,6 +130,17 @@ class TestClassifyAndDesign:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["topology_ok"] is True
         assert "distributed_observable=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [DimensionError, MatchingError])
+    def test_internal_contradiction_is_internal_error(self, fixture_gml, tmp_path, capsys,
+                                                     monkeypatch, error):
+        def contradict(net, a):
+            raise error("contradiction")
+
+        monkeypatch.setattr(cli, "check_distributed", contradict)
+        code = main(["design", str(fixture_gml), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INTERNAL
+        assert "internal error: contradiction" in capsys.readouterr().err
 
     def test_design_extra_agents(self, fixture_gml, tmp_path):
         out = tmp_path / "out"
@@ -281,6 +297,16 @@ class TestSimulate:
             main(["simulate", str(fixture_gml), "--budget", budget, "--out", str(tmp_path / "s")])
         assert exc_info.value.code == EXIT_INPUT
         assert "--budget: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_horizon_above_trace_cap_refused(self, fixture_gml, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["simulate", str(fixture_gml), "--horizon", "1000000000",
+                     "--out", str(tmp_path / "s")])
+        assert code == EXIT_INPUT
+        assert time.perf_counter() - start < 5
+        assert "input error: a trace of 1000000000 steps x 3 agents exceeds the cap " \
+               "of 1000000 entries" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_above_dense_cap_refused(self, fixture_gml, tmp_path, capsys):

@@ -118,9 +118,11 @@ class TestParseGml:
         ('Creator "x"\nVersion', "key 'Version' without a value", 2),
         ("graph [\n node [ id 0 ]\n\n# trailing comment\n", "unclosed '['", 2),
         ('# comment\nCreator "x"', "no 'graph [ ... ]' block found", 1),
+        ('graph [\n node [ id 0 ]\n node [ id 1 label "a\n b" ]\n]',
+         "unterminated quoted string", 3),
     ], ids=["float-id", "string-id", "block-id", "repeated-id", "string-target",
             "scalar-node", "node-without-id", "edge-without-target", "stray-close",
-            "stray-open", "key-without-value", "unclosed", "no-graph"])
+            "stray-open", "key-without-value", "unclosed", "no-graph", "multi-line-string"])
     def test_refusal_names_its_line(self, text, message, line):
         with pytest.raises(MalformedInput) as e:
             parse_gml(text)

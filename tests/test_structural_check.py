@@ -3,8 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netobserve.classify import Placement, decompose, place_agents
-from netobserve.graph_core import DimensionError, StructuredMatrix, structure_from_digraph
+from netobserve.classify import ALPHA, Placement, decompose, place_agents
+from netobserve.graph_core import (
+    Digraph,
+    DimensionError,
+    StructuredMatrix,
+    structure_from_digraph,
+)
 from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
 from netobserve.structural_check import (
     check_centralized,
@@ -18,7 +23,34 @@ from .oracles import (
     kron_structure,
     plan_observation_structure,
     random_digraph,
+    row_list_distributed,
 )
+
+
+def _crippled(rng, net):
+    """Copies of ``net`` with 1-3 random edges dropped from one layer."""
+    copies = []
+    for layer in ("alpha_edges", "beta_edges"):
+        edges = sorted(getattr(net, layer))
+        k = int(rng.integers(1, 4))
+        if len(edges) >= k:
+            drop = {edges[x] for x in rng.choice(len(edges), k, replace=False)}
+            copies.append(replace(net, **{layer: getattr(net, layer) - drop}))
+    return copies
+
+
+def _arbitrary_network(rng, n):
+    """1-5 agents observing 0-3 random states each, over random alpha and
+    beta edges: W need not be a ring and observation sets may be empty."""
+    agents = int(rng.integers(1, 6))
+    pairs = [(u, v) for u in range(agents) for v in range(agents) if u != v]
+    alpha, beta = (frozenset(p for p in pairs if rng.random() < density)
+                   for density in rng.uniform(0, 0.6, size=2))
+    observations = tuple(
+        tuple(Placement(int(s), i, ALPHA)
+              for s in rng.choice(n, int(rng.integers(0, min(n, 3) + 1)), replace=False))
+        for i in range(agents))
+    return AgentNetwork(agents, alpha, beta, observations)
 
 
 class TestCheckCentralized:
@@ -217,4 +249,37 @@ class TestCheckDistributed:
                     fused_observation_structure(candidate, n))
                 assert verdict == reference
                 seen.add(verdict.observable)
+        assert seen == {True, False}
+
+    def test_matches_row_list_reference(self):
+        """Field by field equal to the row-list reference on canonical
+        designs, crippled copies and arbitrary networks."""
+        rng = np.random.default_rng(35)
+        seen = set()
+        for _ in range(500):
+            n = int(rng.integers(1, 13))
+            g = random_digraph(rng, n, float(rng.uniform(0.05, 0.5)))
+            a = structure_from_digraph(g)
+            net = design_canonical(place_agents(decompose(g)))
+            for candidate in (net, *_crippled(rng, net), _arbitrary_network(rng, n)):
+                verdict = check_distributed(candidate, a)
+                assert verdict == row_list_distributed(candidate, a)
+                seen.add((verdict.accessible, verdict.s_rank_ok))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_matches_row_list_reference_mid_size(self):
+        """A 200-node design-mixed graph (54-55 agents) and crippled copies."""
+        from perfbench.workloads import design_mixed
+
+        rng = np.random.default_rng(36)
+        n, arcs = design_mixed(rng)[0]
+        g = Digraph(n, frozenset(arcs))
+        a = structure_from_digraph(g)
+        net = design_canonical(place_agents(decompose(g)))
+        assert n == 200 and 54 <= net.agent_count <= 55
+        seen = set()
+        for candidate in (net, *_crippled(rng, net), *_crippled(rng, net)):
+            verdict = check_distributed(candidate, a)
+            assert verdict == row_list_distributed(candidate, a)
+            seen.add(verdict.observable)
         assert seen == {True, False}
