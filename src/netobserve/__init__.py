@@ -19,7 +19,6 @@ from .classify import (
 from .graph_core import (
     Digraph,
     StructuredMatrix,
-    digraph_from_structure,
     reachable,
     structure_from_digraph,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "contractions",
     "decompose",
     "design_canonical",
-    "digraph_from_structure",
     "equivalence_report",
     "max_matching",
     "necessary_counts",

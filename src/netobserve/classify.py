@@ -19,9 +19,9 @@ the achievable saving.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph_core import Digraph, reachable
+from .graph_core import Digraph
 from .matching import ContractionFamily, contractions, hopcroft_karp
 from .scc import SccDecomposition, SccLabel, classify_sccs, matched_parent_indices, tarjan_scc
 
@@ -274,22 +274,19 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
 def _accessibility_repairs(
     dec: Decomposition, placements: list[Placement]
 ) -> list[Placement]:
+    """One repair per parent SCC that holds no observed state.
+
+    A state that reaches no observation has only such successors, so the
+    inaccessible states are closed downstream and the sinks of their
+    condensation are exactly the unobserved parent SCCs; observing one
+    state of each covers every inaccessible component upstream of it.
+    """
     observed = {p.state for p in placements}
-    g = dec.digraph
-    accessible = reachable(g.reversed().successors(), observed)
-    uncovered_comps = {dec.sccs.component_of[v]
-                       for v in range(g.node_count) if v not in accessible}
-    if not uncovered_comps:
-        return []
-    # Sinks of the uncovered sub-DAG: one repair observation each covers
-    # every uncovered component upstream of it.
-    sinks = set(uncovered_comps)
-    for s, t in dec.sccs.condensation.edges:
-        if s in uncovered_comps and t in uncovered_comps and s != t:
-            sinks.discard(s)
     repairs = []
-    for j in sorted(sinks):
-        state = min(dec.sccs.components[j])
+    for j, (comp, lab) in enumerate(zip(dec.sccs.components, dec.labels)):
+        if not lab.is_parent or not comp.isdisjoint(observed):
+            continue
+        state = min(comp)
         logger.warning("accessibility repair: extra observation of state %d", state)
         repairs.append(Placement(state=state, agent=len(placements) + len(repairs),
                                  kind=BETA, covers_scc=j, repair=True))

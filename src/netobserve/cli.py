@@ -151,22 +151,30 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _checks(net: AgentNetwork, dec: classify_mod.Decomposition):
+    """Topology and distributed structural verdicts of ``net``, both from
+    ``dec``, with the report block that ``design`` and ``verify`` write."""
+    verdict = verify_topology(net, dec)
+    structural = check_distributed(net, dec)
+    report = {
+        "topology_ok": verdict.ok,
+        "violations": list(map(list, verdict.violations)),
+        "distributed": structural.to_json(),
+    }
+    return verdict, structural, report
+
+
 def cmd_design(args) -> int:
     lg = _load_graph(args)
     dec, plan = _plan_and_dec(lg)
     net = design_canonical(plan, args.agents)
-    verdict = verify_topology(net, dec)
-    structural = check_distributed(net, structure_from_digraph(lg.digraph))
+    verdict, structural, report = _checks(net, dec)
     out = Path(args.out)
     outputs = [
         _write(out, "plan.json", json.dumps(plan.to_json(lg.labels), indent=2)),
         _write(out, "network.json", json.dumps(network_to_json(net), indent=2)),
         _write(out, "network.dot", network_to_dot(net)),
-        _write(out, "verdict.json", json.dumps({
-            "topology_ok": verdict.ok,
-            "violations": list(map(list, verdict.violations)),
-            "distributed": structural.to_json(),
-        }, indent=2)),
+        _write(out, "verdict.json", json.dumps(report, indent=2)),
     ]
     _write(out, "manifest.json", _manifest(args, {"outputs": list(map(str, outputs))}))
     ok = verdict.ok and structural.observable
@@ -182,16 +190,9 @@ def cmd_verify(args) -> int:
     net = network_from_json(json.loads(Path(args.network).read_text()), plan)
     if args.numeric and _too_large(net, n):
         return EXIT_DESIGN
-    dec = classify_mod.decompose(lg.digraph)
-    verdict = verify_topology(net, dec)
-    a = structure_from_digraph(lg.digraph)
-    structural = check_distributed(net, a)
-    report: dict = {
-        "topology_ok": verdict.ok,
-        "violations": list(map(list, verdict.violations)),
-        "distributed": structural.to_json(),
-    }
+    verdict, structural, report = _checks(net, classify_mod.decompose(lg.digraph))
     if args.numeric:
+        a = structure_from_digraph(lg.digraph)
         w = w_structure(net)
         d = fused_observation_structure(net, n)
         realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization

@@ -93,13 +93,8 @@ def locate(name: str, data_dir: str | os.PathLike | None = None) -> Path | None:
     return None
 
 
-def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
-                 preprocess: bool | None = None) -> LabeledGraph:
-    """Load a registered corpus, applying its documented preprocessing.
-
-    ``preprocess=False`` returns the raw parse (useful for reporting the
-    raw-vs-published discrepancy); default follows the registry.
-    """
+def load_dataset(name: str, data_dir: str | os.PathLike | None = None) -> LabeledGraph:
+    """Load a registered corpus, applying its documented preprocessing."""
     spec = REGISTRY[name]
     path = locate(name, data_dir)
     if path is None:
@@ -112,7 +107,6 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None,
         lg = parse_gml(raw, source=str(path))
     else:
         lg = parse_edge_list(raw, directed=spec.directed, source=str(path))
-    do_drop = spec.drop_isolated_nodes if preprocess is None else preprocess
-    if do_drop:
+    if spec.drop_isolated_nodes:
         lg = drop_isolates(lg)
     return lg

@@ -65,9 +65,6 @@ class Digraph:
             adj[s].append(t)
         return tuple(map(tuple, adj))
 
-    def reversed(self) -> "Digraph":
-        return Digraph(self.node_count, frozenset((t, s) for s, t in self.edges))
-
 
 @dataclass(frozen=True)
 class StructuredMatrix:
@@ -96,15 +93,8 @@ class StructuredMatrix:
         return len(self.support)
 
 
-def digraph_from_structure(a: StructuredMatrix) -> Digraph:
-    """Digraph of a square structure: entry ``(i, j)`` gives edge ``j -> i``."""
-    if not a.is_square:
-        raise DimensionError(f"structure must be square, got {a.rows}x{a.cols}")
-    return Digraph(a.rows, frozenset((j, i) for i, j in a.support))
-
-
 def structure_from_digraph(g: Digraph) -> StructuredMatrix:
-    """Inverse of :func:`digraph_from_structure` (round-trip identity)."""
+    """Square structure of a digraph: edge ``j -> i`` gives entry ``(i, j)``."""
     return StructuredMatrix(g.node_count, g.node_count,
                             frozenset((t, s) for s, t in g.edges))
 

@@ -32,6 +32,9 @@ from .classify import ALPHA, Decomposition, ObservationPlan, Placement, is_int
 from .graph_core import Digraph, StructuredMatrix, reachable
 
 
+MAX_AGENTS = 10_000  # above the 5,376 placements of a canonical design at 10x corpus size
+
+
 class DesignError(ValueError):
     """Raised for unusable design inputs (e.g. an empty plan)."""
 
@@ -75,6 +78,8 @@ def agents_from_plan(plan: ObservationPlan, agent_count: int | None = None
                      ) -> tuple[tuple[Placement, ...], ...]:
     """One agent per placement; extra agents hold no observation."""
     n = len(plan.placements) if agent_count is None else agent_count
+    if n > MAX_AGENTS:
+        raise DesignError(f"{n} agents exceed the cap of {MAX_AGENTS} agents")
     if n < len(plan.placements):
         raise DesignError(f"{n} agents cannot hold {len(plan.placements)} placements")
     obs: list[list[Placement]] = [[] for _ in range(n)]

@@ -33,6 +33,10 @@ entries of the product:
   t to s is at least as long as the distance over W's rows from i to j.
   The longest walks from each distinct observed set take one pass over
   A's condensation; they are unbounded once they enter a cyclic component.
+
+Both reductions read A from the command's ``classify.Decomposition``: C_K
+is the union of its contraction family and the condensation is its SCC
+decomposition, so the check adds no matching or Tarjan pass over A.
 """
 
 from __future__ import annotations
@@ -42,16 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import (
-    Digraph,
-    DimensionError,
-    StructuredMatrix,
-    digraph_from_structure,
-    reachable,
-)
-from .matching import contractions, hopcroft_karp
+from .classify import Decomposition
+from .graph_core import DimensionError, StructuredMatrix, reachable
+from .matching import hopcroft_karp
 from .netdesign import AgentNetwork, w_structure
-from .scc import SccDecomposition, tarjan_scc
+from .scc import SccDecomposition
 
 
 @dataclass(frozen=True)
@@ -169,19 +168,19 @@ def _distances(w_rows: Sequence[Sequence[int]], sources: Sequence[int]) -> list[
     return dist
 
 
-def _inaccessible(g: Digraph, w_rows: Sequence[Sequence[int]],
+def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
                   observed: Sequence[frozenset[int]]) -> tuple[int, ...]:
     """Fused states ``j * n + s`` from which no walk of W (x) A reaches an
     observed fused state, in increasing order."""
     agents = len(w_rows)
-    sccs = tarjan_scc(g)
-    succ = g.successors()
+    sccs = dec.sccs
+    succ = dec.digraph.successors()
     cyclic = [len(c) > 1 or any(v in succ[v] for v in c) for c in sccs.components]
     groups: dict[frozenset[int], list[int]] = {}
     for i, states in enumerate(observed):
         if states:
             groups.setdefault(states, []).append(i)
-    accessible = np.zeros((agents, g.node_count), dtype=bool)
+    accessible = np.zeros((agents, dec.digraph.node_count), dtype=bool)
     for states, observers in groups.items():
         walk = np.array(_longest_walks(sccs, cyclic, states, agents))
         dist = np.array(_distances(w_rows, observers))
@@ -189,16 +188,16 @@ def _inaccessible(g: Digraph, w_rows: Sequence[Sequence[int]],
     return tuple(np.flatnonzero(~accessible).tolist())
 
 
-def _surplus_deficiency(g: Digraph, w_rows: Sequence[Sequence[int]],
+def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
                         observed: Sequence[frozenset[int]]) -> int:
     """Structural-rank deficiency of [W (x) A; D_H], from the surplus block
     of A alone (see the module docstring)."""
-    surplus = sorted(contractions(g).union_members)
+    surplus = sorted(dec.family.union_members)
     column = {s: k for k, s in enumerate(surplus)}
     width = len(surplus)
     block: dict[int, list[int]] = {}  # row of A touching the surplus -> its columns there
     for s in surplus:
-        for i in g.successors()[s]:
+        for i in dec.digraph.successors()[s]:
             block.setdefault(i, []).append(column[s])
     rows = [[jw * width + k for jw in w_row for k in a_row]
             for w_row in w_rows for a_row in block.values()]
@@ -207,12 +206,15 @@ def _surplus_deficiency(g: Digraph, w_rows: Sequence[Sequence[int]],
     return len(w_rows) * width - len(hopcroft_karp(len(rows), rows))
 
 
-def check_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVerdict:
-    """Observability of the fused pair (W (x) A, D_H) for the given network.
+def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVerdict:
+    """Observability of the fused pair (W (x) A, D_H) for the given network,
+    where A is the structure of ``dec.digraph``.
 
     Row ``iw * n + ia`` of W (x) A holds ``jw * n + ja`` for every ``jw`` in
     row ``iw`` of W and every ``ja`` in row ``ia`` of A; the product is
-    never listed (see the module docstring for the two reductions).
+    never listed (see the module docstring for the two reductions).  C_K is
+    ``dec.family.union_members`` and the components are ``dec.sccs``, so the
+    check runs no matching or Tarjan pass of its own over A.
 
     Caveat: the test treats every nonzero of W (x) A as a free parameter,
     while the filter repeats the same A entries across blocks, so a passing
@@ -220,13 +222,10 @@ def check_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVe
     Pair it with the topology conditions (``verify_topology``) and the
     numeric rank suite for a sufficient certificate.
     """
-    if not a.is_square:
-        raise DimensionError("system structure must be square")
-    g = digraph_from_structure(a)
     w_rows = _rows(w_structure(net))
     observed = _observed_states(net)
-    inaccessible = _inaccessible(g, w_rows, observed)
-    deficiency = _surplus_deficiency(g, w_rows, observed)
+    inaccessible = _inaccessible(dec, w_rows, observed)
+    deficiency = _surplus_deficiency(dec, w_rows, observed)
     return ObservabilityVerdict(
         accessible=not inaccessible,
         inaccessible_states=inaccessible,

@@ -248,7 +248,7 @@ def test_criterion_6_structural_numeric_agreement():
         fused += 1
         net = design_canonical(plan)
         a_s = structure_from_digraph(g)
-        verdict = (check_distributed(net, a_s).observable
+        verdict = (check_distributed(net, dec).observable
                    and verify_topology(net, dec).ok)
         d_s = fused_observation_structure(net, n)
         full = net.agent_count * n

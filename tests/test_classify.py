@@ -3,6 +3,8 @@ import numpy as np
 from netobserve.classify import (
     ALPHA,
     BETA,
+    Placement,
+    _accessibility_repairs,
     decompose,
     equivalence_report,
     necessary_counts,
@@ -98,6 +100,34 @@ class TestPlaceAgents:
             g = random_digraph(rng, 8, 0.15)
             plan = place_agents(decompose(g))
             assert brute_accessible(g, frozenset(plan.states))
+            # Full structural rank already puts an observation in every
+            # unmatched parent SCC, and every matched parent gets a beta or
+            # an overlapping alpha, so no repair is ever needed.
+            assert plan.repairs == ()
+
+    def test_repairs_cover_each_unobserved_parent_once(self):
+        rng = np.random.default_rng(14)
+        repaired = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            g = random_digraph(rng, n, float(rng.uniform(0.05, 0.4)))
+            dec = decompose(g)
+            observed = [int(s) for s in
+                        rng.choice(n, int(rng.integers(0, n + 1)), replace=False)]
+            placements = [Placement(s, k, ALPHA) for k, s in enumerate(observed)]
+            repairs = _accessibility_repairs(dec, placements)
+            states = frozenset(observed) | {p.state for p in repairs}
+            assert brute_accessible(g, states)
+            comps = [dec.sccs.component_of[p.state] for p in repairs]
+            assert len(set(comps)) == len(comps)
+            for k, (p, c) in enumerate(zip(repairs, comps)):
+                assert (p.agent, p.kind, p.covers_scc, p.repair) == \
+                    (len(observed) + k, BETA, c, True)
+                assert dec.labels[c].is_parent
+                assert dec.sccs.components[c].isdisjoint(observed)
+                assert not brute_accessible(g, states - {p.state})  # none is spare
+            repaired += bool(repairs)
+        assert repaired > 100
 
 
 class TestPlanSerialization:

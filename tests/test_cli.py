@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import Digraph, DimensionError
 from netobserve.ingest import LabeledGraph
-from netobserve.matching import MatchingError
+from netobserve.matching import MatchingError, contractions
+from netobserve.netdesign import MAX_AGENTS
+from netobserve.scc import tarjan_scc
 
 from .oracles import emit_gml
 
@@ -134,7 +137,7 @@ class TestClassifyAndDesign:
     @pytest.mark.parametrize("error", [DimensionError, MatchingError])
     def test_internal_contradiction_is_internal_error(self, fixture_gml, tmp_path, capsys,
                                                      monkeypatch, error):
-        def contradict(net, a):
+        def contradict(net, dec):
             raise error("contradiction")
 
         monkeypatch.setattr(cli, "check_distributed", contradict)
@@ -150,6 +153,16 @@ class TestClassifyAndDesign:
         assert net["agents"] == 5
         idle = [obs for obs in net["observations"] if not obs]
         assert len(idle) == 2
+
+    def test_agents_above_cap_refused(self, fixture_gml, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["design", str(fixture_gml), "--agents", "200000000",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert time.perf_counter() - start < 5
+        assert f"input error: 200000000 agents exceed the cap of {MAX_AGENTS} agents" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerify:
@@ -222,6 +235,19 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert f"input error: {message}" in capsys.readouterr().err
 
+    def test_network_agents_above_cap_refused(self, fixture_gml, tmp_path, capsys):
+        plan, network = self._design(fixture_gml, tmp_path)
+        network.write_text(json.dumps({**json.loads(network.read_text()),
+                                       "agents": 200000000}))
+        start = time.perf_counter()
+        code = main(["verify", str(fixture_gml), "--plan", str(plan),
+                     "--network", str(network), "--out", str(tmp_path / "v")])
+        assert code == EXIT_INPUT
+        assert time.perf_counter() - start < 5
+        assert f"input error: 200000000 agents exceed the cap of {MAX_AGENTS} agents" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
     @pytest.mark.parametrize("seeds", ["-2", "0"])
     def test_seeds_must_be_positive(self, fixture_gml, tmp_path, capsys, seeds):
         plan, network = self._design(fixture_gml, tmp_path)
@@ -252,6 +278,30 @@ class TestVerify:
         assert code == EXIT_OK
         report = json.loads((out / "verify.json").read_text())
         assert report["numeric_agreement"] == {"seeds": 5, "agreeing": 5}
+
+
+def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):
+    """Each command runs one canonical matching and one Tarjan pass: the
+    distributed check reads both from the command's decomposition."""
+    calls = {}
+    for fn in (tarjan_scc, contractions):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("netobserve") and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    design = tmp_path / "design"
+    commands = (
+        ["design", str(fixture_gml), "--out", str(design)],
+        ["verify", str(fixture_gml), "--plan", str(design / "plan.json"),
+         "--network", str(design / "network.json"), "--out", str(tmp_path / "v")],
+    )
+    for argv in commands:
+        calls.update(tarjan_scc=0, contractions=0)
+        assert main(argv) == EXIT_OK
+        assert calls == {"tarjan_scc": 1, "contractions": 1}, argv[0]
 
 
 class TestSimulate:

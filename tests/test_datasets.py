@@ -42,9 +42,7 @@ class TestLoading:
         (tmp_path / "polblogs.gml").write_text(
             'graph [ directed 1 node [ id 0 ] node [ id 1 ] node [ id 2 ] '
             'edge [ source 0 target 1 ] ]')
-        raw = load_dataset("blogs", data_dir=tmp_path, preprocess=False)
         cooked = load_dataset("blogs", data_dir=tmp_path)
-        assert raw.digraph.node_count == 3
         assert cooked.digraph.node_count == 2  # isolate dropped per registry
 
 

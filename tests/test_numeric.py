@@ -221,8 +221,9 @@ class TestKroneckerTiedGenericity:
             six_state_net.alpha_edges - {(1, 0)},
             six_state_net.beta_edges,
             six_state_net.observations)
-        assert check_distributed(crippled, a_s).observable
-        assert not verify_topology(crippled, decompose(six_state)).ok
+        dec = decompose(six_state)
+        assert check_distributed(crippled, dec).observable
+        assert not verify_topology(crippled, dec).ok
 
         n, full = 6, 18
         d_s = fused_observation_structure(crippled, n)

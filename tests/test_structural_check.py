@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,27 +187,32 @@ class TestFusedStructures:
 
 
 class TestCheckDistributed:
-    def test_single_agent_reduces_to_centralized(self, six_state, six_state_plan):
+    def test_readme_library_snippet_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+        assert "check_distributed(net, dec)" in snippet
+        exec(compile(snippet, "README.md", "exec"), {})
+
+    def test_single_agent_reduces_to_centralized(self, six_state, six_state_dec,
+                                                 six_state_plan):
         net = design_canonical(six_state_plan, agent_count=None)
         solo = AgentNetwork(1, frozenset(), frozenset(),
                             (tuple(p for obs in net.observations for p in obs),))
         a = structure_from_digraph(six_state)
-        dist = check_distributed(solo, a)
+        dist = check_distributed(solo, six_state_dec)
         cent = check_centralized(
             a, plan_observation_structure(six_state_plan.states, 6))
         assert dist.observable == cent.observable is True
 
-    def test_canonical_design_observable(self, six_state, six_state_net):
-        a = structure_from_digraph(six_state)
-        assert check_distributed(six_state_net, a).observable
+    def test_canonical_design_observable(self, six_state_dec, six_state_net):
+        assert check_distributed(six_state_net, six_state_dec).observable
 
-    def test_alpha_edge_removal_breaks_it(self, six_state, six_state_net):
+    def test_alpha_edge_removal_breaks_it(self, six_state_dec, six_state_net):
         # Cutting a broadcast edge of the agent whose contraction nobody
         # else observes deprives the receiver of one S-rank unit.  (Edges
         # into the beta agent from the *other* alpha agent are not load
         # bearing here: the beta agent's own state sits inside that same
         # contraction, so its block stays covered.)
-        a = structure_from_digraph(six_state)
         lone_alpha = 0  # observes the only state-2 contraction representative
         for drop in sorted(e for e in six_state_net.alpha_edges
                            if e[0] == lone_alpha):
@@ -214,7 +221,7 @@ class TestCheckDistributed:
                 six_state_net.alpha_edges - {drop},
                 six_state_net.beta_edges,
                 six_state_net.observations)
-            verdict = check_distributed(crippled, a)
+            verdict = check_distributed(crippled, six_state_dec)
             assert not verdict.observable
             assert verdict.deficiency >= 1
 
@@ -222,9 +229,9 @@ class TestCheckDistributed:
         rng = np.random.default_rng(32)
         for _ in range(30):
             g = random_digraph(rng, 7, 0.25)
-            plan = place_agents(decompose(g))
-            net = design_canonical(plan)
-            assert check_distributed(net, structure_from_digraph(g)).observable
+            dec = decompose(g)
+            net = design_canonical(place_agents(dec))
+            assert check_distributed(net, dec).observable
 
     def test_matches_materialised_kronecker_pair(self):
         """The row-list check equals check_centralized on the materialised
@@ -235,7 +242,8 @@ class TestCheckDistributed:
             n = int(rng.integers(1, 9))
             g = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
             a = structure_from_digraph(g)
-            net = design_canonical(place_agents(decompose(g)))
+            dec = decompose(g)
+            net = design_canonical(place_agents(dec))
             nets = [net]
             for layer in ("alpha_edges", "beta_edges"):
                 edges = sorted(getattr(net, layer))
@@ -243,7 +251,7 @@ class TestCheckDistributed:
                     drop = edges[int(rng.integers(len(edges)))]
                     nets.append(replace(net, **{layer: getattr(net, layer) - {drop}}))
             for candidate in nets:
-                verdict = check_distributed(candidate, a)
+                verdict = check_distributed(candidate, dec)
                 reference = check_centralized(
                     kron_structure(w_structure(candidate), a),
                     fused_observation_structure(candidate, n))
@@ -260,9 +268,10 @@ class TestCheckDistributed:
             n = int(rng.integers(1, 13))
             g = random_digraph(rng, n, float(rng.uniform(0.05, 0.5)))
             a = structure_from_digraph(g)
-            net = design_canonical(place_agents(decompose(g)))
+            dec = decompose(g)
+            net = design_canonical(place_agents(dec))
             for candidate in (net, *_crippled(rng, net), _arbitrary_network(rng, n)):
-                verdict = check_distributed(candidate, a)
+                verdict = check_distributed(candidate, dec)
                 assert verdict == row_list_distributed(candidate, a)
                 seen.add((verdict.accessible, verdict.s_rank_ok))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -275,11 +284,12 @@ class TestCheckDistributed:
         n, arcs = design_mixed(rng)[0]
         g = Digraph(n, frozenset(arcs))
         a = structure_from_digraph(g)
-        net = design_canonical(place_agents(decompose(g)))
+        dec = decompose(g)
+        net = design_canonical(place_agents(dec))
         assert n == 200 and 54 <= net.agent_count <= 55
         seen = set()
         for candidate in (net, *_crippled(rng, net), *_crippled(rng, net)):
-            verdict = check_distributed(candidate, a)
+            verdict = check_distributed(candidate, dec)
             assert verdict == row_list_distributed(candidate, a)
             seen.add(verdict.observable)
         assert seen == {True, False}
