@@ -20,7 +20,12 @@ Gains are static.  The search replaces the cone-complementarity LMI
 synthesis the theory points at: it iterates a covariance recursion whose
 centralized gain is projected onto the block-diagonal at every step, then
 falls back to random perturbations of the best candidate within the
-evaluation budget.  Unobservable inputs are refused with a rank
+evaluation budget.  ``D_H`` is diagonal, held as the vector ``d = R H``
+(flattened), nonzero on the observed coordinates ``O``.  The gain
+``S D (D S D + I)^-1`` is then ``S[:, O] D_O X^-1`` on the columns ``O``
+and zero elsewhere, with ``X = D_O S[O, O] D_O + I`` symmetric positive
+definite: one ``|O| x |O|`` solve per step, not a pseudo-inverse of the
+fused dimension.  Unobservable inputs are refused with a rank
 certificate instead of searched.
 """
 
@@ -74,23 +79,17 @@ def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray
     return np.eye(n)[states], sources[:, owner]
 
 
-def fused_observation_realization(net: AgentNetwork, n: int) -> np.ndarray:
-    """Block-diagonal D_H with blocks sum_j H_j^T H_j over alpha in-neighborhoods."""
-    h, r = _observation_rows(net, n)
-    return np.diag((r @ h).ravel())
-
-
-def _assemble_gain(blocks, n_agents: int, n: int) -> np.ndarray:
-    big = np.zeros((n_agents * n, n_agents * n))
-    for i, k in enumerate(blocks):
-        big[i * n:(i + 1) * n, i * n:(i + 1) * n] = k
-    return big
-
-
-def _closed_loop(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray
+def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
                  ) -> tuple[np.ndarray, float]:
-    f = m - kbar @ d_h @ m
-    return f, float(np.max(np.abs(np.linalg.eigvals(f))))
+    """Dense block-diagonal K of the agents x n x n ``blocks``, and rho(F)
+    for F = M - (K * d) M, i.e. K D_H as a column scaling."""
+    n_agents, n, _ = blocks.shape
+    k = np.zeros((n_agents, n, n_agents, n))
+    agents = np.arange(n_agents)
+    k[agents, :, agents, :] = blocks
+    k = k.reshape(n_agents * n, n_agents * n)
+    f = m - (k * d) @ m
+    return k, float(np.max(np.abs(np.linalg.eigvals(f))))
 
 
 def gain_search(w: Realization, a: Realization, net: AgentNetwork,
@@ -108,48 +107,48 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     dim = n_agents * n
     fused = kron_numeric(w, a)
     m = fused.matrix
-    d_h = fused_observation_realization(net, n)
+    h, r = _observation_rows(net, n)
+    d = (r @ h).ravel()
+    obs = np.flatnonzero(d)
+    d_obs = d[obs]
 
-    rank = observability_rank(fused, Realization(d_h, REAL, 0))
+    rank = observability_rank(fused, Realization(np.eye(dim)[obs], REAL, 0))
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 
-    def project(g: np.ndarray) -> list[np.ndarray]:
-        return [g[i * n:(i + 1) * n, i * n:(i + 1) * n].copy() for i in range(n_agents)]
+    agents = np.arange(n_agents)
+    best = np.zeros((n_agents, n, n))
+    _, best_rho = _closed_loop(m, best, d)
+    evaluations = 1
 
-    q = np.eye(dim)
-    r = np.eye(dim)
     p = np.eye(dim)
-    evaluations = 0
-    best_blocks = [np.zeros((n, n)) for _ in range(n_agents)]
-    _, best_rho = _closed_loop(m, _assemble_gain(best_blocks, n_agents, n), d_h)
-    evaluations += 1
-
     for _ in range(min(200, budget)):
-        s = m @ p @ m.T + q
-        g = s @ d_h.T @ np.linalg.pinv(d_h @ s @ d_h.T + r)
-        blocks = project(g)
-        kbar = _assemble_gain(blocks, n_agents, n)
-        _, rho = _closed_loop(m, kbar, d_h)
+        s = m @ p @ m.T + np.eye(dim)
+        s_obs = s[:, obs] * d_obs
+        x = d_obs[:, None] * s_obs[obs] + np.eye(len(obs))
+        g = np.zeros((dim, dim))
+        g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
+        blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
+        k, rho = _closed_loop(m, blocks, d)
         evaluations += 1
         if rho < best_rho:
-            best_rho, best_blocks = rho, blocks
-        ikd = np.eye(dim) - kbar @ d_h
-        p = ikd @ s @ ikd.T + kbar @ r @ kbar.T
+            best_rho, best = rho, blocks
+        ikd = np.eye(dim) - k * d
+        p = ikd @ s @ ikd.T + k @ k.T
         if evaluations >= budget:
             break
 
     rng = np.random.default_rng(seed)
     scale = 0.5
     while best_rho >= 1.0 and evaluations < budget:
-        blocks = [k + scale * rng.standard_normal(k.shape) for k in best_blocks]
-        _, rho = _closed_loop(m, _assemble_gain(blocks, n_agents, n), d_h)
+        blocks = best + scale * rng.standard_normal(best.shape)
+        _, rho = _closed_loop(m, blocks, d)
         evaluations += 1
         if rho < best_rho:
-            best_rho, best_blocks = rho, blocks
+            best_rho, best = rho, blocks
             scale = max(scale * 0.9, 1e-3)
 
-    return GainSchedule(tuple(best_blocks), best_rho, best_rho < 1.0, evaluations)
+    return GainSchedule(tuple(best), best_rho, best_rho < 1.0, evaluations)
 
 
 def simulate(w: Realization, a: Realization, net: AgentNetwork,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .classify import ALPHA, Decomposition, ObservationPlan, Placement, is_int
-from .graph_core import Digraph, StructuredMatrix, reachable
+from .graph_core import StructuredMatrix, reachable
 
 
 MAX_AGENTS = 10_000  # above the 5,376 placements of a canonical design at 10x corpus size
@@ -63,9 +63,6 @@ class AgentNetwork:
         for u, v in sorted(self.alpha_edges):
             into[v].append(u)
         return tuple((i, *us) for i, us in enumerate(into))
-
-    def beta_graph(self) -> Digraph:
-        return Digraph(self.agent_count, frozenset(self.beta_edges))
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,8 @@ def _observer_union(index: dict[int, set[int]], states: frozenset[int]) -> set[i
 
 def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     """Check conditions (i) and (ii) for every agent; the verdict carries
-    one entry per unmet condition instead of raising."""
+    one entry per unmet condition instead of raising.  (ii-b) takes one
+    backward search over the beta layer per matched parent SCC."""
     observers: dict[int, set[int]] = {}
     alpha_observers: dict[int, set[int]] = {}
     for agent, placements in enumerate(net.observations):
@@ -131,21 +129,21 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
                              for c in dec.family.sets]
     scc_observers = [(j, _observer_union(observers, dec.sccs.components[j]))
                      for j in dec.matched_parents]
+    beta_into: list[list[int]] = [[] for _ in range(net.agent_count)]
+    for u, v in net.beta_edges:
+        beta_into[v].append(u)
+    senders = [reachable(beta_into, found) for _, found in scc_observers]
 
     violations: list[tuple[int, str]] = []
-    beta_fwd = net.beta_graph().successors()
     for i, sources in enumerate(net.alpha_sources):
         direct = set(sources)
         for ci, found in enumerate(contraction_observers):
             if direct.isdisjoint(found):
                 violations.append(
                     (i, f"(i): no direct alpha link covering contraction {ci}"))
-        sends_to = reachable(beta_fwd, [i])
-        for j, found in scc_observers:
-            if not direct.isdisjoint(found):
-                continue  # (ii-a)
-            if not sends_to.isdisjoint(found):
-                continue  # (ii-b), send direction
+        for (j, found), sends in zip(scc_observers, senders):
+            if i in sends or not direct.isdisjoint(found):
+                continue  # (ii-b) in the send direction, or (ii-a)
             violations.append(
                 (i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
     return TopologyVerdict(ok=not violations, violations=tuple(violations))

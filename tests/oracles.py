@@ -10,9 +10,17 @@ from itertools import combinations
 
 import numpy as np
 
-from netobserve.graph_core import Digraph, StructuredMatrix
+from netobserve.classify import ALPHA, Decomposition
+from netobserve.estimator import GainSchedule, UnobservableSystemError, _observation_rows
+from netobserve.graph_core import Digraph, StructuredMatrix, reachable
 from netobserve.ingest import LabeledGraph
-from netobserve.netdesign import AgentNetwork, w_structure
+from netobserve.netdesign import (
+    AgentNetwork,
+    TopologyVerdict,
+    _observer_union,
+    w_structure,
+)
+from netobserve.numeric import REAL, Realization, kron_numeric, observability_rank
 from netobserve.structural_check import (
     ObservabilityVerdict,
     _rows,
@@ -205,3 +213,112 @@ def gf_observability_rank(a: np.ndarray, h: np.ndarray, p: int) -> int:
         if rank == rows:
             break
     return rank
+
+
+def per_agent_verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
+    """Conditions (i) and (ii) with one forward BFS over the beta layer per
+    agent: quadratic in the agent count, the reference for
+    ``verify_topology``."""
+    observers: dict[int, set[int]] = {}
+    alpha_observers: dict[int, set[int]] = {}
+    for agent, placements in enumerate(net.observations):
+        for p in placements:
+            observers.setdefault(p.state, set()).add(agent)
+            if p.kind == ALPHA:
+                alpha_observers.setdefault(p.state, set()).add(agent)
+    contraction_observers = [_observer_union(alpha_observers, c.members)
+                             for c in dec.family.sets]
+    scc_observers = [(j, _observer_union(observers, dec.sccs.components[j]))
+                     for j in dec.matched_parents]
+
+    violations: list[tuple[int, str]] = []
+    beta_fwd = Digraph(net.agent_count, net.beta_edges).successors()
+    for i, sources in enumerate(net.alpha_sources):
+        direct = set(sources)
+        for ci, found in enumerate(contraction_observers):
+            if direct.isdisjoint(found):
+                violations.append(
+                    (i, f"(i): no direct alpha link covering contraction {ci}"))
+        sends_to = reachable(beta_fwd, [i])
+        for j, found in scc_observers:
+            if not direct.isdisjoint(found):
+                continue  # (ii-a)
+            if not sends_to.isdisjoint(found):
+                continue  # (ii-b), send direction
+            violations.append(
+                (i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
+    return TopologyVerdict(ok=not violations, violations=tuple(violations))
+
+
+def fused_observation_realization(net: AgentNetwork, n: int) -> np.ndarray:
+    """Block-diagonal D_H with blocks sum_j H_j^T H_j over alpha in-neighborhoods."""
+    h, r = _observation_rows(net, n)
+    return np.diag((r @ h).ravel())
+
+
+def _assemble_gain(blocks, n_agents: int, n: int) -> np.ndarray:
+    big = np.zeros((n_agents * n, n_agents * n))
+    for i, k in enumerate(blocks):
+        big[i * n:(i + 1) * n, i * n:(i + 1) * n] = k
+    return big
+
+
+def _closed_loop(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray
+                 ) -> tuple[np.ndarray, float]:
+    f = m - kbar @ d_h @ m
+    return f, float(np.max(np.abs(np.linalg.eigvals(f))))
+
+
+def dense_gain_search(w: Realization, a: Realization, net: AgentNetwork,
+                      budget: int = 10_000, seed: int = 0) -> GainSchedule:
+    """The gain search on the dense fused matrices: D_H as a full diagonal
+    matrix and the centralized gain through a pseudo-inverse of the whole
+    innovation covariance ``D_H S D_H + I``.  The reference for
+    ``estimator.gain_search``, which solves on the observed block only."""
+    n_agents = net.agent_count
+    n = a.matrix.shape[0]
+    dim = n_agents * n
+    fused = kron_numeric(w, a)
+    m = fused.matrix
+    d_h = fused_observation_realization(net, n)
+
+    rank = observability_rank(fused, Realization(d_h, REAL, 0))
+    if rank < dim:
+        raise UnobservableSystemError(rank, dim)
+
+    def project(g: np.ndarray) -> list[np.ndarray]:
+        return [g[i * n:(i + 1) * n, i * n:(i + 1) * n].copy() for i in range(n_agents)]
+
+    q = np.eye(dim)
+    r = np.eye(dim)
+    p = np.eye(dim)
+    evaluations = 0
+    best_blocks = [np.zeros((n, n)) for _ in range(n_agents)]
+    _, best_rho = _closed_loop(m, _assemble_gain(best_blocks, n_agents, n), d_h)
+    evaluations += 1
+
+    for _ in range(min(200, budget)):
+        s = m @ p @ m.T + q
+        g = s @ d_h.T @ np.linalg.pinv(d_h @ s @ d_h.T + r)
+        blocks = project(g)
+        kbar = _assemble_gain(blocks, n_agents, n)
+        _, rho = _closed_loop(m, kbar, d_h)
+        evaluations += 1
+        if rho < best_rho:
+            best_rho, best_blocks = rho, blocks
+        ikd = np.eye(dim) - kbar @ d_h
+        p = ikd @ s @ ikd.T + kbar @ r @ kbar.T
+        if evaluations >= budget:
+            break
+
+    rng = np.random.default_rng(seed)
+    scale = 0.5
+    while best_rho >= 1.0 and evaluations < budget:
+        blocks = [k + scale * rng.standard_normal(k.shape) for k in best_blocks]
+        _, rho = _closed_loop(m, _assemble_gain(blocks, n_agents, n), d_h)
+        evaluations += 1
+        if rho < best_rho:
+            best_rho, best_blocks = rho, blocks
+            scale = max(scale * 0.9, 1e-3)
+
+    return GainSchedule(tuple(best_blocks), best_rho, best_rho < 1.0, evaluations)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from netobserve.classify import Placement, ObservationPlan
+from netobserve.classify import Placement, ObservationPlan, decompose, place_agents
 from netobserve.estimator import (
     GainSchedule,
     UnobservableSystemError,
-    fused_observation_realization,
     gain_search,
     simulate,
 )
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import structure_from_digraph
-from netobserve.netdesign import AgentNetwork, w_structure
+from netobserve.graph_core import Digraph, structure_from_digraph
+from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
 from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
+
+from .oracles import dense_gain_search, fused_observation_realization
 
 
 def scaled_system(six_state, rho_target, seed=0):
@@ -234,6 +235,52 @@ class TestGainSearch:
         w = stochastic_realization(w_structure(six_state_net), seed=0)
         sched = gain_search(w, a, six_state_net, budget=20, seed=0)
         assert sched.evaluations == 20
+
+
+class TestDenseReference:
+    """``gain_search`` solves on the observed block; the dense pseudo-inverse
+    recursion of ``dense_gain_search`` must give the same schedule up to
+    rounding."""
+
+    @staticmethod
+    def assert_matches_dense(w, a, net, budget, seed):
+        sched = gain_search(w, a, net, budget=budget, seed=seed)
+        ref = dense_gain_search(w, a, net, budget=budget, seed=seed)
+        assert (sched.found, sched.evaluations) == (ref.found, ref.evaluations)
+        assert abs(sched.spectral_radius - ref.spectral_radius) <= 1e-12
+        assert len(sched.blocks) == len(ref.blocks)
+        for k, k_ref in zip(sched.blocks, ref.blocks):
+            np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-9)
+        trace = simulate(w, a, net, sched, horizon=200, seed=3)
+        trace_ref = simulate(w, a, net, ref, horizon=200, seed=3)
+        np.testing.assert_allclose(trace.mse, trace_ref.mse, rtol=1e-9)
+        return sched
+
+    @pytest.mark.parametrize("rho", [0.95, 1.1])
+    def test_six_state_fixture(self, six_state, six_state_net, rho):
+        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        self.assert_matches_dense(w, scaled_system(six_state, rho), six_state_net,
+                                  budget=10_000, seed=1)
+
+    def test_fast_growing_with_perturbation_fallback(self, six_state, six_state_net):
+        # rho(A) near 10: no iterate is contractive, so the 99 evaluations
+        # after the 201 covariance steps are random perturbations
+        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        a = Realization(base.matrix * 10, REAL, 0)
+        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        sched = self.assert_matches_dense(w, a, six_state_net, budget=300, seed=0)
+        assert not sched.found
+
+    def test_benchmark_sized_graphs(self):
+        """Six 12-16 state graphs at fused dimension 60-64."""
+        from perfbench.workloads import small_graphs
+
+        for n, arcs in small_graphs(np.random.default_rng(5), 6):
+            g = Digraph(n, frozenset(arcs))
+            net = design_canonical(place_agents(decompose(g)))
+            w = stochastic_realization(w_structure(net), seed=0)
+            a = random_realization(structure_from_digraph(g), REAL, seed=0)
+            self.assert_matches_dense(w, a, net, budget=10_000, seed=0)
 
 
 class TestSimulate:

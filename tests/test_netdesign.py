@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from netobserve.netdesign import (
 )
 
 
-from .oracles import random_digraph, reachability_matrix
+from .oracles import per_agent_verify_topology, random_digraph, reachability_matrix
 
 
 def single_state_plan():
@@ -136,9 +137,52 @@ class TestVerifyTopology:
             total += len(expected)
         assert total > 0
 
+    def test_matches_per_agent_search(self):
+        """Verdicts, violation order included, equal the per-agent BFS of
+        ``tests/oracles.py`` on canonical designs (some with idle agents),
+        on copies with random alpha and beta edges dropped, and on random
+        beta layers in place of the ring."""
+        rng = np.random.default_rng(37)
+        kinds = set()
+        for _ in range(80):
+            g = random_digraph(rng, int(rng.integers(2, 10)), 0.3)
+            dec = decompose(g)
+            plan = place_agents(dec)
+            net = design_canonical(plan, len(plan.placements) + int(rng.integers(0, 3)))
+            crippled = replace(
+                net,
+                alpha_edges=frozenset(e for e in net.alpha_edges if rng.random() < 0.7),
+                beta_edges=frozenset(e for e in net.beta_edges if rng.random() < 0.7))
+            pairs = [(u, v) for u in range(net.agent_count)
+                     for v in range(net.agent_count) if u != v]
+            rewired = replace(net, beta_edges=frozenset(
+                e for e in pairs if rng.random() < 0.25))
+            for candidate in (net, crippled, rewired):
+                verdict = verify_topology(candidate, dec)
+                assert verdict == per_agent_verify_topology(candidate, dec)
+                kinds.update(msg[:4] for _, msg in verdict.violations)
+                kinds.add(verdict.ok)
+        assert kinds == {True, False, "(i):", "(ii)"}
+
+    def test_matches_per_agent_search_mid_size(self):
+        """A 200-node design-mixed graph (54-55 agents) and crippled copies."""
+        from perfbench.workloads import design_mixed
+
+        rng = np.random.default_rng(38)
+        n, arcs = design_mixed(rng)[0]
+        dec = decompose(Digraph(n, frozenset(arcs)))
+        net = design_canonical(place_agents(dec))
+        assert 54 <= net.agent_count <= 55
+        ring = sorted(net.beta_edges)
+        for cut in ([], [ring[3]], [ring[3], ring[30]]):
+            candidate = replace(net, beta_edges=net.beta_edges - set(cut))
+            verdict = verify_topology(candidate, dec)
+            assert verdict == per_agent_verify_topology(candidate, dec)
+            assert verdict.ok == (not cut)
+
 
 def naive_violations(net, dec):
-    sends = reachability_matrix(net.beta_graph())
+    sends = reachability_matrix(Digraph(net.agent_count, net.beta_edges))
     out = []
     for i in range(net.agent_count):
         direct = {i} | {u for u, v in net.alpha_edges if v == i}
