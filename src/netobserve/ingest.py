@@ -3,11 +3,21 @@
 Supported inputs:
 
 * a GML subset: ``graph [ directed 0|1 node [ id N label "..." ] ...
-  edge [ source N target N ] ... ]``, read in one pass with a stack of the
-  open blocks, so unknown keys and blocks nested to any depth are skipped.
-  Ids and endpoints must be integers, an id may not repeat, a quoted
-  string must close on its line, and only ``directed 1`` means directed;
+  edge [ source N target N ] ... ]``, in which unknown keys and blocks
+  nested to any depth are skipped.  Ids and endpoints must be integers, an
+  id may not repeat, a quoted string must close on its line, and only
+  ``directed 1`` means directed;
 * whitespace- or comma-separated integer edge lists with ``#`` comments.
+
+Bytes are decoded as UTF-8, skipping a leading byte-order mark.
+
+GML is read with one ``findall`` of a compiled pattern, ``_GML_ITEM``.  Its
+items are whole flat node and edge blocks, keys opening a block, ``]``,
+``key value`` pairs and comment lines, and a short loop keeps the stack of
+open blocks.  Whatever the scan would refuse, or cannot show it reads as
+the token reader does, it hands over: the token reader,
+``_read_gml_tokens``, then reads the text again token by token.  It alone
+words a refusal and names its line, and both readers give the same graph.
 
 Undirected files are symmetrized into bidirectional arcs (the analysis
 needs a digraph), multi-edges collapse to one structural edge, and
@@ -102,13 +112,127 @@ def _gml_tokens(text: str) -> Iterator[tuple[str, int]]:
             yield tok, lineno
 
 
+# Line separators of ``str.splitlines``: a quoted string or a comment ends at any of them.
+_EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_QUOTED = rf'"[^"{_EOL}]*"'
+# A bare token with no quote; one starting with '#' might open a comment line.
+_KEY = r'[^\s\[\]"#][^\s\[\]"]*'
+_VALUE = rf'{_QUOTED}|[^\s\[\]"]+'
+
+
+def _block_end(read: str) -> str:
+    """A flat block's closing ']', after any ``key value`` pairs whose key is
+    not one of the block's ``read`` keys (Newman's ``value``, say)."""
+    other = rf"\s+(?!(?ai:{read})(?![^\s\[\]])){_KEY}[ \t]+(?:{_VALUE})"
+    return rf"(?:\s*\]|(?:{other})+\s*\])"
+
+
+# One item of the scan, after the whitespace before it: a whole flat edge or
+# node block, a key opening a block, a key and its value on one line, a
+# comment line, ']', or a run of other characters that the scan leaves to
+# the token reader.  Such a run holds a quote in a bare token or one not
+# closed on its line, a '#' that may open a comment, or a key whose value is
+# ']' or on the next line; at the end of the text it is empty.  Items start
+# and end between the tokens of ``_gml_tokens``, so the scan sees the tokens
+# the token reader sees.  Keywords match ASCII-case-insensitively, as
+# ``str.lower`` does for them.
+_GML_ITEM = re.compile(
+    rf"""\s*(?:
+      (?ai:edge)\s*\[\s*(?ai:source)\s+(-?[0-9]+)\s+(?ai:target)\s+(-?[0-9]+)
+      {_block_end("source|target")}
+    | (?ai:node)\s*\[\s*(?ai:id)\s+(-?[0-9]+)(?:\s+(?ai:label)\s+({_QUOTED}))?
+      {_block_end("id|label")}
+    | ({_KEY})(?:\s*(\[)|[ \t]+({_VALUE}))         # key [ or key value
+    )
+    | \s*?(?<![^\n])[ \t]*\#[^{_EOL}]*               # a comment line
+    | \s*(\]|[^\s\]]*)                             # ']' or a run of anything else
+    """, re.VERBOSE)
+
+
+def _scan_gml(text: str, source: str) -> LabeledGraph | None:
+    """Read ``text`` with one ``findall`` of ``_GML_ITEM``, keeping the
+    token reader's scope stack; None for anything the token reader may
+    refuse or read differently."""
+    items = iter(_GML_ITEM.findall(text))
+    scope = ""  # as in _read_gml_tokens
+    stack: list[str | None] = []  # the outer scope of each open block
+    fields: dict[str, int | str] = {}
+    labels: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    directed = False
+    for source_id, target_id, node_id, label, key, opener, value, other in items:
+        if source_id:
+            if scope == "graph":
+                edges.append((int(source_id), int(target_id)))
+        elif node_id:
+            if scope == "graph":
+                node = int(node_id)
+                if node in labels:
+                    return None
+                labels[node] = label[1:-1] if label else str(node)
+        elif key:
+            key = key.lower()
+            if opener:
+                if key in _READ.get(scope, ()):
+                    return None
+                stack.append(scope)
+                scope = _SCOPES.get((scope, key))
+                if scope in _READ:
+                    fields = {}
+            elif scope == "graph":
+                if key in _READ:
+                    return None
+                if key == "directed":
+                    directed = value in ("1", '"1"')
+            elif key in _READ.get(scope, ()):
+                if value.startswith('"'):
+                    value = value[1:-1]
+                if key != "label":
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        return None
+                fields[key] = value
+        elif other == "]":
+            if not stack:
+                return None
+            if scope == "graph":
+                break
+            if scope == "node":
+                if "id" not in fields or fields["id"] in labels:
+                    return None
+                labels[fields["id"]] = fields.get("label", str(fields["id"]))
+            elif scope == "edge":
+                if "source" not in fields or "target" not in fields:
+                    return None
+                edges.append((fields["source"], fields["target"]))
+            scope = stack.pop()
+        elif other:
+            return None
+    else:  # the graph block never closed
+        return None
+    if any(any(item) for item in items) or not labels:  # only comment lines may follow
+        return None
+    if any(s not in labels or t not in labels for s, t in edges):
+        return None
+    meta = {"source": source, "raw_nodes": len(labels), "raw_edges": len(edges)}
+    return _relabel(labels, labels.__getitem__, edges, directed, meta)
+
+
 def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
     """Parse the GML subset into a labeled digraph.
 
     Undirected graphs (``directed 0`` or absent, the GML default) produce
-    both edge directions; duplicate edges collapse.
+    both edge directions; duplicate edges collapse.  Bytes are read as
+    UTF-8, skipping a byte-order mark.
     """
-    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig", errors="replace") if isinstance(data, bytes) else data
+    return _scan_gml(text, source) or _read_gml_tokens(text, source)
+
+
+def _read_gml_tokens(text: str, source: str) -> LabeledGraph:
+    """The token-by-token reader: the reference for what the GML subset
+    means, and the only code that words a refusal and names its line."""
     tokens = _gml_tokens(text)
     scope = ""  # "" at top level; "graph", "node", "edge", or None in a skipped block
     stack: list[tuple[int, str | None]] = []  # per open block: its key's line, outer scope
@@ -182,8 +306,9 @@ def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
 
 def parse_edge_list(data: bytes | str, directed: bool = True,
                     source: str = "<edgelist>") -> LabeledGraph:
-    """Parse `src dst` / `src,dst` lines; nodes are implied by endpoints."""
-    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+    """Parse `src dst` / `src,dst` lines; nodes are implied by endpoints.
+    Bytes are read as UTF-8, skipping a byte-order mark."""
+    text = data.decode("utf-8-sig", errors="replace") if isinstance(data, bytes) else data
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netobserve import ingest
 from netobserve.graph_core import Digraph
 from netobserve.ingest import (
     EmptyGraphError,
@@ -16,6 +17,7 @@ from netobserve.ingest import (
     parse_gml,
 )
 
+from .gml_mutants import compare
 from .oracles import emit_gml
 
 MINIMAL_GML = """
@@ -74,6 +76,10 @@ class TestParseGml:
 
     def test_bytes_accepted(self):
         assert parse_gml(MINIMAL_GML.encode()).digraph.node_count == 2
+
+    def test_byte_order_mark_skipped(self):
+        lg = parse_gml(b"\xef\xbb\xbf" + MINIMAL_GML.encode())
+        assert lg == parse_gml(MINIMAL_GML)
 
     def test_edge_to_unknown_node(self):
         text = """graph [ directed 1
@@ -213,6 +219,84 @@ class TestParseEdgeList:
     def test_non_integer(self):
         with pytest.raises(MalformedInput):
             parse_edge_list("a b")
+
+    def test_byte_order_mark_skipped(self):
+        assert parse_edge_list(b"\xef\xbb\xbf0 1") == parse_edge_list("0 1")
+
+
+NEWMAN_GML = """Creator "Mark Newman on Sat Jul 22 05:32:16 2006"
+graph
+[
+  directed 0
+  node
+  [
+    id 1
+    label "Edgar Allan Poe"
+    value 1
+    source "Blogarama"
+  ]
+  node
+  [
+    id 2
+    label "Emily Dickinson"
+    value 0
+  ]
+  edge
+  [
+    source 2
+    target 1
+    value 2.5
+  ]
+]
+"""
+
+COMMENTED_GML = """# written by hand
+graph [
+  # nodes first
+  directed 1
+  node [ id 0 label "a" ]
+  node [
+    # a comment inside a block
+    id 1
+  ]
+\t# edges next
+  edge [ source 0 target 1 ]
+]
+# trailer
+"""
+
+
+class TestGmlScan:
+    """``parse_gml`` reads with one regex scan and hands what it might read
+    differently to the token reader, ``_read_gml_tokens``."""
+
+    def test_agrees_with_token_reader(self):
+        count = 4000
+        scanned, differ = compare(ingest, count)
+        assert differ == []
+        assert scanned > count // 10  # the scan itself answered a fair share
+
+    @pytest.mark.parametrize("layout", ["emit_gml", "networkx", "newman", "comments"])
+    def test_common_layouts_need_no_handover(self, layout, monkeypatch):
+        if layout == "emit_gml":
+            text = emit_gml(LabeledGraph(Digraph(3, frozenset({(0, 1), (1, 0), (2, 2)})),
+                                         ("a", "b c", ""), False, {}))
+        elif layout == "networkx":
+            nx = pytest.importorskip("networkx")
+            g = nx.DiGraph(name="demo")
+            g.add_node("a", size=1.5)
+            g.add_edges_from([("a", "b", {"weight": 2.5}), ("b", "c"), ("c", "a")])
+            text = "\n".join(nx.generate_gml(g))
+        else:
+            text = NEWMAN_GML if layout == "newman" else COMMENTED_GML
+        expected = ingest._read_gml_tokens(text, "<gml>")
+
+        def refuse(*args):
+            raise AssertionError("handed over to the token reader")
+
+        monkeypatch.setattr(ingest, "_read_gml_tokens", refuse)
+        lg = parse_gml(text)
+        assert (lg, lg.meta) == (expected, expected.meta)
 
 
 class TestPreprocessing:
