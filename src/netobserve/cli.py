@@ -16,6 +16,7 @@ given (input, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -85,8 +86,7 @@ def _write(out_dir: Path, name: str, payload: str) -> Path:
 
 
 def _manifest(args, extra: dict) -> str:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    return json.dumps({"config": config, **extra}, indent=2, sort_keys=True)
+    return json.dumps({"config": vars(args), **extra}, indent=2, sort_keys=True)
 
 
 def _plan_and_dec(lg: ingest.LabeledGraph):
@@ -286,23 +286,23 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs far
+    more than a parse, and a parse leaves no state in it."""
     parser = argparse.ArgumentParser(prog="netobserve", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="structural decomposition report")
     _add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify", help="observation plan + equivalence classes")
     _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("design", help="plan + canonical agent network")
     _add_common(p)
     p.add_argument("--agents", type=int, default=None)
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("verify", help="verify an existing plan/network")
     _add_common(p)
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=[GF, REAL], default=GF)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="distributed estimator simulation")
     _add_common(p)
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_noise, default=0.1)
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -331,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: provide an input file or --dataset", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        # looked up per call: the cached parser must not pin the command functions
+        return globals()[f"cmd_{args.command}"](args)
     except (DimensionError, MatchingError) as exc:  # contradictions, not user input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,7 +9,8 @@ Supported inputs:
   ``directed 1`` means directed;
 * whitespace- or comma-separated integer edge lists with ``#`` comments.
 
-Bytes are decoded as UTF-8, skipping a leading byte-order mark.
+Bytes are decoded as UTF-8; a leading byte-order mark is skipped in bytes
+and text alike.
 
 GML is read with one ``findall`` of a compiled pattern, ``_GML_ITEM``.  Its
 items are whole flat node and edge blocks, keys opening a block, ``]``,
@@ -81,10 +82,14 @@ def _dedup_labels(labels: list[str]) -> tuple[str, ...]:
 def _relabel(ids: Iterable[int], label_of: Callable[[int], str],
              arcs: Iterable[tuple[int, int]], directed: bool, meta: dict) -> LabeledGraph:
     """Number ``ids`` 0..n-1 in sorted order, remap ``arcs`` onto those
-    numbers (in both directions when undirected) and dedup the labels."""
+    numbers (in both directions when undirected) and dedup the labels.
+    Ids that already are 0..n-1 keep their arcs as they are."""
     order = sorted(ids)
-    index = {v: k for k, v in enumerate(order)}
-    edges = {(index[s], index[t]) for s, t in arcs}
+    if order and order[0] == 0 and order[-1] == len(order) - 1:
+        edges = set(arcs)
+    else:
+        index = {v: k for k, v in enumerate(order)}
+        edges = {(index[s], index[t]) for s, t in arcs}
     if not directed:
         edges |= {(t, s) for s, t in edges}
     return LabeledGraph(Digraph(len(order), frozenset(edges)),
@@ -219,14 +224,20 @@ def _scan_gml(text: str, source: str) -> LabeledGraph | None:
     return _relabel(labels, labels.__getitem__, edges, directed, meta)
 
 
+def _text(data: bytes | str) -> str:
+    """Bytes read as UTF-8, or text, without one leading byte-order mark."""
+    return (data.decode("utf-8-sig", errors="replace") if isinstance(data, bytes)
+            else data.removeprefix("\ufeff"))
+
+
 def parse_gml(data: bytes | str, source: str = "<gml>") -> LabeledGraph:
     """Parse the GML subset into a labeled digraph.
 
     Undirected graphs (``directed 0`` or absent, the GML default) produce
     both edge directions; duplicate edges collapse.  Bytes are read as
-    UTF-8, skipping a byte-order mark.
+    UTF-8; a leading byte-order mark is skipped in bytes and text alike.
     """
-    text = data.decode("utf-8-sig", errors="replace") if isinstance(data, bytes) else data
+    text = _text(data)
     return _scan_gml(text, source) or _read_gml_tokens(text, source)
 
 
@@ -307,8 +318,9 @@ def _read_gml_tokens(text: str, source: str) -> LabeledGraph:
 def parse_edge_list(data: bytes | str, directed: bool = True,
                     source: str = "<edgelist>") -> LabeledGraph:
     """Parse `src dst` / `src,dst` lines; nodes are implied by endpoints.
-    Bytes are read as UTF-8, skipping a byte-order mark."""
-    text = data.decode("utf-8-sig", errors="replace") if isinstance(data, bytes) else data
+    Bytes are read as UTF-8; a leading byte-order mark is skipped in bytes
+    and text alike."""
+    text = _text(data)
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

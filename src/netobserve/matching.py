@@ -96,66 +96,63 @@ class ContractionFamily:
 def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
     """Maximum bipartite matching in O(sqrt(n) |E|), mapping plus -> minus.
 
-    ``adjacency[p]`` lists the minus nodes of plus node ``p``.  Deterministic:
-    augmenting paths are explored in increasing node order, so a given graph
-    always yields the same matching.  The depth-first search keeps its own
-    stack, so paths of any length need no interpreter recursion.
+    ``adjacency[p]`` lists the minus nodes of plus node ``p``; minus ids may
+    exceed ``node_count``.  Deterministic: each phase layers the graph by a
+    full breadth-first search, then augments from the free plus nodes in
+    increasing order along neighbours in adjacency order.  The result lists
+    plus nodes in increasing order.
     """
-    pair_plus: dict[int, int] = {}
-    pair_minus: dict[int, int] = {}
-    dist: dict[int, int] = {}
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for p in range(node_count):
-            if p not in pair_plus:
-                dist[p] = 0
-                queue.append(p)
-            else:
-                dist[p] = _INF
+    width = max(node_count, max(map(max, filter(None, adjacency)), default=-1) + 1)
+    pair_plus = [-1] * node_count
+    pair_minus = [-1] * width
+    while True:
+        free = [p for p, m in enumerate(pair_plus) if m < 0]
+        dist = [0 if m < 0 else _INF for m in pair_plus]
+        queue = free.copy()
         found = False
-        while queue:
-            p = queue.popleft()
+        for p in queue:  # appended to while read: a FIFO queue
+            layer = dist[p] + 1
             for m in adjacency[p]:
-                q = pair_minus.get(m)
-                if q is None:
+                q = pair_minus[m]
+                if q < 0:
                     found = True
                 elif dist[q] == _INF:
-                    dist[q] = dist[p] + 1
+                    dist[q] = layer
                     queue.append(q)
-        return found
+        if not found:
+            return {p: m for p, m in enumerate(pair_plus) if m >= 0}
+        for p in free:
+            _augment(p, adjacency, pair_plus, pair_minus, dist)
 
-    def dfs(p: int) -> None:
-        # The alternating path is kept on an explicit stack of
-        # (plus node, its untried neighbours, minus node leading onward).
-        untried = iter(adjacency[p])
-        stack: list[tuple[int, Iterator[int], int]] = []
-        while True:
-            layer = dist[p] + 1
-            for m in untried:
-                q = pair_minus.get(m)
-                if q is None:  # free minus node: augment along the path
+
+def _augment(p: int, adjacency: Sequence[Sequence[int]], pair_plus: list[int],
+             pair_minus: list[int], dist: list[int]) -> None:
+    """Depth-first search along the layers of ``dist`` for an augmenting
+    path from free plus node ``p``, flipped when found.  The path is kept on
+    an explicit stack of (plus node, its untried neighbours, minus node
+    leading onward), so paths of any length need no interpreter recursion."""
+    untried = iter(adjacency[p])
+    stack: list[tuple[int, Iterator[int], int]] = []
+    while True:
+        layer = dist[p] + 1
+        for m in untried:
+            q = pair_minus[m]
+            if q < 0:  # free minus node: augment along the path
+                pair_plus[p] = m
+                pair_minus[m] = p
+                for p, _, m in stack:
                     pair_plus[p] = m
                     pair_minus[m] = p
-                    for p, _, m in stack:
-                        pair_plus[p] = m
-                        pair_minus[m] = p
-                    return
-                if dist[q] == layer:
-                    stack.append((p, untried, m))
-                    p, untried = q, iter(adjacency[q])
-                    break
-            else:
-                dist[p] = _INF  # dead end: no augmenting path through p
-                if not stack:
-                    return
-                p, untried, _ = stack.pop()
-
-    while bfs():
-        for p in range(node_count):
-            if p not in pair_plus:
-                dfs(p)
-    return pair_plus
+                return
+            if dist[q] == layer:
+                stack.append((p, untried, m))
+                p, untried = q, iter(adjacency[q])
+                break
+        else:
+            dist[p] = _INF  # dead end: no augmenting path through p
+            if not stack:
+                return
+            p, untried, _ = stack.pop()
 
 
 def max_matching(g: Digraph) -> Matching:
@@ -215,19 +212,19 @@ def _alternating_family(g: Digraph, m: Matching) -> ContractionFamily:
     alternation without parity bookkeeping.
     """
     adj = g.successors()
-    plus_of = m.plus_of()
-    minus_of = m.minus_of()
+    plus_of = [-1] * g.node_count
+    for p, mi in m.pairs:
+        plus_of[mi] = p
     sets = []
     for witness in m.unmatched_plus(g.node_count):
         members = {witness}
-        queue = deque([witness])
-        while queue:
-            p = queue.popleft()
+        queue = [witness]
+        for p in queue:  # appended to while read: a FIFO queue
             for mi in adj[p]:
-                if minus_of.get(p) == mi:
-                    continue  # matched edges only run minus -> plus
-                q = plus_of.get(mi)
-                if q is not None and q not in members:
+                # p's own matching edge leads back to p, already a member,
+                # so matched edges only run minus -> plus
+                q = plus_of[mi]
+                if q >= 0 and q not in members:
                     members.add(q)
                     queue.append(q)
         sets.append(ContractionSet(witness, frozenset(members)))

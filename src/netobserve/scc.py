@@ -4,14 +4,17 @@ An SCC is *parent* when its component has no outgoing condensation edges,
 *child* otherwise.  An SCC is *matched* when its internal edges admit a
 union of disjoint cycles covering all of its nodes, i.e. the bipartite
 graph of the component's internal edges has a perfect matching.  Cycles
-cannot leave an SCC, so only internal edges participate; in particular a
-singleton without a self-loop is unmatched.  The bipartite graph of all
-intra-SCC edges is block-diagonal per component, so one maximum matching
-of it labels every component: a component is matched iff all its nodes are.
+cannot leave an SCC, so only internal edges participate: a singleton is
+matched iff it has a self-loop, and no matching is run for it.  The
+bipartite graph of the internal edges of the cyclic components (two or
+more nodes) is block-diagonal per component, so one maximum matching of it
+labels all of them: a cyclic component is matched iff all its nodes are.
+Which maximum matching is found does not change the labels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph_core import Digraph
@@ -32,60 +35,58 @@ class SccLabel:
 
 
 def tarjan_scc(g: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative to survive deep recursion on large graphs."""
+    """Tarjan's algorithm, iterative to survive deep recursion on large graphs.
+    Components are numbered as they complete, from roots in increasing order:
+    every condensation edge runs from a higher to a lower number."""
     n = g.node_count
     adj = g.successors()
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[frozenset[int]] = []
-    component_of = [-1] * n
+    component_of = [-1] * n  # a visited node is on the stack until numbered
     counter = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]  # one frame per open node: its untried neighbours
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            v, untried = work[-1]
+            for w in untried:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            work.pop()
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
+                if component_of[w] == -1 and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        component_of[w] = len(components)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(frozenset(comp))
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if lowlink[v] < lowlink[u]:
+                        lowlink[u] = lowlink[v]
 
     cond_edges = set()
-    for s, t in g.edges:
-        cs, ct = component_of[s], component_of[t]
-        if cs != ct:
-            cond_edges.add((cs, ct))
+    for s, succ in enumerate(adj):
+        cs = component_of[s]
+        for t in succ:
+            if component_of[t] != cs:
+                cond_edges.add((cs, component_of[t]))
     return SccDecomposition(
         components=tuple(components),
         component_of=tuple(component_of),
@@ -99,13 +100,19 @@ def classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...]:
     for s, _ in d.condensation.edges:
         out_degree[s] += 1
     comp = d.component_of
-    internal = [[t for t in succ if comp[t] == comp[s]]
-                for s, succ in enumerate(g.successors())]
-    matched = hopcroft_karp(g.node_count, internal)
+    adj = g.successors()
+    size = [len(c) for c in d.components]
     covered = [True] * len(d.components)
-    for v in range(g.node_count):
-        if v not in matched:
-            covered[comp[v]] = False
+    internal: list[Sequence[int]] = [()] * g.node_count
+    for v, c in enumerate(comp):
+        if size[c] > 1:
+            internal[v] = [t for t in adj[v] if comp[t] == c]
+        elif v not in adj[v]:  # a singleton without a self-loop
+            covered[c] = False
+    matched = hopcroft_karp(g.node_count, internal)
+    for v, c in enumerate(comp):
+        if size[c] > 1 and v not in matched:
+            covered[c] = False
     return tuple(
         SccLabel(is_parent=(out_degree[i] == 0), is_matched=covered[i])
         for i in range(len(d.components))

@@ -6,7 +6,11 @@ algorithmic ideas) with the implementations under test.
 """
 from __future__ import annotations
 
-from itertools import combinations
+import math
+import random
+from collections import deque
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from netobserve.netdesign import (
     w_structure,
 )
 from netobserve.numeric import REAL, Realization, kron_numeric, observability_rank
+from netobserve.scc import SccDecomposition, SccLabel
 from netobserve.structural_check import (
     ObservabilityVerdict,
     _rows,
@@ -322,3 +327,193 @@ def dense_gain_search(w: Realization, a: Realization, net: AgentNetwork,
             scale = max(scale * 0.9, 1e-3)
 
     return GainSchedule(tuple(best_blocks), best_rho, best_rho < 1.0, evaluations)
+
+
+def blogs_shaped(seed: int, n: int = 1224, arcs: int = 15_500) -> Digraph:
+    """A blogs-sized digraph (the corpus has 1,224 nodes) drawn with
+    ``random.Random`` and correctly rounded float operations only, so it is
+    the same under every numpy and platform: exactly ``arcs`` distinct
+    non-loop arcs, with zipf-like out-degree (weight 1/k), 30% sinks and
+    popular targets (weight 1/sqrt(k))."""
+    rng = random.Random(seed)
+    out_w = [1.0 / k for k in range(1, n + 1)]
+    in_w = [1.0 / math.sqrt(k) for k in range(1, n + 1)]
+    rng.shuffle(out_w)
+    rng.shuffle(in_w)
+    for s in rng.sample(range(n), round(0.3 * n)):
+        out_w[s] = 0.0
+    out_cum, in_cum = list(accumulate(out_w)), list(accumulate(in_w))
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < arcs:
+        src = rng.choices(range(n), cum_weights=out_cum, k=arcs)
+        dst = rng.choices(range(n), cum_weights=in_cum, k=arcs)
+        for s, t in zip(src, dst):
+            if s != t:
+                chosen.add((s, t))
+                if len(chosen) == arcs:
+                    break
+    return Digraph(n, frozenset(chosen))
+
+
+def corpus_graphs():
+    """The blogs-shaped graph, plain (no matched component) and with a
+    self-loop on every fifth node (matched parent singletons)."""
+    g = blogs_shaped(1)
+    loops = frozenset((v, v) for v in range(0, g.node_count, 5))
+    return [g, Digraph(g.node_count, g.edges | loops)]
+
+
+# Frozen references: the graph kernels as they were before they were
+# rewritten for speed, kept to check that the rewrite returns exactly what
+# they return.  Copied verbatim, except that they call each other instead
+# of the library's kernels.
+
+_INF = -1
+
+
+def frozen_successors(g: Digraph) -> tuple[tuple[int, ...], ...]:
+    """``Digraph.successors`` by one sort of all edge tuples."""
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for s, t in sorted(g.edges):
+        adj[s].append(t)
+    return tuple(map(tuple, adj))
+
+
+def frozen_hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
+    """``matching.hopcroft_karp`` with dict-based pairs and layers."""
+    pair_plus: dict[int, int] = {}
+    pair_minus: dict[int, int] = {}
+    dist: dict[int, int] = {}
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for p in range(node_count):
+            if p not in pair_plus:
+                dist[p] = 0
+                queue.append(p)
+            else:
+                dist[p] = _INF
+        found = False
+        while queue:
+            p = queue.popleft()
+            for m in adjacency[p]:
+                q = pair_minus.get(m)
+                if q is None:
+                    found = True
+                elif dist[q] == _INF:
+                    dist[q] = dist[p] + 1
+                    queue.append(q)
+        return found
+
+    def dfs(p: int) -> None:
+        # The alternating path is kept on an explicit stack of
+        # (plus node, its untried neighbours, minus node leading onward).
+        untried = iter(adjacency[p])
+        stack: list[tuple[int, Iterator[int], int]] = []
+        while True:
+            layer = dist[p] + 1
+            for m in untried:
+                q = pair_minus.get(m)
+                if q is None:  # free minus node: augment along the path
+                    pair_plus[p] = m
+                    pair_minus[m] = p
+                    for p, _, m in stack:
+                        pair_plus[p] = m
+                        pair_minus[m] = p
+                    return
+                if dist[q] == layer:
+                    stack.append((p, untried, m))
+                    p, untried = q, iter(adjacency[q])
+                    break
+            else:
+                dist[p] = _INF  # dead end: no augmenting path through p
+                if not stack:
+                    return
+                p, untried, _ = stack.pop()
+
+    while bfs():
+        for p in range(node_count):
+            if p not in pair_plus:
+                dfs(p)
+    return pair_plus
+
+
+def frozen_tarjan_scc(g: Digraph) -> SccDecomposition:
+    """``scc.tarjan_scc`` indexing each node's neighbours by position."""
+    n = g.node_count
+    adj = frozen_successors(g)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[frozenset[int]] = []
+    component_of = [-1] * n
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if recurse:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component_of[w] = len(components)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+            work.pop()
+            if work:
+                u = work[-1][0]
+                lowlink[u] = min(lowlink[u], lowlink[v])
+
+    cond_edges = set()
+    for s, t in g.edges:
+        cs, ct = component_of[s], component_of[t]
+        if cs != ct:
+            cond_edges.add((cs, ct))
+    return SccDecomposition(
+        components=tuple(components),
+        component_of=tuple(component_of),
+        condensation=Digraph(len(components), frozenset(cond_edges)),
+    )
+
+
+def frozen_classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...]:
+    """``scc.classify_sccs`` by one matching of all intra-SCC edges."""
+    out_degree = [0] * len(d.components)
+    for s, _ in d.condensation.edges:
+        out_degree[s] += 1
+    comp = d.component_of
+    internal = [[t for t in succ if comp[t] == comp[s]]
+                for s, succ in enumerate(frozen_successors(g))]
+    matched = frozen_hopcroft_karp(g.node_count, internal)
+    covered = [True] * len(d.components)
+    for v in range(g.node_count):
+        if v not in matched:
+            covered[comp[v]] = False
+    return tuple(
+        SccLabel(is_parent=(out_degree[i] == 0), is_matched=covered[i])
+        for i in range(len(d.components))
+    )

@@ -280,6 +280,29 @@ class TestVerify:
         assert report["numeric_agreement"] == {"seeds": 5, "agreeing": 5}
 
 
+def test_successive_calls_share_no_parser_state(fixture_gml, tmp_path):
+    """The parser is built once per process, and no call's options or
+    subcommand leak into the next call's arguments."""
+    assert cli.build_parser() is cli.build_parser()
+
+    def config(argv, out):
+        assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_OK
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config"]
+
+    graph = str(fixture_gml)
+    assert config(["design", graph, "--agents", "4"], "d4")["agents"] == 4
+    classify = config(["classify", graph], "c")
+    assert classify["command"] == "classify" and "agents" not in classify
+    assert config(["design", graph], "d")["agents"] is None
+    design = tmp_path / "d"
+    verify = ["verify", graph, "--plan", str(design / "plan.json"),
+              "--network", str(design / "network.json")]
+    first = config([*verify, "--numeric", "--seeds", "3"], "v1")
+    assert (first["numeric"], first["seeds"]) == (True, 3)
+    second = config(verify, "v2")
+    assert (second["numeric"], second["seeds"]) == (False, 20)
+
+
 def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):
     """Each command runs one canonical matching and one Tarjan pass: the
     distributed check reads both from the command's decomposition."""

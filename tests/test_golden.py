@@ -1,0 +1,86 @@
+"""The artifacts the commands write stay byte-identical.
+
+The sha256 digests below were recorded before the graph kernels (adjacency
+build, Hopcroft–Karp, Tarjan, SCC taxonomy) were rewritten for speed, so a
+rewrite that changes any artifact byte fails here.  ``manifest.json`` is
+left out: it echoes the configuration, not the analysis.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from netobserve.cli import EXIT_OK, main
+from netobserve.fixtures import six_state_demo
+from netobserve.ingest import LabeledGraph
+
+from .oracles import blogs_shaped, emit_gml
+
+GRAPHS = {
+    "six-state": lambda: LabeledGraph(six_state_demo(), tuple(f"x{i + 1}" for i in range(6)),
+                                      True, {}),
+    "blogs-shaped": lambda: LabeledGraph(blogs_shaped(1), tuple(f"v{i}" for i in range(1224)),
+                                         True, {}),
+}
+
+GOLDEN = {
+    "blogs-shaped": {
+        "analyze/analysis.json":
+            "49e544515f4a524915641501011792402a913c2ee8a5e3f96d1d3818f74cfbad",
+        "classify/plan.json":
+            "3bfd20dfab4f3e1e12bd87938adf88f504668f4a44875c6aa1a4d5479656b612",
+        "design/network.dot":
+            "d77bb5991e0a379172adc440f956d52cc5d3639c481c6b6d8ba63dd4dbc2d46a",
+        "design/network.json":
+            "1df4ee8539732830340557d6d77f03e9981180970b274bb58ee3c66ab50eb8ea",
+        "design/plan.json":
+            "021814cb34e468c5a7ba9e275c5db1a97496a184518e1b317c5a14304550c396",
+        "design/verdict.json":
+            "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
+        "verify/verify.json":
+            "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
+    },
+    "six-state": {
+        "analyze/analysis.json":
+            "27219114906e2c1f9188a82d5e713f52f22c8e7c19f9cb22e1c08020efa7e78e",
+        "classify/plan.json":
+            "72cda868277d6eb2187d5f04ee35172f0520e3fdfbda2f8503119524a56e7c9e",
+        "design/network.dot":
+            "a2f08440ed7b482f175f7f8780ee9b95837e6224e8be506b2cdc6e1d83c7d5e9",
+        "design/network.json":
+            "8834550a7bb5434ce8116b879b62ede25ac2896e3e22aa331fe4c308c8577da5",
+        "design/plan.json":
+            "739eab0f8e2a311020a1f93af89c990545e491ee4f175d0569b4e220285c7bd5",
+        "design/verdict.json":
+            "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
+        "verify/verify.json":
+            "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
+    },
+}
+
+
+def artifact_digests(name: str) -> dict[str, str]:
+    """Run analyze, classify, design and verify on graph ``name`` in the
+    working directory; digest of every artifact but the manifests."""
+    Path("graph.gml").write_text(emit_gml(GRAPHS[name]()))
+    commands = {
+        "analyze": ["analyze", "graph.gml"],
+        "classify": ["classify", "graph.gml"],
+        "design": ["design", "graph.gml"],
+        "verify": ["verify", "graph.gml", "--plan", "design/plan.json",
+                   "--network", "design/network.json"],
+    }
+    digests = {}
+    for out, argv in commands.items():
+        assert main([*argv, "--out", out]) == EXIT_OK, out
+        for path in sorted(Path(out).iterdir()):
+            if path.name != "manifest.json":
+                digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert artifact_digests(name) == GOLDEN[name]

@@ -81,6 +81,10 @@ class TestParseGml:
         lg = parse_gml(b"\xef\xbb\xbf" + MINIMAL_GML.encode())
         assert lg == parse_gml(MINIMAL_GML)
 
+    def test_byte_order_mark_skipped_in_text(self):
+        assert parse_gml("\ufeff" + MINIMAL_GML) == parse_gml(MINIMAL_GML)
+        assert parse_gml("\ufeffgraph [ node [ id 0 ] ]").digraph.node_count == 1
+
     def test_edge_to_unknown_node(self):
         text = """graph [ directed 1
           node [ id 0 ]
@@ -222,6 +226,9 @@ class TestParseEdgeList:
 
     def test_byte_order_mark_skipped(self):
         assert parse_edge_list(b"\xef\xbb\xbf0 1") == parse_edge_list("0 1")
+
+    def test_byte_order_mark_skipped_in_text(self):
+        assert parse_edge_list("\ufeff0 1") == parse_edge_list("0 1")
 
 
 NEWMAN_GML = """Creator "Mark Newman on Sat Jul 22 05:32:16 2006"
