@@ -27,6 +27,16 @@ and zero elsewhere, with ``X = D_O S[O, O] D_O + I`` symmetric positive
 definite: one ``|O| x |O|`` solve per step, not a pseudo-inverse of the
 fused dimension.  Unobservable inputs are refused with a rank
 certificate instead of searched.
+
+rho(F) only picks the best iterate and never feeds the recursion, so the
+search buffers the iterates' F matrices (``_RHO_BATCH_BYTES``) and takes
+their spectral radii in one batched ``eigvals`` call after the recursion
+steps that produced them; the earliest iterate of least rho still wins.
+The simulation draws its noise per block of ``_STEP_BLOCK`` steps from the
+same generator stream, in the same order, as one draw per step would.
+Neither batching changes a bit of the gains, rho or the trace:
+``eigvals`` of a stack makes the per-matrix LAPACK call for each matrix,
+and generator draws concatenate.
 """
 
 from __future__ import annotations
@@ -79,17 +89,30 @@ def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray
     return np.eye(n)[states], sources[:, owner]
 
 
-def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
-                 ) -> tuple[np.ndarray, float]:
-    """Dense block-diagonal K of the agents x n x n ``blocks``, and rho(F)
-    for F = M - (K * d) M, i.e. K D_H as a column scaling."""
+# Iterates whose rho(F) waits for one batched ``eigvals`` call: F matrices of
+# about this many bytes in all, 8 at fused dimension 64.
+_RHO_BATCH_BYTES = 1 << 18
+
+# Steps drawn, and reduced to the MSE, together in one block.
+_STEP_BLOCK = 128
+
+
+def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal K of the agents x n x n ``blocks``; writes
+    F = M - (K * d) M, i.e. K D_H as a column scaling, to ``out``."""
     n_agents, n, _ = blocks.shape
     k = np.zeros((n_agents, n, n_agents, n))
     agents = np.arange(n_agents)
     k[agents, :, agents, :] = blocks
     k = k.reshape(n_agents * n, n_agents * n)
-    f = m - (k * d) @ m
-    return k, float(np.max(np.abs(np.linalg.eigvals(f))))
+    np.subtract(m, (k * d) @ m, out=out)
+    return k
+
+
+def _spectral_radii(f: np.ndarray) -> list[float]:
+    """rho of every matrix of the stack ``f``, from one ``eigvals`` call."""
+    return np.abs(np.linalg.eigvals(f)).max(axis=1).tolist()
 
 
 def gain_search(w: Realization, a: Realization, net: AgentNetwork,
@@ -116,34 +139,45 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 
-    agents = np.arange(n_agents)
+    f = np.empty((max(1, _RHO_BATCH_BYTES // (8 * dim * dim)), dim, dim))
     best = np.zeros((n_agents, n, n))
-    _, best_rho = _closed_loop(m, best, d)
+    _closed_loop(m, best, d, f[0])
+    best_rho = _spectral_radii(f[:1])[0]
     evaluations = 1
 
-    p = np.eye(dim)
-    for _ in range(min(200, budget)):
-        s = m @ p @ m.T + np.eye(dim)
+    agents = np.arange(n_agents)
+    eye, eye_obs = np.eye(dim), np.eye(len(obs))
+    g = np.zeros((dim, dim))  # the centralized gain, nonzero on the columns obs only
+    p = eye
+    pending: list[np.ndarray] = []  # the iterates whose F waits in f
+    iterates = min(200, budget)
+    for i in range(iterates):
+        s = m @ p @ m.T + eye
         s_obs = s[:, obs] * d_obs
-        x = d_obs[:, None] * s_obs[obs] + np.eye(len(obs))
-        g = np.zeros((dim, dim))
+        x = d_obs[:, None] * s_obs[obs] + eye_obs
         g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
         blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
-        k, rho = _closed_loop(m, blocks, d)
+        k = _closed_loop(m, blocks, d, f[len(pending)])
+        pending.append(blocks)
         evaluations += 1
-        if rho < best_rho:
-            best_rho, best = rho, blocks
-        ikd = np.eye(dim) - k * d
-        p = ikd @ s @ ikd.T + k @ k.T
-        if evaluations >= budget:
+        last = evaluations >= budget or i == iterates - 1
+        if last or len(pending) == len(f):
+            for candidate, rho in zip(pending, _spectral_radii(f[:len(pending)])):
+                if rho < best_rho:
+                    best_rho, best = rho, candidate
+            pending = []
+        if last:
             break
+        ikd = eye - k * d
+        p = ikd @ s @ ikd.T + k @ k.T
 
     rng = np.random.default_rng(seed)
     scale = 0.5
     while best_rho >= 1.0 and evaluations < budget:
         blocks = best + scale * rng.standard_normal(best.shape)
-        _, rho = _closed_loop(m, blocks, d)
+        _closed_loop(m, blocks, d, f[0])
         evaluations += 1
+        rho = _spectral_radii(f[:1])[0]
         if rho < best_rho:
             best_rho, best = rho, blocks
             scale = max(scale * 0.9, 1e-3)
@@ -161,7 +195,8 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
     ``E <- W E A^T - v`` (process noise ``v``), then
     ``E_i <- E_i - K_i (d_i o E_i - sum_rows R_ir nu_r H_r)`` (observation
     noise ``nu``).  Noise is drawn as ``x0``, then per step ``n`` process
-    and one observation draw per placement row, in agent order.
+    and one observation draw per placement row, in agent order; each block
+    of ``_STEP_BLOCK`` steps takes its draws in one call.
     """
     if a.field != REAL or w.field != REAL:
         raise ValueError("simulation runs on real-valued realizations")
@@ -177,11 +212,18 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
     d = r @ h
     k = np.stack(gains.blocks)
 
+    wm, at = w.matrix, a.matrix.T
     e = np.tile(-rng.standard_normal(n), (n_agents, 1))
     mse = np.zeros((horizon, n_agents))
-    for step in range(horizon):
-        e = w.matrix @ e @ a.matrix.T - process_noise * rng.standard_normal(n)
-        nu = observation_noise * rng.standard_normal(len(h))
-        e = e - np.einsum("inm,im->in", k, d * e - (r * nu) @ h)
-        mse[step] = np.mean(e ** 2, axis=1)
+    errors = np.empty((min(_STEP_BLOCK, horizon), n_agents, n))
+    for start in range(0, horizon, _STEP_BLOCK):
+        steps = min(_STEP_BLOCK, horizon - start)
+        noise = rng.standard_normal((steps, n + len(h)))
+        v = process_noise * noise[:, :n]
+        nu = observation_noise * noise[:, n:]
+        observed = (r * nu[:, None, :]) @ h  # one (R * nu) H product per step
+        for v_step, observed_step, out in zip(v, observed, errors):
+            e = wm @ e @ at - v_step
+            e = np.subtract(e, np.einsum("inm,im->in", k, d * e - observed_step), out=out)
+        np.mean(errors[:steps] ** 2, axis=2, out=mse[start:start + steps])
     return ErrorTrace(mse, process_noise, observation_noise)

@@ -24,8 +24,9 @@ REAL = "real"
 # one GF(p) rank took 2.0 s at 252 and 40 s at 510 on a 2-core VM.
 MAX_FUSED_DIM = 256
 
-# Largest simulated trace, horizon x agents: the (horizon, agents) floats
-# plus one CSV line per entry peaked 140 MB above the interpreter at 1M.
+# Largest simulated trace, horizon x agents: at 1M, `simulate` of the
+# six-state fixture peaks 57 MB above the interpreter (the (horizon, agents)
+# floats and trace.csv) on a 2-core VM.
 MAX_TRACE_ENTRIES = 1_000_000
 
 

@@ -15,7 +15,12 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from netobserve.classify import ALPHA, Decomposition
-from netobserve.estimator import GainSchedule, UnobservableSystemError, _observation_rows
+from netobserve.estimator import (
+    ErrorTrace,
+    GainSchedule,
+    UnobservableSystemError,
+    _observation_rows,
+)
 from netobserve.graph_core import Digraph, StructuredMatrix, reachable
 from netobserve.ingest import LabeledGraph
 from netobserve.netdesign import (
@@ -517,3 +522,102 @@ def frozen_classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...
         SccLabel(is_parent=(out_degree[i] == 0), is_matched=covered[i])
         for i in range(len(d.components))
     )
+
+
+# The estimator's loops as they were before the spectral radii were taken in
+# batches and the noise drawn in blocks of steps: one ``eigvals`` call per
+# iterate, two generator draws per step.  Copied verbatim, except that the
+# search calls ``frozen_closed_loop``.
+
+def frozen_closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
+                       ) -> tuple[np.ndarray, float]:
+    """Dense block-diagonal K of the agents x n x n ``blocks``, and rho(F)
+    for F = M - (K * d) M, i.e. K D_H as a column scaling."""
+    n_agents, n, _ = blocks.shape
+    k = np.zeros((n_agents, n, n_agents, n))
+    agents = np.arange(n_agents)
+    k[agents, :, agents, :] = blocks
+    k = k.reshape(n_agents * n, n_agents * n)
+    f = m - (k * d) @ m
+    return k, float(np.max(np.abs(np.linalg.eigvals(f))))
+
+
+def frozen_gain_search(w: Realization, a: Realization, net: AgentNetwork,
+                       budget: int = 10_000, seed: int = 0) -> GainSchedule:
+    """``estimator.gain_search`` with one ``eigvals`` call per iterate."""
+    n_agents = net.agent_count
+    n = a.matrix.shape[0]
+    dim = n_agents * n
+    fused = kron_numeric(w, a)
+    m = fused.matrix
+    h, r = _observation_rows(net, n)
+    d = (r @ h).ravel()
+    obs = np.flatnonzero(d)
+    d_obs = d[obs]
+
+    rank = observability_rank(fused, Realization(np.eye(dim)[obs], REAL, 0))
+    if rank < dim:
+        raise UnobservableSystemError(rank, dim)
+
+    agents = np.arange(n_agents)
+    best = np.zeros((n_agents, n, n))
+    _, best_rho = frozen_closed_loop(m, best, d)
+    evaluations = 1
+
+    p = np.eye(dim)
+    for _ in range(min(200, budget)):
+        s = m @ p @ m.T + np.eye(dim)
+        s_obs = s[:, obs] * d_obs
+        x = d_obs[:, None] * s_obs[obs] + np.eye(len(obs))
+        g = np.zeros((dim, dim))
+        g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
+        blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
+        k, rho = frozen_closed_loop(m, blocks, d)
+        evaluations += 1
+        if rho < best_rho:
+            best_rho, best = rho, blocks
+        ikd = np.eye(dim) - k * d
+        p = ikd @ s @ ikd.T + k @ k.T
+        if evaluations >= budget:
+            break
+
+    rng = np.random.default_rng(seed)
+    scale = 0.5
+    while best_rho >= 1.0 and evaluations < budget:
+        blocks = best + scale * rng.standard_normal(best.shape)
+        _, rho = frozen_closed_loop(m, blocks, d)
+        evaluations += 1
+        if rho < best_rho:
+            best_rho, best = rho, blocks
+            scale = max(scale * 0.9, 1e-3)
+
+    return GainSchedule(tuple(best), best_rho, best_rho < 1.0, evaluations)
+
+
+def frozen_simulate(w: Realization, a: Realization, net: AgentNetwork,
+                    gains: GainSchedule, horizon: int = 1000,
+                    process_noise: float = 0.1, observation_noise: float = 0.1,
+                    seed: int = 0) -> ErrorTrace:
+    """``estimator.simulate`` drawing the noise and reducing the MSE per step."""
+    if a.field != REAL or w.field != REAL:
+        raise ValueError("simulation runs on real-valued realizations")
+    n_agents = net.agent_count
+    if w.matrix.shape != (n_agents, n_agents):
+        raise ValueError(f"fusion matrix of shape {w.matrix.shape} does not match "
+                         f"{n_agents} agents")
+    if np.abs(w.matrix.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValueError("fusion matrix rows must sum to one")
+    rng = np.random.default_rng(seed)
+    n = a.matrix.shape[0]
+    h, r = _observation_rows(net, n)
+    d = r @ h
+    k = np.stack(gains.blocks)
+
+    e = np.tile(-rng.standard_normal(n), (n_agents, 1))
+    mse = np.zeros((horizon, n_agents))
+    for step in range(horizon):
+        e = w.matrix @ e @ a.matrix.T - process_noise * rng.standard_normal(n)
+        nu = observation_noise * rng.standard_normal(len(h))
+        e = e - np.einsum("inm,im->in", k, d * e - (r * nu) @ h)
+        mse[step] = np.mean(e ** 2, axis=1)
+    return ErrorTrace(mse, process_noise, observation_noise)

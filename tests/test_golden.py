@@ -4,9 +4,16 @@ The sha256 digests below were recorded before the graph kernels (adjacency
 build, Hopcroft–Karp, Tarjan, SCC taxonomy) were rewritten for speed, so a
 rewrite that changes any artifact byte fails here.  ``manifest.json`` is
 left out: it echoes the configuration, not the analysis.
+
+``simulate`` on the six-state fixture is pinned the same way: its
+``trace.csv`` digest and the manifest's ``rho``, ``gain_digest`` and
+``steady_state_mse`` were recorded before the estimator's gain search took
+its spectral radii in batches and its simulation drew noise per block of
+steps.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +91,22 @@ def artifact_digests(name: str) -> dict[str, str]:
 def test_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert artifact_digests(name) == GOLDEN[name]
+
+
+SIMULATE_GOLDEN = {
+    "trace.csv": "f0ed9cbd71de64de2aaa758156a93d740fb8e5ef53f90f96174eadffb85fc101",
+    "rho": 0.7130404835115951,
+    "gain_digest": "107650e7d77770d5",
+    "steady_state_mse": 0.010775333254911,
+}
+
+
+def test_simulate_matches_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("graph.gml").write_text(emit_gml(GRAPHS["six-state"]()))
+    assert main(["simulate", "graph.gml", "--out", "simulate"]) == EXIT_OK
+    trace = Path("simulate/trace.csv").read_bytes()
+    manifest = json.loads(Path("simulate/manifest.json").read_text())
+    assert {"trace.csv": hashlib.sha256(trace).hexdigest(),
+            **{key: manifest[key] for key in ("rho", "gain_digest", "steady_state_mse")}
+            } == SIMULATE_GOLDEN
