@@ -215,25 +215,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok and structural.observable else EXIT_VERIFY
 
 
-# trace.csv rows formatted per block: bounds the argument tuples that the
-# one ``%`` call per block holds alive.
+# trace.csv rows formatted, and written, per block: bounds the argument
+# tuples that the one ``%`` call per block holds alive, and the text held.
 _CSV_BLOCK_ENTRIES = 1 << 16
 
 
-def _trace_csv(mse: np.ndarray) -> str:
-    """``k,agent,mse`` rows of the (horizon, agents) ``mse``, one ``%``
-    formatting call per block of steps."""
+def _write_trace_csv(out_dir: Path, mse: np.ndarray) -> Path:
+    """Write ``k,agent,mse`` rows of the (horizon, agents) ``mse`` to
+    ``trace.csv``, one ``%`` formatting call and one write per block of
+    steps, so no more than one block's text is held at a time."""
     horizon, agents = mse.shape
     block = max(1, _CSV_BLOCK_ENTRIES // agents)
-    parts = ["k,agent,mse\n"]
-    for start in range(0, horizon, block):
-        chunk = mse[start:start + block]
-        rows = np.empty(chunk.shape + (3,), dtype=object)
-        rows[..., 0] = np.arange(start, start + len(chunk))[:, None]
-        rows[..., 1] = np.arange(agents)
-        rows[..., 2] = chunk
-        parts.append("%d,%d,%.6e\n" * chunk.size % tuple(rows.ravel().tolist()))
-    return "".join(parts)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "trace.csv"
+    with path.open("w") as f:
+        f.write("k,agent,mse\n")
+        for start in range(0, horizon, block):
+            chunk = mse[start:start + block]
+            rows = np.empty(chunk.shape + (3,), dtype=object)
+            rows[..., 0] = np.arange(start, start + len(chunk))[:, None]
+            rows[..., 1] = np.arange(agents)
+            rows[..., 2] = chunk
+            f.write("%d,%d,%.6e\n" * chunk.size % tuple(rows.ravel().tolist()))
+    return path
 
 
 def cmd_simulate(args) -> int:
@@ -264,7 +268,7 @@ def cmd_simulate(args) -> int:
         w_real, a_real, net, gains, horizon=args.horizon,
         process_noise=args.noise, observation_noise=args.noise, seed=args.seed)
     out = Path(args.out)
-    path = _write(out, "trace.csv", _trace_csv(trace.mse))
+    path = _write_trace_csv(out, trace.mse)
     digest = hashlib.sha256(
         b"".join(block.tobytes() for block in gains.blocks)).hexdigest()[:16]
     _write(out, "manifest.json", _manifest(args, {

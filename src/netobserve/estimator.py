@@ -6,7 +6,9 @@ Each agent keeps a full-state estimate.  One step of the filter is
   ``xhat_i <- sum_{j in {i} u N_beta(i)} w_ij A xhat_j``, and
 * innovation fusion over the alpha layer with a per-agent (block-diagonal)
   gain:
-  ``xhat_i <- xhat_i + K_i sum_{j in {i} u N_alpha(i)} H_j^T (y_j - H_j xhat_i)``.
+  ``xhat_i <- xhat_i + K_i sum_{j in {i} u N_alpha(i)} H_j^T (y_j - H_j xhat_i)``,
+  where ``N_alpha(i)`` is the network's broadcasters plus ``i``'s explicit
+  alpha in-neighbors (``AgentNetwork.alpha_sources``).
 
 Stacked over agents these equal the centralized recursion on
 ``(W (x) A, D_H)`` with a block-diagonal gain, whose error matrix is
@@ -36,11 +38,16 @@ The simulation draws its noise per block of ``_STEP_BLOCK`` steps from the
 same generator stream, in the same order, as one draw per step would.
 Neither batching changes a bit of the gains, rho or the trace:
 ``eigvals`` of a stack makes the per-matrix LAPACK call for each matrix,
-and generator draws concatenate.
+and generator draws concatenate.  The recursion is a deterministic map of
+the covariance P, so once an iterate's P repeats one seen before (compared
+by a digest of its bytes), every later iterate replays an earlier F, whose
+rho the strict ``<`` cannot prefer: the search stops there and counts the
+evaluations the full loop would have made.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +87,14 @@ class ErrorTrace:
 
 def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows ``H`` (one per placement, in agent order) and the agents x
-    rows matrix ``R`` that selects each agent's alpha sources."""
+    rows matrix ``R`` that selects each agent's alpha sources: itself, the
+    broadcasters and its explicit alpha in-neighbors."""
     states = [p.state for obs in net.observations for p in obs]
     owner = np.repeat(np.arange(net.agent_count), [len(obs) for obs in net.observations])
-    sources = np.zeros((net.agent_count, net.agent_count))
-    for i, js in enumerate(net.alpha_sources):
+    alpha = net.alpha_sources
+    sources = np.eye(net.agent_count)
+    sources[:, list(alpha.broadcast)] = 1.0
+    for i, js in enumerate(alpha.extra):
         sources[i, list(js)] = 1.0
     return np.eye(n)[states], sources[:, owner]
 
@@ -151,16 +161,23 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     p = eye
     pending: list[np.ndarray] = []  # the iterates whose F waits in f
     iterates = min(200, budget)
+    seen: set[bytes] = set()  # digests of the iterates' P
     for i in range(iterates):
-        s = m @ p @ m.T + eye
-        s_obs = s[:, obs] * d_obs
-        x = d_obs[:, None] * s_obs[obs] + eye_obs
-        g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
-        blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
-        k = _closed_loop(m, blocks, d, f[len(pending)])
-        pending.append(blocks)
-        evaluations += 1
-        last = evaluations >= budget or i == iterates - 1
+        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
+        replay = digest in seen  # then every later iterate replays an earlier F
+        if replay:
+            evaluations = 1 + min(iterates, budget - 1)  # as if run to the end
+        else:
+            seen.add(digest)
+            s = m @ p @ m.T + eye
+            s_obs = s[:, obs] * d_obs
+            x = d_obs[:, None] * s_obs[obs] + eye_obs
+            g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
+            blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
+            k = _closed_loop(m, blocks, d, f[len(pending)])
+            pending.append(blocks)
+            evaluations += 1
+        last = replay or evaluations >= budget or i == iterates - 1
         if last or len(pending) == len(f):
             for candidate, rho in zip(pending, _spectral_radii(f[:len(pending)])):
                 if rho < best_rho:

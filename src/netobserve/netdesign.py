@@ -21,10 +21,19 @@ the global error dynamics is driven into observed blocks along the chain
 ``i`` sends through, which is what makes its states accessible.  The two
 directions are easy to confuse; the numeric suite confirms the send
 direction is the one tied to observability of the fused pair.
+
+The alpha layer is held as :class:`AlphaEdges`: the *broadcasters*, agents
+with an alpha edge to every other agent, plus any other edges listed
+explicitly.  A canonical design, where every alpha-agent broadcasts, is
+then N_alpha integers instead of N_alpha * (N - 1) edges, and the checks,
+the JSON and the DOT export work in the size of that description: a
+condition some broadcaster meets holds for every agent at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,30 +48,137 @@ class DesignError(ValueError):
     """Raised for unusable design inputs (e.g. an empty plan)."""
 
 
+class AlphaEdges(Set):
+    """The alpha layer as a set of ``(u, v)`` edges, held as the
+    *broadcasters* (agents ``u`` with an edge to every other agent) plus the
+    remaining *explicit* edges.
+
+    Any edge set converts to this form: a source with all ``agent_count - 1``
+    out-edges becomes a broadcaster, so the form is unique and a canonical
+    design's N_alpha * (N - 1) edges cost N_alpha integers.  The set reads
+    as the full edge list (``len``, membership, iteration), and a set
+    operation such as ``edges - {drop}`` returns a plain frozenset, which
+    :class:`AgentNetwork` converts back: dropping one edge of a broadcaster
+    turns it into explicit edges.
+    """
+
+    __slots__ = ("agent_count", "broadcast", "explicit")
+
+    def __init__(self, agent_count: int, broadcast: Iterable[int] = (),
+                 explicit: Iterable[tuple[int, int]] = ()):
+        broadcast = set(broadcast)
+        explicit = set(map(tuple, explicit))
+        for u in broadcast:
+            if not 0 <= u < agent_count:
+                raise ValueError(f"alpha broadcaster {u} out of agent range")
+        for u, v in explicit:
+            if not (0 <= u < agent_count and 0 <= v < agent_count):
+                raise ValueError(f"edge ({u}, {v}) out of agent range")
+        if agent_count < 2:
+            broadcast = set()  # nobody to broadcast to
+        else:
+            out = Counter(u for u, v in explicit if u != v and u not in broadcast)
+            broadcast.update(u for u, k in out.items() if k == agent_count - 1)
+        self.agent_count = agent_count
+        self.broadcast = frozenset(broadcast)
+        self.explicit = frozenset((u, v) for u, v in explicit
+                                  if u == v or u not in broadcast)
+
+    @classmethod
+    def _from_iterable(cls, edges):
+        return frozenset(edges)
+
+    def __len__(self) -> int:
+        return len(self.broadcast) * (self.agent_count - 1) + len(self.explicit)
+
+    def __contains__(self, edge) -> bool:
+        try:
+            u, v = edge
+            if u in self.broadcast:
+                return u != v and 0 <= v < self.agent_count
+        except (TypeError, ValueError):
+            return False
+        return (u, v) in self.explicit
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for u in sorted(self.broadcast):
+            yield from ((u, v) for v in range(self.agent_count) if v != u)
+        yield from self.explicit
+
+    def __eq__(self, other):
+        if isinstance(other, AlphaEdges) and other.agent_count == self.agent_count:
+            return (self.broadcast, self.explicit) == (other.broadcast, other.explicit)
+        return Set.__eq__(self, other)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return (f"AlphaEdges({self.agent_count}, broadcast={sorted(self.broadcast)}, "
+                f"explicit={sorted(self.explicit)})")
+
+
+class AlphaSources(Sequence):
+    """Per agent ``i``: the agents whose raw observations reach it, ``i``
+    itself first, then its alpha in-neighbors in increasing order.
+
+    Held compactly as the broadcasters every agent shares plus, per agent,
+    its explicit alpha in-neighbors outside them (``extra``); indexing
+    merges the two for one agent.
+    """
+
+    __slots__ = ("broadcast", "extra")
+
+    def __init__(self, broadcast: tuple[int, ...], extra: tuple[tuple[int, ...], ...]):
+        self.broadcast = broadcast
+        self.extra = extra
+
+    def __len__(self) -> int:
+        return len(self.extra)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        i = range(len(self.extra))[i]
+        return (i, *sorted({*self.broadcast, *self.extra[i]} - {i}))
+
+
 @dataclass(frozen=True)
 class AgentNetwork:
     agent_count: int
-    alpha_edges: frozenset[tuple[int, int]]
+    alpha_edges: AlphaEdges  # any set of (u, v) pairs is accepted and converted
     beta_edges: frozenset[tuple[int, int]]
     observations: tuple[tuple[Placement, ...], ...]  # per agent
 
     def __post_init__(self):
         if self.agent_count < 1:
             raise ValueError(f"a network needs at least one agent, got {self.agent_count}")
-        for u, v in self.alpha_edges | self.beta_edges:
+        alpha = self.alpha_edges
+        if not (isinstance(alpha, AlphaEdges) and alpha.agent_count == self.agent_count):
+            object.__setattr__(self, "alpha_edges", AlphaEdges(self.agent_count, (), alpha))
+        for u, v in self.beta_edges:
             if not (0 <= u < self.agent_count and 0 <= v < self.agent_count):
                 raise ValueError(f"edge ({u}, {v}) out of agent range")
         if len(self.observations) != self.agent_count:
             raise ValueError("observations must list every agent")
 
     @cached_property
-    def alpha_sources(self) -> tuple[tuple[int, ...], ...]:
-        """Per agent ``i``: the agents whose raw observations reach it, ``i``
-        itself first, then its alpha in-neighbors in increasing order."""
+    def alpha_sources(self) -> AlphaSources:
+        """Per agent ``i``: ``i`` itself, then its alpha in-neighbors in
+        increasing order, as broadcasters plus explicit in-neighbors."""
         into: list[list[int]] = [[] for _ in range(self.agent_count)]
-        for u, v in sorted(self.alpha_edges):
+        for u, v in sorted(self.alpha_edges.explicit):
+            if u != v:
+                into[v].append(u)
+        return AlphaSources(tuple(sorted(self.alpha_edges.broadcast)), tuple(map(tuple, into)))
+
+    @cached_property
+    def beta_connected(self) -> bool:
+        """Whether every agent has a beta path to every other agent, i.e.
+        the fusion structure W is irreducible."""
+        out: list[list[int]] = [[] for _ in range(self.agent_count)]
+        into: list[list[int]] = [[] for _ in range(self.agent_count)]
+        for u, v in self.beta_edges:
+            out[u].append(v)
             into[v].append(u)
-        return tuple((i, *us) for i, us in enumerate(into))
+        return all(len(reachable(adj, [0])) == self.agent_count for adj in (out, into))
 
 
 @dataclass(frozen=True)
@@ -94,20 +210,16 @@ def design_canonical(plan: ObservationPlan, agent_count: int | None = None) -> A
     the ring gives every agent a directed path to every beta-agent, i.e.
     condition (ii-b).  These conditions are necessary for the distributed
     error dynamics to be stabilizable; sufficiency is checked numerically
-    rather than assumed.
+    rather than assumed.  The alpha layer is held as its broadcaster set,
+    so the design costs O(N) whatever the number of alpha-agents.
     """
     if not plan.placements:
         raise DesignError("cannot design a network for an empty observation plan")
     observations = agents_from_plan(plan, agent_count)
     n = len(observations)
-    alpha = set()
-    for p in plan.placements:
-        if p.kind == ALPHA:
-            alpha.update((p.agent, j) for j in range(n) if j != p.agent)
-    ring = set()
-    if n > 1:
-        ring = {(i, (i + 1) % n) for i in range(n)}
-    return AgentNetwork(n, frozenset(alpha), frozenset(ring), observations)
+    alpha = AlphaEdges(n, broadcast=(p.agent for p in plan.placements if p.kind == ALPHA))
+    ring = frozenset((i, (i + 1) % n) for i in range(n)) if n > 1 else frozenset()
+    return AgentNetwork(n, alpha, ring, observations)
 
 
 def _observer_union(index: dict[int, set[int]], states: frozenset[int]) -> set[int]:
@@ -116,8 +228,14 @@ def _observer_union(index: dict[int, set[int]], states: frozenset[int]) -> set[i
 
 def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     """Check conditions (i) and (ii) for every agent; the verdict carries
-    one entry per unmet condition instead of raising.  (ii-b) takes one
-    backward search over the beta layer per matched parent SCC."""
+    one entry per unmet condition instead of raising.
+
+    A condition that some broadcaster meets holds for every agent, and a
+    matched parent SCC with an observer holds (ii-b) for every agent when
+    the beta layer is strongly connected; only the remaining conditions are
+    checked per agent, against its explicit alpha in-neighbors and one
+    backward search over the beta layer per such SCC.
+    """
     observers: dict[int, set[int]] = {}
     alpha_observers: dict[int, set[int]] = {}
     for agent, placements in enumerate(net.observations):
@@ -125,24 +243,28 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
             observers.setdefault(p.state, set()).add(agent)
             if p.kind == ALPHA:
                 alpha_observers.setdefault(p.state, set()).add(agent)
-    contraction_observers = [_observer_union(alpha_observers, c.members)
-                             for c in dec.family.sets]
-    scc_observers = [(j, _observer_union(observers, dec.sccs.components[j]))
-                     for j in dec.matched_parents]
+    sources = net.alpha_sources
+    broadcast = set(sources.broadcast)
+    open_contractions = [
+        (ci, found) for ci, c in enumerate(dec.family.sets)
+        if broadcast.isdisjoint(found := _observer_union(alpha_observers, c.members))]
+    open_sccs = [
+        (j, found) for j in dec.matched_parents
+        if broadcast.isdisjoint(found := _observer_union(observers, dec.sccs.components[j]))
+        and not (found and net.beta_connected)]
     beta_into: list[list[int]] = [[] for _ in range(net.agent_count)]
     for u, v in net.beta_edges:
         beta_into[v].append(u)
-    senders = [reachable(beta_into, found) for _, found in scc_observers]
+    senders = [reachable(beta_into, found) for _, found in open_sccs]
 
     violations: list[tuple[int, str]] = []
-    for i, sources in enumerate(net.alpha_sources):
-        direct = set(sources)
-        for ci, found in enumerate(contraction_observers):
-            if direct.isdisjoint(found):
+    for i, extra in enumerate(sources.extra):
+        for ci, found in open_contractions:
+            if i not in found and found.isdisjoint(extra):
                 violations.append(
                     (i, f"(i): no direct alpha link covering contraction {ci}"))
-        for (j, found), sends in zip(scc_observers, senders):
-            if i in sends or not direct.isdisjoint(found):
+        for (j, found), sends in zip(open_sccs, senders):
+            if i in sends or i in found or not found.isdisjoint(extra):
                 continue  # (ii-b) in the send direction, or (ii-a)
             violations.append(
                 (i, f"(ii): no direct link or beta path to an observer of SCC {j}"))
@@ -159,7 +281,8 @@ def w_structure(net: AgentNetwork) -> StructuredMatrix:
 def network_to_json(net: AgentNetwork) -> dict:
     return {
         "agents": net.agent_count,
-        "alpha_edges": sorted(map(list, net.alpha_edges)),
+        "alpha_broadcast": sorted(net.alpha_edges.broadcast),
+        "alpha_edges": sorted(map(list, net.alpha_edges.explicit)),
         "beta_edges": sorted(map(list, net.beta_edges)),
         "w_support": sorted(map(list, w_structure(net).support)),
         "observations": [
@@ -170,36 +293,50 @@ def network_to_json(net: AgentNetwork) -> dict:
 
 
 def network_from_json(data: dict, plan: ObservationPlan) -> AgentNetwork:
-    """Rebuild a network from its JSON dump plus the matching plan."""
+    """Rebuild a network from its JSON dump plus the matching plan.
+
+    ``alpha_broadcast`` may be missing: a dump that lists every alpha edge
+    reads the same, its complete broadcasts becoming broadcasters.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"network JSON must be an object, not {type(data).__name__}")
     try:
         agents, alpha, beta = data["agents"], data["alpha_edges"], data["beta_edges"]
     except KeyError as exc:
         raise ValueError(f"network JSON is missing key {exc.args[0]!r}") from None
+    broadcast = data.get("alpha_broadcast", [])
     if not is_int(agents):
         raise ValueError(f"network JSON field 'agents' must be an integer, not {agents!r}")
+    if not (isinstance(broadcast, list) and all(map(is_int, broadcast))):
+        raise ValueError("network JSON field 'alpha_broadcast' must be a list of integers")
     for key, edges in (("alpha_edges", alpha), ("beta_edges", beta)):
         if not (isinstance(edges, list) and all(
                 isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in edges)):
             raise ValueError(f"network JSON field {key!r} must be a list of "
                              f"[source, target] integer pairs")
+    observations = agents_from_plan(plan, agents)
     return AgentNetwork(
         agent_count=agents,
-        alpha_edges=frozenset(tuple(e) for e in alpha),
+        alpha_edges=AlphaEdges(agents, broadcast, alpha),
         beta_edges=frozenset(tuple(e) for e in beta),
-        observations=agents_from_plan(plan, agents),
+        observations=observations,
     )
 
 
 def network_to_dot(net: AgentNetwork) -> str:
-    """DOT export: alpha edges solid, beta edges dashed."""
+    """DOT export: alpha edges solid, beta edges dashed; broadcasters send
+    to one ``broadcast`` node, which stands for an edge to every agent."""
     lines = ["digraph agents {"]
     for i, obs in enumerate(net.observations):
         states = ",".join(f"x{p.state}" for p in obs) or "-"
         kinds = "".join(sorted({p.kind[0] for p in obs})) or "idle"
         lines.append(f'  a{i} [label="a{i} ({kinds}: {states})"];')
-    for u, v in sorted(net.alpha_edges):
+    broadcast = sorted(net.alpha_edges.broadcast)
+    if broadcast:
+        lines.append('  broadcast [shape=box, label="alpha broadcast to every agent"];')
+    for u in broadcast:
+        lines.append(f"  a{u} -> broadcast [style=solid];")
+    for u, v in sorted(net.alpha_edges.explicit):
         lines.append(f"  a{u} -> a{v} [style=solid];")
     for u, v in sorted(net.beta_edges):
         lines.append(f"  a{u} -> a{v} [style=dashed];")

@@ -37,6 +37,19 @@ entries of the product:
 Both reductions read A from the command's ``classify.Decomposition``: C_K
 is the union of its contraction family and the condensation is its SCC
 decomposition, so the check adds no matching or Tarjan pass over A.
+
+Every agent hears the network's alpha broadcasters, so every agent's
+observed set contains their states B.  The check therefore works per
+distinct observed set, each held as B plus the further states, never per
+agent x broadcaster:
+
+* if A[R_K, C_K] with unit rows on B matches all of C_K, so does every
+  agent's block and the deficiency is 0 (the canonical case: alpha
+  placements are simultaneously avoidable); otherwise each distinct set is
+  matched, and the product only when some block falls short;
+* a state with a path into B is accessible in every block at W-distance
+  0; the walk-versus-distance comparison runs only for the other states,
+  over the region each set's further states reach.
 """
 
 from __future__ import annotations
@@ -110,88 +123,144 @@ def check_centralized(a: StructuredMatrix, h: StructuredMatrix) -> Observability
     return _verdict(_rows(a), _rows(h))
 
 
-def _observed_states(net: AgentNetwork) -> list[frozenset[int]]:
-    """Per agent: the states observed by its alpha sources (itself and its
-    alpha in-neighborhood)."""
-    return [frozenset(p.state for j in sources for p in net.observations[j])
-            for sources in net.alpha_sources]
+def _observed_states(net: AgentNetwork) -> tuple[frozenset[int], dict[frozenset[int], list[int]]]:
+    """The states observed through an agent's alpha sources (itself and its
+    alpha in-neighborhood), as the states ``base`` of the broadcasters,
+    which every agent hears, and the agents grouped by the further states
+    they observe: agent ``i`` observes ``base | extra`` for the ``extra`` it
+    is listed under, and agents in increasing order per group."""
+    states = [frozenset(p.state for p in obs) for obs in net.observations]
+    sources = net.alpha_sources
+    base = frozenset().union(*(states[j] for j in sources.broadcast))
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, extra in enumerate(sources.extra):
+        key = states[i].union(*(states[j] for j in extra)) - base
+        groups.setdefault(key, []).append(i)
+    return base, groups
 
 
 def fused_observation_structure(net: AgentNetwork, n: int) -> StructuredMatrix:
     """Block-diagonal D_H: block ``i`` is the union of H_j^T H_j over agent
     ``i``'s alpha sources."""
-    dim = net.agent_count * n
-    return StructuredMatrix(dim, dim, frozenset(
+    base, groups = _observed_states(net)
+    return StructuredMatrix(net.agent_count * n, net.agent_count * n, frozenset(
         (i * n + s, i * n + s)
-        for i, states in enumerate(_observed_states(net)) for s in states))
+        for extra, agents in groups.items() for i in agents for s in base | extra))
 
 
 def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],
-                   sources: frozenset[int], cap: int) -> list[int]:
-    """Per state ``s``: the longest walk over A's rows from some source to
-    ``s``, capped at ``cap`` (which also stands for unbounded), or -1 when no
-    source reaches ``s``.
+                   into: Sequence[Sequence[int]], start: set[int],
+                   closed: Sequence[bool], cap: int) -> dict[int, int]:
+    """Per component that a walk over A's rows from the components
+    ``start`` reaches without entering a ``closed`` one: its longest such
+    walk, capped at ``cap`` (which also stands for unbounded).
 
     A walk over the rows runs against the digraph's edges, so it enters a
-    component from its condensation successors, which Tarjan numbers lower:
-    one pass in increasing component order settles every component.  A walk
-    that reaches a component with a cycle can go round it for ever.
+    component from its condensation successors (``into[d]`` lists the
+    components with an edge into ``d``), which Tarjan numbers lower: one
+    pass over the reached components in increasing order settles them all.
+    A walk that reaches a component with a cycle can go round it for ever.
     """
-    comp = sccs.component_of
-    start = {comp[t] for t in sources}
-    longest = [-1] * len(sccs.components)
-    for c, upstream in enumerate(sccs.condensation.successors()):
-        best = 0 if c in start else -1
-        for d in upstream:
-            if longest[d] >= 0:
-                best = max(best, longest[d] + 1)
-        longest[c] = cap if best >= 0 and cyclic[c] else min(best, cap)
-    return [longest[c] for c in comp]
+    reached = set(start)
+    frontier = list(start)
+    for d in frontier:  # appended to while read
+        for c in into[d]:
+            if c not in reached and not closed[c]:
+                reached.add(c)
+                frontier.append(c)
+    upstream = sccs.condensation.successors()
+    longest: dict[int, int] = {}
+    for c in sorted(reached):
+        best = max([longest[d] + 1 for d in upstream[c] if d in longest],
+                   default=0)  # only a start component has no reached successor
+        longest[c] = cap if cyclic[c] else min(best, cap)
+    return longest
 
 
-def _distances(w_rows: Sequence[Sequence[int]], sources: Sequence[int]) -> list[int]:
-    """BFS distance over W's rows from the nearest source; unreachable
-    agents get ``len(w_rows) + 1``, beyond every capped walk length."""
+def _distances(w_rows: Sequence[Sequence[int]], sources: Sequence[int],
+               limit: int) -> np.ndarray:
+    """BFS distance over W's rows from the nearest source, up to ``limit``
+    steps; agents farther away or unreachable get ``len(w_rows) + 1``,
+    beyond every capped walk length."""
     far = len(w_rows) + 1
-    dist = [far] * len(w_rows)
-    frontier = list(sources)
-    for i in frontier:
-        dist[i] = 0
-    while frontier:
+    dist = np.full(len(w_rows), far)
+    dist[sources] = 0
+    frontier = sources
+    for depth in range(1, limit + 1):
         step = []
         for i in frontier:
             for j in w_rows[i]:
                 if dist[j] == far:
-                    dist[j] = dist[i] + 1
+                    dist[j] = depth
                     step.append(j)
+        if not step:
+            break
         frontier = step
     return dist
 
 
 def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
-                  observed: Sequence[frozenset[int]]) -> tuple[int, ...]:
+                  base: frozenset[int], groups: dict[frozenset[int], list[int]],
+                  w_connected: bool) -> tuple[int, ...]:
     """Fused states ``j * n + s`` from which no walk of W (x) A reaches an
-    observed fused state, in increasing order."""
+    observed fused state, in increasing order.
+
+    Every agent observes ``base`` itself, at W-distance 0, so a state with
+    a path into ``base`` is accessible in every block.  Only the other
+    (*open*) states are compared, per group of agents observing the same
+    further states, over the region those states reach.  When W is
+    irreducible, a walk that can grow without bound meets every agent.
+    """
     agents = len(w_rows)
+    n = dec.digraph.node_count
     sccs = dec.sccs
+    comp = sccs.component_of
     succ = dec.digraph.successors()
     cyclic = [len(c) > 1 or any(v in succ[v] for v in c) for c in sccs.components]
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, states in enumerate(observed):
-        if states:
-            groups.setdefault(states, []).append(i)
-    accessible = np.zeros((agents, dec.digraph.node_count), dtype=bool)
-    for states, observers in groups.items():
-        walk = np.array(_longest_walks(sccs, cyclic, states, agents))
-        dist = np.array(_distances(w_rows, observers))
-        accessible |= walk[None, :] >= dist[:, None]
-    return tuple(np.flatnonzero(~accessible).tolist())
+    into: list[list[int]] = [[] for _ in sccs.components]
+    for c, upstream in enumerate(sccs.condensation.successors()):
+        for d in upstream:
+            into[d].append(c)
+    closed = [False] * len(sccs.components)
+    for c in _longest_walks(sccs, cyclic, into, {comp[t] for t in base}, closed, agents):
+        closed[c] = True
+    open_states = [s for s in range(n) if not closed[comp[s]]]
+    if not open_states:
+        return ()
+    position = {s: k for k, s in enumerate(open_states)}
+    accessible = np.zeros((len(open_states), agents), dtype=bool)  # open state x agent
+    far = agents + 1
+    for extra, observers in groups.items():
+        start = {comp[t] for t in extra if not closed[comp[t]]}
+        if not start:
+            continue
+        longest = _longest_walks(sccs, cyclic, into, start, closed, agents)
+        region = [s for c in longest for s in sccs.components[c]]
+        walk = np.array([longest[comp[s]] for s in region])
+        if w_connected:  # an unbounded walk outlasts every finite distance
+            walk[walk == agents] = far
+            limit = int(walk[walk < far].max(initial=0))
+        else:
+            limit = agents
+        dist = _distances(w_rows, observers, limit)
+        accessible[[position[s] for s in region]] |= walk[:, None] >= dist[None, :]
+    blocked = np.flatnonzero(~accessible.T)
+    states = np.array(open_states)[blocked % len(open_states)]
+    return tuple((blocked // len(open_states) * n + states).tolist())
 
 
 def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
-                        observed: Sequence[frozenset[int]]) -> int:
+                        base: frozenset[int], groups: dict[frozenset[int], list[int]]) -> int:
     """Structural-rank deficiency of [W (x) A; D_H], from the surplus block
-    of A alone (see the module docstring)."""
+    of A alone (see the module docstring).
+
+    W's diagonal puts each agent's own block A[R_K, C_K] plus its unit rows
+    on its observed states in C_K into the product.  If that block matches
+    every column of C_K for the broadcasters' states alone, it does for
+    every agent's superset and the deficiency is 0; otherwise each distinct
+    observed set is matched once.  Only when some block falls short is the
+    product matched, starting from the blocks' matchings.
+    """
     surplus = sorted(dec.family.union_members)
     column = {s: k for k, s in enumerate(surplus)}
     width = len(surplus)
@@ -199,11 +268,29 @@ def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     for s in surplus:
         for i in dec.digraph.successors()[s]:
             block.setdefault(i, []).append(column[s])
+    block_rows = list(block.values())
+
+    def units(states):  # one unit row per observed state of C_K
+        return [[column[s]] for s in sorted(states) if s in column]
+
+    def matched(unit_rows):
+        return hopcroft_karp(len(block_rows) + len(unit_rows), block_rows + unit_rows)
+
+    if len(matched(units(base))) == width:
+        return 0
+    observed = {extra: units(base | extra) for extra in groups}
+    per_set = {extra: matched(rows) for extra, rows in observed.items()}
+    if all(len(m) == width for m in per_set.values()):
+        return 0
+    height = len(block_rows)
     rows = [[jw * width + k for jw in w_row for k in a_row]
-            for w_row in w_rows for a_row in block.values()]
-    rows += [[i * width + column[s]] for i, states in enumerate(observed)
-             for s in sorted(states) if s in column]
-    return len(w_rows) * width - len(hopcroft_karp(len(rows), rows))
+            for w_row in w_rows for a_row in block_rows]
+    seed: dict[int, int] = {}  # each agent's block matching, on the diagonal
+    for i, extra in sorted((i, extra) for extra, agents in groups.items() for i in agents):
+        for r, k in per_set[extra].items():
+            seed[i * height + r if r < height else len(rows) + r - height] = i * width + k
+        rows += [[i * width + k] for (k,) in observed[extra]]
+    return len(w_rows) * width - len(hopcroft_karp(len(rows), rows, seed))
 
 
 def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVerdict:
@@ -223,9 +310,9 @@ def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVer
     numeric rank suite for a sufficient certificate.
     """
     w_rows = _rows(w_structure(net))
-    observed = _observed_states(net)
-    inaccessible = _inaccessible(dec, w_rows, observed)
-    deficiency = _surplus_deficiency(dec, w_rows, observed)
+    base, groups = _observed_states(net)
+    inaccessible = _inaccessible(dec, w_rows, base, groups, net.beta_connected)
+    deficiency = _surplus_deficiency(dec, w_rows, base, groups)
     return ObservabilityVerdict(
         accessible=not inaccessible,
         inaccessible_states=inaccessible,

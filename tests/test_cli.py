@@ -60,6 +60,12 @@ class TestAnalyze:
         assert documented(r"`verdict\.json` for the fixture:") == \
             produced("design", "verdict.json")
 
+    def test_formats_doc_dot_example_is_fixture_output(self, fixture_gml, tmp_path):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        example = re.search(r"`network\.dot` for the fixture:.*?```dot\n(.*?)```", doc, re.S)
+        assert main(["design", str(fixture_gml), "--out", str(tmp_path)]) == EXIT_OK
+        assert example.group(1) == (tmp_path / "network.dot").read_text()
+
     def test_empty_edgelist_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -180,7 +186,10 @@ class TestVerify:
     def test_missing_alpha_edge_exit_4(self, fixture_gml, tmp_path):
         plan, network = self._design(fixture_gml, tmp_path)
         data = json.loads(network.read_text())
-        data["alpha_edges"] = [e for e in data["alpha_edges"] if e != [0, 1]]
+        # agent 0 stops broadcasting: it keeps its edge to agent 2 only
+        assert data["alpha_broadcast"] == [0, 1] and data["alpha_edges"] == []
+        data["alpha_broadcast"] = [1]
+        data["alpha_edges"] = [[0, 2]]
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(data))
         out = tmp_path / "v"
@@ -190,6 +199,32 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         deprived = {agent for agent, _ in report["violations"]}
         assert deprived == {1}
+
+    def test_full_edge_list_network_verifies_the_same(self, fixture_gml, tmp_path):
+        """A ``network.json`` that lists every alpha edge, as written before
+        ``alpha_broadcast`` existed, gives the same ``verify.json`` bytes as
+        the broadcaster form, also with one broadcast edge missing."""
+        plan, network = self._design(fixture_gml, tmp_path)
+        edge_list = json.loads(
+            (Path(__file__).parent / "data" / "six_state_network_edge_list.json").read_text())
+        assert "alpha_broadcast" not in edge_list
+        broadcast = json.loads(network.read_text())
+        pairs = [
+            (edge_list, broadcast),
+            ({**edge_list, "alpha_edges": [e for e in edge_list["alpha_edges"] if e != [0, 1]]},
+             {**broadcast, "alpha_broadcast": [1], "alpha_edges": [[0, 2]]}),
+        ]
+        for k, pair in enumerate(pairs):
+            written = []
+            for form, data in zip(("edges", "broadcast"), pair):
+                path = tmp_path / f"{form}-{k}.json"
+                path.write_text(json.dumps(data))
+                out = tmp_path / f"v-{form}-{k}"
+                code = main(["verify", str(fixture_gml), "--plan", str(plan),
+                             "--network", str(path), "--out", str(out)])
+                assert code == (EXIT_OK if k == 0 else EXIT_VERIFY)
+                written.append((out / "verify.json").read_bytes())
+            assert written[0] == written[1]
 
     @pytest.mark.parametrize("name, key", [("plan", "agent"), ("network", "beta_edges")])
     def test_missing_key_is_input_error(self, fixture_gml, tmp_path, capsys, name, key):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from netobserve.classify import decompose, place_agents
+from netobserve.cli import _CSV_BLOCK_ENTRIES, _write_trace_csv
 from netobserve.estimator import (
     _RHO_BATCH_BYTES,
     _STEP_BLOCK,
@@ -144,16 +145,62 @@ def test_overflowing_recursion_raises_as_frozen(six_state, six_state_net, scale)
     assert frozen.type is np.linalg.LinAlgError
 
 
-def test_simulate_memory_is_the_trace_plus_a_fixed_margin(six_state, six_state_net):
+def traced_peak(run):
+    """Peak of the memory ``run()`` allocates, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_is_the_trace_plus_a_fixed_margin(six_state, six_state_net,
+                                                          tmp_path):
     # a (horizon, agents, n) buffer of errors would take six times the trace
     w, a, net = scaled_plant(six_state, six_state_net, scale=1)
     sched = gain_search(w, a, net, budget=300, seed=0)
     horizon = 20_000
-    tracemalloc.start()
-    try:
-        trace = simulate(w, a, net, sched, horizon=horizon, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trace.mse.nbytes == horizon * net.agent_count * 8
-    assert peak <= trace.mse.nbytes + 2**18
+    traces = []
+    peak = traced_peak(lambda: traces.append(simulate(w, a, net, sched, horizon=horizon,
+                                                      seed=0)))
+    mse = traces[0].mse
+    assert mse.nbytes == horizon * net.agent_count * 8
+    assert peak <= mse.nbytes + 2**18
+    # trace.csv is formatted and written one block of rows at a time: the
+    # trace, and one of four blocks and more, peak no higher than one block
+    block = _CSV_BLOCK_ENTRIES // net.agent_count
+    longer = np.tile(mse, (5, 1))
+    one = traced_peak(lambda: _write_trace_csv(tmp_path, longer[:block]))
+    assert traced_peak(lambda: _write_trace_csv(tmp_path, mse)) <= one
+    assert traced_peak(lambda: _write_trace_csv(tmp_path, longer[:4 * block + 5])) \
+        <= one + 2**18
+    assert (tmp_path / "trace.csv").stat().st_size > 4 * block * net.agent_count * 15
+
+
+@pytest.mark.parametrize("seed, index, repeat", [(1, 0, 20), (1, 10, 31)])
+def test_search_stops_at_a_repeated_covariance(monkeypatch, seed, index, repeat):
+    # On these benchmark graphs the covariance iterate P repeats bit for bit
+    # at iterate ``repeat`` (of ``repeat - 1`` and ``repeat - 3``): from there
+    # on every iterate replays an earlier F, so the search stops there and
+    # still returns what the full loop returns, at budgets on either side.
+    import hashlib
+    from types import SimpleNamespace
+
+    from netobserve import estimator
+
+    digests = []
+
+    def blake2b(data, **kwargs):
+        digests.append(hashlib.blake2b(data, **kwargs).digest())
+        return SimpleNamespace(digest=lambda: digests[-1])
+
+    monkeypatch.setattr(estimator, "hashlib", SimpleNamespace(blake2b=blake2b))
+    w, a, net = small_cases(seed)[index]
+    for budget in (repeat, repeat + 1, repeat + 2, repeat + 3, 201, 10_000):
+        digests.clear()
+        assert_same_schedule(gain_search(w, a, net, budget=budget, seed=0),
+                             frozen_gain_search(w, a, net, budget=budget, seed=0))
+        iterates = min(200, budget, max(1, budget - 1))
+        assert len(digests) == min(iterates, repeat + 1)
+        assert len(set(digests)) == min(iterates, repeat)

@@ -3,7 +3,10 @@
 The sha256 digests below were recorded before the graph kernels (adjacency
 build, Hopcroft–Karp, Tarjan, SCC taxonomy) were rewritten for speed, so a
 rewrite that changes any artifact byte fails here.  ``manifest.json`` is
-left out: it echoes the configuration, not the analysis.
+left out: it echoes the configuration, not the analysis.  The
+``network.json`` and ``network.dot`` digests were re-recorded when the
+alpha layer came to be written as its broadcaster set (see
+``docs/formats.md``); every other digest predates that change.
 
 ``simulate`` on the six-state fixture is pinned the same way: its
 ``trace.csv`` digest and the manifest's ``rho``, ``gain_digest`` and
@@ -38,9 +41,9 @@ GOLDEN = {
         "classify/plan.json":
             "3bfd20dfab4f3e1e12bd87938adf88f504668f4a44875c6aa1a4d5479656b612",
         "design/network.dot":
-            "d77bb5991e0a379172adc440f956d52cc5d3639c481c6b6d8ba63dd4dbc2d46a",
+            "6484691e62b97e9aca09f87c31131c8bf1dfc9152d1768de868f40b8671c05de",
         "design/network.json":
-            "1df4ee8539732830340557d6d77f03e9981180970b274bb58ee3c66ab50eb8ea",
+            "bbfb309160843c2e951342186351d836d686afcd88950f2a1875ac0ac0724402",
         "design/plan.json":
             "021814cb34e468c5a7ba9e275c5db1a97496a184518e1b317c5a14304550c396",
         "design/verdict.json":
@@ -54,9 +57,9 @@ GOLDEN = {
         "classify/plan.json":
             "72cda868277d6eb2187d5f04ee35172f0520e3fdfbda2f8503119524a56e7c9e",
         "design/network.dot":
-            "a2f08440ed7b482f175f7f8780ee9b95837e6224e8be506b2cdc6e1d83c7d5e9",
+            "f00c996eedb16528c574b5ba543e530fea7999c5fd197b5dca4fc31ecd9c0a08",
         "design/network.json":
-            "8834550a7bb5434ce8116b879b62ede25ac2896e3e22aa331fe4c308c8577da5",
+            "fa0db447f7ef5e8fdeaefba7b761ef7f7f5fb6be0f4a8726235675afc722cab9",
         "design/plan.json":
             "739eab0f8e2a311020a1f93af89c990545e491ee4f175d0569b4e220285c7bd5",
         "design/verdict.json":

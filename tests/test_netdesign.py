@@ -8,6 +8,7 @@ from netobserve.classify import ALPHA, BETA, Placement, ObservationPlan, decompo
 from netobserve.graph_core import Digraph
 from netobserve.netdesign import (
     AgentNetwork,
+    AlphaEdges,
     DesignError,
     agents_from_plan,
     design_canonical,
@@ -199,10 +200,46 @@ def naive_violations(net, dec):
     return tuple(out)
 
 
+class TestAlphaEdges:
+    def test_canonical_design_holds_broadcasters(self, six_state_net):
+        alpha = six_state_net.alpha_edges
+        assert isinstance(alpha, AlphaEdges)
+        assert alpha.broadcast == {0, 1} and alpha.explicit == frozenset()
+        assert len(alpha) == 4
+        assert (0, 2) in alpha and (1, 0) in alpha
+        assert (2, 0) not in alpha and (0, 0) not in alpha and (0, 3) not in alpha
+
+    def test_edge_list_converts_to_broadcasters(self):
+        edges = {(0, 1), (0, 2), (0, 3), (1, 2), (2, 2)}
+        alpha = AlphaEdges(4, explicit=edges)
+        assert alpha.broadcast == {0} and alpha.explicit == {(1, 2), (2, 2)}
+        assert alpha == edges and set(alpha) == edges and len(alpha) == len(edges)
+        assert alpha == AlphaEdges(4, [0], {(1, 2), (2, 2), (0, 3)})
+
+    def test_dropping_a_broadcast_edge_makes_it_explicit(self, six_state_net):
+        dropped = AgentNetwork(3, six_state_net.alpha_edges - {(0, 1)},
+                               six_state_net.beta_edges, six_state_net.observations)
+        assert dropped.alpha_edges.broadcast == {1}
+        assert dropped.alpha_edges.explicit == {(0, 2)}
+        assert tuple(dropped.alpha_sources) == ((0, 1), (1,), (2, 0, 1))
+        assert dropped.alpha_sources.extra == ((), (), (0,))
+
+    def test_single_agent_has_no_broadcasters(self):
+        assert AlphaEdges(1, [0]) == AlphaEdges(1) == frozenset()
+
+    @pytest.mark.parametrize("broadcast, explicit", [([3], []), ([], [(0, 3)]), ([-1], [])])
+    def test_out_of_range_rejected(self, broadcast, explicit):
+        with pytest.raises(ValueError, match="out of agent range"):
+            AlphaEdges(3, broadcast, explicit)
+
+
 class TestAlphaSources:
     def test_self_then_sorted_in_neighbors(self, six_state_net):
         # alpha edges (0, 1), (0, 2), (1, 0), (1, 2): agent 2 hears 0 and 1
-        assert six_state_net.alpha_sources == ((0, 1), (1, 0), (2, 0, 1))
+        assert tuple(six_state_net.alpha_sources) == ((0, 1), (1, 0), (2, 0, 1))
+        # held as the shared broadcasters, with no explicit in-neighbors
+        assert six_state_net.alpha_sources.broadcast == (0, 1)
+        assert six_state_net.alpha_sources.extra == ((), (), ())
 
 
 class TestWStructure:
@@ -226,9 +263,23 @@ class TestSerialization:
         assert rebuilt.beta_edges == six_state_net.beta_edges
         assert rebuilt.observations == six_state_net.observations
 
+    def test_json_round_trip_with_explicit_edges(self, six_state_net, six_state_plan):
+        dropped = replace(six_state_net, alpha_edges=six_state_net.alpha_edges - {(1, 0)})
+        data = json.loads(json.dumps(network_to_json(dropped)))
+        assert (data["alpha_broadcast"], data["alpha_edges"]) == ([0], [[1, 2]])
+        assert network_from_json(data, six_state_plan) == dropped
+        # the same network written as a full edge list reads the same
+        edge_list = {**data, "alpha_edges": sorted(map(list, dropped.alpha_edges))}
+        del edge_list["alpha_broadcast"]
+        assert network_from_json(edge_list, six_state_plan) == dropped
+
     def test_dot_output(self, six_state_net):
         dot = network_to_dot(six_state_net)
         assert dot.startswith("digraph agents {")
         assert "style=solid" in dot and "style=dashed" in dot
-        assert dot.count("->") == len(six_state_net.alpha_edges) + len(
+        # one arc per broadcaster into the broadcast node, one per explicit
+        # alpha edge and one per beta edge
+        alpha = six_state_net.alpha_edges
+        assert "a0 -> broadcast" in dot and "a1 -> broadcast" in dot
+        assert dot.count("->") == len(alpha.broadcast) + len(alpha.explicit) + len(
             six_state_net.beta_edges)
