@@ -25,7 +25,7 @@ the raw per-matching computation is available as
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .graph_core import Digraph, DimensionError, StructuredMatrix
@@ -93,23 +93,18 @@ class ContractionFamily:
         return {c.members for c in self.sets}
 
 
-def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]],
-                  seed: Mapping[int, int] | None = None) -> dict[int, int]:
+def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
     """Maximum bipartite matching in O(sqrt(n) |E|), mapping plus -> minus.
 
     ``adjacency[p]`` lists the minus nodes of plus node ``p``; minus ids may
     exceed ``node_count``.  Deterministic: each phase layers the graph by a
     full breadth-first search, then augments from the free plus nodes in
     increasing order along neighbours in adjacency order.  The result lists
-    plus nodes in increasing order.  A ``seed`` matching (plus -> minus, over
-    edges of ``adjacency``) is grown instead of the empty one.
+    plus nodes in increasing order.
     """
     width = max(node_count, max(map(max, filter(None, adjacency)), default=-1) + 1)
     pair_plus = [-1] * node_count
     pair_minus = [-1] * width
-    for p, m in (seed or {}).items():
-        pair_plus[p] = m
-        pair_minus[m] = p
     while True:
         free = [p for p, m in enumerate(pair_plus) if m < 0]
         dist = [0 if m < 0 else _INF for m in pair_plus]

@@ -94,8 +94,8 @@ class AlphaEdges(Set):
     def __contains__(self, edge) -> bool:
         try:
             u, v = edge
-            if u in self.broadcast:
-                return u != v and 0 <= v < self.agent_count
+            if u in self.broadcast and u != v:
+                return 0 <= v < self.agent_count
         except (TypeError, ValueError):
             return False
         return (u, v) in self.explicit

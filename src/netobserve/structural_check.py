@@ -45,8 +45,8 @@ agent x broadcaster:
 
 * if A[R_K, C_K] with unit rows on B matches all of C_K, so does every
   agent's block and the deficiency is 0 (the canonical case: alpha
-  placements are simultaneously avoidable); otherwise each distinct set is
-  matched, and the product only when some block falls short;
+  placements are simultaneously avoidable); otherwise the product is
+  matched;
 * a state with a path into B is accessible in every block at W-distance
   0; the walk-versus-distance comparison runs only for the other states,
   over the region each set's further states reach.
@@ -257,9 +257,8 @@ def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     W's diagonal puts each agent's own block A[R_K, C_K] plus its unit rows
     on its observed states in C_K into the product.  If that block matches
     every column of C_K for the broadcasters' states alone, it does for
-    every agent's superset and the deficiency is 0; otherwise each distinct
-    observed set is matched once.  Only when some block falls short is the
-    product matched, starting from the blocks' matchings.
+    every agent's superset and the deficiency is 0; otherwise the product
+    is matched.
     """
     surplus = sorted(dec.family.union_members)
     column = {s: k for k, s in enumerate(surplus)}
@@ -269,28 +268,14 @@ def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
         for i in dec.digraph.successors()[s]:
             block.setdefault(i, []).append(column[s])
     block_rows = list(block.values())
-
-    def units(states):  # one unit row per observed state of C_K
-        return [[column[s]] for s in sorted(states) if s in column]
-
-    def matched(unit_rows):
-        return hopcroft_karp(len(block_rows) + len(unit_rows), block_rows + unit_rows)
-
-    if len(matched(units(base))) == width:
+    units = [[column[s]] for s in sorted(base) if s in column]
+    if len(hopcroft_karp(len(block_rows) + len(units), block_rows + units)) == width:
         return 0
-    observed = {extra: units(base | extra) for extra in groups}
-    per_set = {extra: matched(rows) for extra, rows in observed.items()}
-    if all(len(m) == width for m in per_set.values()):
-        return 0
-    height = len(block_rows)
     rows = [[jw * width + k for jw in w_row for k in a_row]
             for w_row in w_rows for a_row in block_rows]
-    seed: dict[int, int] = {}  # each agent's block matching, on the diagonal
     for i, extra in sorted((i, extra) for extra, agents in groups.items() for i in agents):
-        for r, k in per_set[extra].items():
-            seed[i * height + r if r < height else len(rows) + r - height] = i * width + k
-        rows += [[i * width + k] for (k,) in observed[extra]]
-    return len(w_rows) * width - len(hopcroft_karp(len(rows), rows, seed))
+        rows += [[i * width + column[s]] for s in sorted(base | extra) if s in column]
+    return len(w_rows) * width - len(hopcroft_karp(len(rows), rows))
 
 
 def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVerdict:

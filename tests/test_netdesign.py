@@ -224,6 +224,11 @@ class TestAlphaEdges:
         assert tuple(dropped.alpha_sources) == ((0, 1), (1,), (2, 0, 1))
         assert dropped.alpha_sources.extra == ((), (), (0,))
 
+    def test_broadcaster_self_loop_is_a_member(self):
+        alpha = AlphaEdges(3, [0], {(0, 0)})
+        assert (0, 0) in alpha and set(alpha) == {(0, 0), (0, 1), (0, 2)}
+        assert len(alpha) == 3 and frozenset(alpha) == alpha and frozenset(alpha) <= alpha
+
     def test_single_agent_has_no_broadcasters(self):
         assert AlphaEdges(1, [0]) == AlphaEdges(1) == frozenset()
 
