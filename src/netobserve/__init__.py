@@ -11,7 +11,6 @@ simulation.
 from .classify import (
     ObservationPlan,
     decompose,
-    equivalence_report,
     necessary_counts,
     place_agents,
     structural_counts_report,
@@ -22,14 +21,7 @@ from .graph_core import (
     reachable,
     structure_from_digraph,
 )
-from .matching import (
-    ContractionFamily,
-    Matching,
-    contractions,
-    max_matching,
-    s_rank,
-    structural_rank,
-)
+from .matching import ContractionFamily, contractions, structural_rank
 from .netdesign import AgentNetwork, design_canonical, verify_topology, w_structure
 from .scc import SccDecomposition, classify_sccs, tarjan_scc
 from .structural_check import ObservabilityVerdict, check_centralized, check_distributed
@@ -40,7 +32,6 @@ __all__ = [
     "AgentNetwork",
     "ContractionFamily",
     "Digraph",
-    "Matching",
     "ObservabilityVerdict",
     "ObservationPlan",
     "SccDecomposition",
@@ -51,12 +42,9 @@ __all__ = [
     "contractions",
     "decompose",
     "design_canonical",
-    "equivalence_report",
-    "max_matching",
     "necessary_counts",
     "place_agents",
     "reachable",
-    "s_rank",
     "structural_counts_report",
     "structure_from_digraph",
     "structural_rank",

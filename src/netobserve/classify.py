@@ -12,8 +12,10 @@ duties at once, so the minimal count corrects for the overlap.  The
 overlap is resolved by a maximum bipartite matching between contraction
 sets and matched parent SCCs with a nonempty state intersection: one
 alpha observation can absorb at most one beta requirement and one
-contraction offers at most one placement, so the matching size is exactly
-the achievable saving.
+contraction offers at most one placement, so the matching size bounds the
+saving from above.  The counts are therefore necessary counts, lower
+bounds: a plan exceeds them when the states the overlap pins cannot all be
+left unmatched by one maximum matching (see :func:`place_agents`).
 """
 
 from __future__ import annotations
@@ -115,15 +117,9 @@ def plan_from_json(data: dict, n: int) -> ObservationPlan:
     for p in placements:
         if not 0 <= p.state < n:
             raise ValueError(f"plan JSON field 'state' must lie in [0, {n}), got {p.state}")
+        if p.kind not in (ALPHA, BETA):
+            raise ValueError(f"plan JSON field 'kind' must be 'alpha' or 'beta', got {p.kind!r}")
     return ObservationPlan(placements)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Interchangeable states per requirement (any member is equivalent)."""
-
-    alpha_classes: tuple[frozenset[int], ...]
-    beta_classes: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -160,12 +156,14 @@ def decompose(g: Digraph) -> Decomposition:
 def _overlap_matching(dec: Decomposition) -> dict[int, int]:
     """Max matching contraction-index -> matched-parent position (both 0-based)."""
     parents = dec.matched_parents
-    comp_nodes = [dec.sccs.components[j] for j in parents]
+    position = {j: pj for pj, j in enumerate(parents)}
+    component_of = dec.sccs.component_of
     size = max(len(dec.family.sets), len(parents), 1)
     adj: list[list[int]] = [[] for _ in range(size)]
     for ci, c in enumerate(dec.family.sets):
         # Ties broken by lowest SCC index: adjacency kept in parent order.
-        adj[ci] = [pj for pj, nodes in enumerate(comp_nodes) if c.members & nodes]
+        adj[ci] = sorted({position[j] for s in c.members
+                          if (j := component_of[s]) in position})
     pair = hopcroft_karp(size, adj)
     return {ci: pj for ci, pj in pair.items() if ci < len(dec.family.sets)}
 
@@ -234,11 +232,25 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
     Alpha placements are chosen preferentially inside uncovered matched
     parent SCCs (via the overlap matching), then as lowest-id distinct
     states.  Beta placements take the lowest-id state of every matched
-    parent SCC left uncovered.  If the resulting plan still leaves states
-    without a downstream observation (possible on adversarial graphs with
-    unmatched parent SCCs), repair placements are appended and logged.
+    parent SCC left uncovered.
+
+    A pinned state replaces its contraction's witness only when the chosen
+    set stays simultaneously avoidable, and the check is needed: on the arcs
+    (0,3) (1,3) (2,3) (0,4) (0,5) (4,4) (5,5) the overlap pins 4 and 5, yet
+    no maximum matching leaves 3, 4 and 5 all unmatched, as 1 and 2 both
+    reach only 3; one pin is refused and the plan places a beta.
+
+    Every parent SCC ends up holding an observation, so the accessibility
+    repairs never fire on a plan built here.  A parent SCC has no arcs
+    leaving it, so its states match only among themselves, and an unmatched
+    parent SCC keeps one of its states unmatched under every maximum
+    matching.  The alpha states are always the unmatched set of one maximum
+    matching (the witnesses, then only avoidable swaps), so each unmatched
+    parent SCC holds an alpha state, and each matched parent SCC holds an
+    overlapping alpha or a beta.
     """
     parents = dec.matched_parents
+    parent_set = set(parents)
     overlap = _overlap_matching(dec)
     pinned: dict[int, list[int]] = {}
     for ci, pj in sorted(overlap.items()):
@@ -255,7 +267,7 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
         state = chosen[ci]
         comp_idx = dec.sccs.component_of[state]
         covers_scc = None
-        if comp_idx in parents:
+        if comp_idx in parent_set:
             covers_scc = comp_idx
             covered_parents.add(comp_idx)
         placements.append(Placement(state=state, agent=len(placements), kind=ALPHA,
@@ -291,13 +303,6 @@ def _accessibility_repairs(
         repairs.append(Placement(state=state, agent=len(placements) + len(repairs),
                                  kind=BETA, covers_scc=j, repair=True))
     return repairs
-
-
-def equivalence_report(dec: Decomposition) -> EquivalenceReport:
-    return EquivalenceReport(
-        alpha_classes=tuple(c.members for c in dec.family.sets),
-        beta_classes=tuple(dec.sccs.components[j] for j in dec.matched_parents),
-    )
 
 
 def structural_counts_report(dec: Decomposition, name: str = "") -> dict:

@@ -30,7 +30,6 @@ from . import estimator as estimator_mod
 from . import ingest
 from .datasets import REGISTRY, load_dataset
 from .graph_core import DimensionError, structure_from_digraph
-from .matching import MatchingError
 from .netdesign import (
     AgentNetwork,
     design_canonical,
@@ -140,11 +139,11 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     lg = _load_graph(args)
     dec, plan = _plan_and_dec(lg)
-    eq = classify_mod.equivalence_report(dec)
     payload = {
         "plan": plan.to_json(lg.labels),
-        "alpha_classes": [sorted(c) for c in eq.alpha_classes],
-        "beta_classes": [sorted(c) for c in eq.beta_classes],
+        # interchangeable states per requirement: any member serves
+        "alpha_classes": [sorted(c.members) for c in dec.family.sets],
+        "beta_classes": [sorted(dec.sccs.components[j]) for j in dec.matched_parents],
     }
     out = Path(args.out)
     path = _write(out, "plan.json", json.dumps(payload, indent=2))
@@ -354,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # looked up per call: the cached parser must not pin the command functions
         return globals()[f"cmd_{args.command}"](args)
-    except (DimensionError, MatchingError) as exc:  # contradictions, not user input
+    except DimensionError as exc:  # a contradiction, not user input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ingest.ParseError, FileNotFoundError, ValueError) as exc:

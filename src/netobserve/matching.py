@@ -16,54 +16,18 @@ single state of a contraction set recovers one unit of structural rank.
 Matching-dependence caveat: the family of contraction sets obtained from
 alternating search genuinely depends on which maximum matching is used
 (only the union of the members is matching-invariant).  To keep reports
-reproducible and matching-independent, :func:`contractions` always derives
-the family from the canonical matching produced by :func:`max_matching`;
-the raw per-matching computation is available as
-:func:`family_for_matching`.
+reproducible, :func:`contractions` always derives the family from the
+deterministic matching of :func:`hopcroft_karp`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .graph_core import Digraph, DimensionError, StructuredMatrix
+from .graph_core import Digraph, StructuredMatrix
 
 _INF = -1
-
-
-class MatchingError(ValueError):
-    """Raised when a supplied matching is invalid or not maximum."""
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint bipartite edges."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset(self.pairs))
-        plus = [p for p, _ in self.pairs]
-        minus = [m for _, m in self.pairs]
-        if len(set(plus)) != len(plus) or len(set(minus)) != len(minus):
-            raise MatchingError("two matching edges share an endpoint")
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def minus_of(self) -> dict[int, int]:
-        return {p: m for p, m in self.pairs}
-
-    def plus_of(self) -> dict[int, int]:
-        return {m: p for p, m in self.pairs}
-
-    def unmatched_plus(self, node_count: int) -> tuple[int, ...]:
-        matched = {p for p, _ in self.pairs}
-        return tuple(i for i in range(node_count) if i not in matched)
 
 
 @dataclass(frozen=True)
@@ -88,9 +52,6 @@ class ContractionFamily:
         for c in self.sets:
             out.update(c.members)
         return frozenset(out)
-
-    def as_sets(self) -> set[frozenset[int]]:
-        return {c.members for c in self.sets}
 
 
 def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -155,38 +116,6 @@ def _augment(p: int, adjacency: Sequence[Sequence[int]], pair_plus: list[int],
             p, untried, _ = stack.pop()
 
 
-def max_matching(g: Digraph) -> Matching:
-    """Canonical maximum matching of the digraph's bipartite view."""
-    pair = hopcroft_karp(g.node_count, g.successors())
-    return Matching(frozenset(pair.items()))
-
-
-def _has_augmenting_path(g: Digraph, m: Matching) -> bool:
-    """Berge's criterion: a matching is maximum iff no augmenting path exists."""
-    adj = g.successors()
-    plus_of = m.plus_of()
-    minus_of = m.minus_of()
-    frontier = deque(m.unmatched_plus(g.node_count))
-    seen_plus = set(frontier)
-    while frontier:
-        p = frontier.popleft()
-        for mi in adj[p]:
-            q = plus_of.get(mi)
-            if q is None:
-                if minus_of.get(p) != mi:
-                    return True
-            elif q not in seen_plus:
-                seen_plus.add(q)
-                frontier.append(q)
-    return False
-
-
-def is_maximum(g: Digraph, m: Matching) -> bool:
-    if not m.pairs <= g.edges:
-        raise MatchingError("matching contains edges outside the graph")
-    return not _has_augmenting_path(g, m)
-
-
 def structural_rank(s: StructuredMatrix) -> int:
     """Maximum matching size between rows and columns of an arbitrary structure."""
     # Plus side = columns, minus side = rows, matching on the support.
@@ -197,15 +126,10 @@ def structural_rank(s: StructuredMatrix) -> int:
     return len(hopcroft_karp(n, adj))
 
 
-def s_rank(a: StructuredMatrix) -> int:
-    """Structural rank of a square structure (size of a maximum matching)."""
-    if not a.is_square:
-        raise DimensionError(f"s_rank requires a square structure, got {a.rows}x{a.cols}")
-    return structural_rank(a)
-
-
-def _alternating_family(g: Digraph, m: Matching) -> ContractionFamily:
-    """Contraction family of a maximum matching ``m``, by alternating BFS.
+def _alternating_family(g: Digraph, pair: dict[int, int]) -> ContractionFamily:
+    """Contraction family of a maximum matching ``pair`` (plus -> minus), by
+    alternating BFS from each plus node it leaves unmatched, in increasing
+    order.
 
     The auxiliary graph keeps non-matching edges plus->minus and reverses
     matching edges minus->plus, so a plain directed BFS encodes the
@@ -213,10 +137,12 @@ def _alternating_family(g: Digraph, m: Matching) -> ContractionFamily:
     """
     adj = g.successors()
     plus_of = [-1] * g.node_count
-    for p, mi in m.pairs:
+    for p, mi in pair.items():
         plus_of[mi] = p
     sets = []
-    for witness in m.unmatched_plus(g.node_count):
+    for witness in range(g.node_count):
+        if witness in pair:
+            continue
         members = {witness}
         queue = [witness]
         for p in queue:  # appended to while read: a FIFO queue
@@ -231,20 +157,13 @@ def _alternating_family(g: Digraph, m: Matching) -> ContractionFamily:
     return ContractionFamily(tuple(sets))
 
 
-def family_for_matching(g: Digraph, m: Matching) -> ContractionFamily:
-    """Contraction family under a *specific* matching, which must be maximum."""
-    if not is_maximum(g, m):
-        raise MatchingError("contractions require a maximum matching")
-    return _alternating_family(g, m)
-
-
 def contractions(g: Digraph) -> ContractionFamily:
     """Canonical contraction family of the digraph.
 
-    The family is computed from the canonical matching of
-    :func:`max_matching`, so it does not depend on any matching a caller
+    The family is computed from the deterministic matching of
+    :func:`hopcroft_karp`, so it does not depend on any matching a caller
     holds.  See the module docstring for why this canonicalization is
     needed.  Its witnesses are the nodes that matching leaves unmatched, in
     increasing order, so the structural rank is ``node_count - len(sets)``.
     """
-    return _alternating_family(g, max_matching(g))
+    return _alternating_family(g, hopcroft_karp(g.node_count, g.successors()))

@@ -33,7 +33,6 @@ condition some broadcaster meets holds for every agent at once.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,111 +47,68 @@ class DesignError(ValueError):
     """Raised for unusable design inputs (e.g. an empty plan)."""
 
 
-class AlphaEdges(Set):
-    """The alpha layer as a set of ``(u, v)`` edges, held as the
-    *broadcasters* (agents ``u`` with an edge to every other agent) plus the
-    remaining *explicit* edges.
+@dataclass(frozen=True)
+class AlphaEdges:
+    """The alpha layer, held as the *broadcasters* (agents ``u`` with an
+    edge ``(u, v)`` to every other agent) plus the remaining *explicit*
+    ``(u, v)`` edges.
 
-    Any edge set converts to this form: a source with all ``agent_count - 1``
-    out-edges becomes a broadcaster, so the form is unique and a canonical
-    design's N_alpha * (N - 1) edges cost N_alpha integers.  The set reads
-    as the full edge list (``len``, membership, iteration), and a set
-    operation such as ``edges - {drop}`` returns a plain frozenset, which
-    :class:`AgentNetwork` converts back: dropping one edge of a broadcaster
-    turns it into explicit edges.
+    A source listed with all ``agent_count - 1`` out-edges becomes a
+    broadcaster, so the form is unique and a full edge list reads the same
+    as its broadcasters; a canonical design's N_alpha * (N - 1) edges cost
+    N_alpha integers.  ``len`` is the full alpha edge count.
     """
 
-    __slots__ = ("agent_count", "broadcast", "explicit")
+    agent_count: int
+    broadcast: frozenset[int] = frozenset()
+    explicit: frozenset[tuple[int, int]] = frozenset()
 
-    def __init__(self, agent_count: int, broadcast: Iterable[int] = (),
-                 explicit: Iterable[tuple[int, int]] = ()):
-        broadcast = set(broadcast)
-        explicit = set(map(tuple, explicit))
+    def __post_init__(self):
+        n = self.agent_count
+        broadcast = set(self.broadcast)
+        explicit = set(map(tuple, self.explicit))
         for u in broadcast:
-            if not 0 <= u < agent_count:
+            if not 0 <= u < n:
                 raise ValueError(f"alpha broadcaster {u} out of agent range")
         for u, v in explicit:
-            if not (0 <= u < agent_count and 0 <= v < agent_count):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of agent range")
-        if agent_count < 2:
+        if n < 2:
             broadcast = set()  # nobody to broadcast to
         else:
             out = Counter(u for u, v in explicit if u != v and u not in broadcast)
-            broadcast.update(u for u, k in out.items() if k == agent_count - 1)
-        self.agent_count = agent_count
-        self.broadcast = frozenset(broadcast)
-        self.explicit = frozenset((u, v) for u, v in explicit
-                                  if u == v or u not in broadcast)
-
-    @classmethod
-    def _from_iterable(cls, edges):
-        return frozenset(edges)
+            broadcast.update(u for u, k in out.items() if k == n - 1)
+        object.__setattr__(self, "broadcast", frozenset(broadcast))
+        object.__setattr__(self, "explicit", frozenset(
+            (u, v) for u, v in explicit if u == v or u not in broadcast))
 
     def __len__(self) -> int:
         return len(self.broadcast) * (self.agent_count - 1) + len(self.explicit)
 
-    def __contains__(self, edge) -> bool:
-        try:
-            u, v = edge
-            if u in self.broadcast and u != v:
-                return 0 <= v < self.agent_count
-        except (TypeError, ValueError):
-            return False
-        return (u, v) in self.explicit
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for u in sorted(self.broadcast):
-            yield from ((u, v) for v in range(self.agent_count) if v != u)
-        yield from self.explicit
+@dataclass(frozen=True)
+class AlphaSources:
+    """The agents whose raw observations reach each agent ``i``: ``i``
+    itself, the broadcasters every agent shares, and its explicit alpha
+    in-neighbors outside them, ``extra[i]``, in increasing order."""
 
-    def __eq__(self, other):
-        if isinstance(other, AlphaEdges) and other.agent_count == self.agent_count:
-            return (self.broadcast, self.explicit) == (other.broadcast, other.explicit)
-        return Set.__eq__(self, other)
-
-    __hash__ = Set._hash
-
-    def __repr__(self) -> str:
-        return (f"AlphaEdges({self.agent_count}, broadcast={sorted(self.broadcast)}, "
-                f"explicit={sorted(self.explicit)})")
-
-
-class AlphaSources(Sequence):
-    """Per agent ``i``: the agents whose raw observations reach it, ``i``
-    itself first, then its alpha in-neighbors in increasing order.
-
-    Held compactly as the broadcasters every agent shares plus, per agent,
-    its explicit alpha in-neighbors outside them (``extra``); indexing
-    merges the two for one agent.
-    """
-
-    __slots__ = ("broadcast", "extra")
-
-    def __init__(self, broadcast: tuple[int, ...], extra: tuple[tuple[int, ...], ...]):
-        self.broadcast = broadcast
-        self.extra = extra
-
-    def __len__(self) -> int:
-        return len(self.extra)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        i = range(len(self.extra))[i]
-        return (i, *sorted({*self.broadcast, *self.extra[i]} - {i}))
+    broadcast: tuple[int, ...]
+    extra: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class AgentNetwork:
     agent_count: int
-    alpha_edges: AlphaEdges  # any set of (u, v) pairs is accepted and converted
+    alpha_edges: AlphaEdges
     beta_edges: frozenset[tuple[int, int]]
     observations: tuple[tuple[Placement, ...], ...]  # per agent
 
     def __post_init__(self):
         if self.agent_count < 1:
             raise ValueError(f"a network needs at least one agent, got {self.agent_count}")
-        alpha = self.alpha_edges
-        if not (isinstance(alpha, AlphaEdges) and alpha.agent_count == self.agent_count):
-            object.__setattr__(self, "alpha_edges", AlphaEdges(self.agent_count, (), alpha))
+        if self.alpha_edges.agent_count != self.agent_count:
+            raise ValueError(f"alpha layer of {self.alpha_edges.agent_count} agents "
+                             f"in a network of {self.agent_count}")
         for u, v in self.beta_edges:
             if not (0 <= u < self.agent_count and 0 <= v < self.agent_count):
                 raise ValueError(f"edge ({u}, {v}) out of agent range")
@@ -161,8 +117,7 @@ class AgentNetwork:
 
     @cached_property
     def alpha_sources(self) -> AlphaSources:
-        """Per agent ``i``: ``i`` itself, then its alpha in-neighbors in
-        increasing order, as broadcasters plus explicit in-neighbors."""
+        """The broadcasters, and per agent its explicit alpha in-neighbors."""
         into: list[list[int]] = [[] for _ in range(self.agent_count)]
         for u, v in sorted(self.alpha_edges.explicit):
             if u != v:

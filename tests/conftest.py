@@ -32,11 +32,17 @@ def six_state_net(six_state_plan):
 
 
 @pytest.fixture()
-def six_state_analysis(six_state, tmp_path):
-    """The ``analysis.json`` that ``analyze`` writes for the six-state fixture."""
+def six_state_gml(six_state, tmp_path):
+    """The six-state fixture written as GML, states labelled x1..x6."""
     lg = LabeledGraph(six_state, tuple(f"x{i + 1}" for i in range(6)), True, {})
     path = tmp_path / "fixture.gml"
     path.write_text(emit_gml(lg))
+    return path
+
+
+@pytest.fixture()
+def six_state_analysis(six_state_gml, tmp_path):
+    """The ``analysis.json`` that ``analyze`` writes for the six-state fixture."""
     out = tmp_path / "out"
-    assert main(["analyze", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", str(six_state_gml), "--out", str(out)]) == EXIT_OK
     return json.loads((out / "analysis.json").read_text())

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import replace
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from netobserve.graph_core import Digraph, StructuredMatrix, reachable
 from netobserve.ingest import LabeledGraph
 from netobserve.netdesign import (
     AgentNetwork,
+    AlphaEdges,
     TopologyVerdict,
     _observer_union,
     w_structure,
@@ -225,6 +227,27 @@ def gf_observability_rank(a: np.ndarray, h: np.ndarray, p: int) -> int:
     return rank
 
 
+def alpha_edge_set(net: AgentNetwork) -> frozenset[tuple[int, int]]:
+    """The alpha layer of ``net`` as its full edge set, broadcasts expanded."""
+    alpha = net.alpha_edges
+    return alpha.explicit | {(u, v) for u in alpha.broadcast
+                             for v in range(net.agent_count) if v != u}
+
+
+def with_alpha_edges(net: AgentNetwork, edges: Iterable[tuple[int, int]]) -> AgentNetwork:
+    """``net`` with the alpha layer given as a full edge set, e.g. an edited
+    :func:`alpha_edge_set`."""
+    return replace(net, alpha_edges=AlphaEdges(net.agent_count, (), edges))
+
+
+def agent_sources(net: AgentNetwork) -> list[tuple[int, ...]]:
+    """Per agent ``i``: ``i`` itself, then its alpha in-neighbors in
+    increasing order."""
+    sources = net.alpha_sources
+    return [(i, *sorted({*sources.broadcast, *extra} - {i}))
+            for i, extra in enumerate(sources.extra)]
+
+
 def per_agent_verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     """Conditions (i) and (ii) with one forward BFS over the beta layer per
     agent: quadratic in the agent count, the reference for
@@ -243,7 +266,7 @@ def per_agent_verify_topology(net: AgentNetwork, dec: Decomposition) -> Topology
 
     violations: list[tuple[int, str]] = []
     beta_fwd = Digraph(net.agent_count, net.beta_edges).successors()
-    for i, sources in enumerate(net.alpha_sources):
+    for i, sources in enumerate(agent_sources(net)):
         direct = set(sources)
         for ci, found in enumerate(contraction_observers):
             if direct.isdisjoint(found):
@@ -441,6 +464,19 @@ def frozen_hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) ->
             if p not in pair_plus:
                 dfs(p)
     return pair_plus
+
+
+def frozen_overlap_matching(dec: Decomposition) -> dict[int, int]:
+    """``classify._overlap_matching`` as it was before it indexed members by
+    component: one set intersection per contraction set and matched parent."""
+    parents = dec.matched_parents
+    comp_nodes = [dec.sccs.components[j] for j in parents]
+    size = max(len(dec.family.sets), len(parents), 1)
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for ci, c in enumerate(dec.family.sets):
+        adj[ci] = [pj for pj, nodes in enumerate(comp_nodes) if c.members & nodes]
+    pair = frozen_hopcroft_karp(size, adj)
+    return {ci: pj for ci, pj in pair.items() if ci < len(dec.family.sets)}
 
 
 def frozen_tarjan_scc(g: Digraph) -> SccDecomposition:

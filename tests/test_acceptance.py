@@ -21,16 +21,8 @@ from netobserve.datasets import REGISTRY, data_directory, load_dataset, locate
 from netobserve.estimator import GainSchedule, gain_search, simulate
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import structure_from_digraph
-from netobserve.matching import (
-    Matching,
-    contractions,
-    family_for_matching,
-    hopcroft_karp,
-    is_maximum,
-    max_matching,
-)
+from netobserve.matching import _alternating_family, contractions, hopcroft_karp
 from netobserve.netdesign import (
-    AgentNetwork,
     design_canonical,
     verify_topology,
     w_structure,
@@ -52,11 +44,13 @@ from netobserve.structural_check import (
 
 from .oracles import (
     all_digraphs,
+    alpha_edge_set,
     brute_max_matching_size,
     brute_sccs,
     minimal_deficient_sets,
     plan_observation_structure,
     random_digraph,
+    with_alpha_edges,
 )
 
 
@@ -66,9 +60,14 @@ def _report(num: int, ok: bool, detail: str):
 
 
 def _alternative_matching(g):
-    """A second maximum matching: augment in reversed adjacency order."""
+    """A second matching: augment in reversed adjacency order."""
     adj = [list(reversed(a)) for a in g.successors()]
-    return Matching(frozenset(hopcroft_karp(g.node_count, adj).items()))
+    return hopcroft_karp(g.node_count, adj)
+
+
+def _brute_size(g) -> int:
+    return brute_max_matching_size(g.node_count, {
+        p: frozenset(succ) for p, succ in enumerate(g.successors())})
 
 
 def test_criterion_1_worked_example():
@@ -134,17 +133,13 @@ def test_criterion_3_oracle_equivalence():
     first_bad = None
     for g in graphs():
         checked += 1
-        m = max_matching(g)
-        adj: dict[int, set] = {}
-        for p, mi in g.edges:
-            adj.setdefault(p, set()).add(mi)
-        brute = brute_max_matching_size(
-            g.node_count, {p: frozenset(v) for p, v in adj.items()})
+        m = hopcroft_karp(g.node_count, g.successors())
+        brute = _brute_size(g)
         fam = contractions(g)
         violators = set(minimal_deficient_sets(structure_from_digraph(g)))
         union_violators = frozenset().union(*violators) if violators else frozenset()
-        good = (m.size == brute
-                and len(fam.sets) == g.node_count - m.size
+        good = (len(m) == brute
+                and len(fam.sets) == g.node_count - len(m)
                 and all(c.members in violators for c in fam.sets)
                 and fam.union_members == union_violators
                 and set(tarjan_scc(g).components) == set(brute_sccs(g)))
@@ -171,16 +166,16 @@ def test_criterion_4_matching_invariance():
     for _ in range(200):
         n = int(rng.integers(4, 11))
         g = random_digraph(rng, n, 1.8 / n)
-        m1 = max_matching(g)
+        m1 = hopcroft_karp(g.node_count, g.successors())
         m2 = _alternative_matching(g)
-        assert is_maximum(g, m2)
-        if m1.pairs == m2.pairs:
+        assert len(m2) == _brute_size(g)
+        if m1 == m2:
             continue
         graphs_with_two += 1
-        f1, f2 = family_for_matching(g, m1), family_for_matching(g, m2)
-        if contractions(g).as_sets() != f1.as_sets():
+        f1, f2 = _alternating_family(g, m1), _alternating_family(g, m2)
+        if contractions(g) != f1:
             canonical_mismatch += 1
-        raw_mismatch += int(f1.as_sets() != f2.as_sets())
+        raw_mismatch += int({c.members for c in f1.sets} != {c.members for c in f2.sets})
         union_mismatch += int(f1.union_members != f2.union_members)
     ok = canonical_mismatch == 0 and union_mismatch == 0 and graphs_with_two > 50
     _report(4, ok, f"{graphs_with_two}/200 graphs admit two distinct maximum "
@@ -281,9 +276,8 @@ def test_criterion_7_distributed_ablation():
     lone = next(p.agent for p in plan.placements if p.kind == ALPHA
                 and not (dec.family.sets[p.covers_contraction].members
                          & (observed - {p.state})))
-    drop = min(e for e in net.alpha_edges if e[0] == lone)
-    crippled = AgentNetwork(net.agent_count, net.alpha_edges - {drop},
-                            net.beta_edges, net.observations)
+    drop = min(e for e in alpha_edge_set(net) if e[0] == lone)
+    crippled = with_alpha_edges(net, alpha_edge_set(net) - {drop})
 
     d_full = fused_observation_structure(net, n)
     d_crip = fused_observation_structure(crippled, n)
@@ -332,10 +326,7 @@ def test_criterion_8_estimator_properties():
 
     a_unstable = Realization(
         base * (1.1 / max(abs(np.linalg.eigvals(base)))), REAL, 0)
-    crippled = AgentNetwork(
-        net.agent_count,
-        frozenset(e for e in net.alpha_edges if e[0] != 0),
-        net.beta_edges, net.observations)
+    crippled = with_alpha_edges(net, {e for e in alpha_edge_set(net) if e[0] != 0})
     w_crippled = stochastic_realization(w_structure(crippled), seed=0)
     zero = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)), 1.1, False, 0)
     trace = simulate(w_crippled, a_unstable, crippled, zero, horizon=200,

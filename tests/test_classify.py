@@ -1,3 +1,6 @@
+import json
+from itertools import combinations
+
 import numpy as np
 
 from netobserve.classify import (
@@ -5,18 +8,30 @@ from netobserve.classify import (
     BETA,
     Placement,
     _accessibility_repairs,
+    _avoidable,
+    _overlap_matching,
     decompose,
-    equivalence_report,
     necessary_counts,
     place_agents,
     plan_from_json,
     structural_counts_report,
 )
+from netobserve.cli import EXIT_OK, main
 from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
 from netobserve.matching import structural_rank
 from netobserve.structural_check import check_centralized
 
-from .oracles import brute_accessible, plan_observation_structure, random_digraph
+from .oracles import (
+    brute_accessible,
+    frozen_overlap_matching,
+    plan_observation_structure,
+    random_digraph,
+)
+
+# The overlap pins states 4 and 5 (two matched parent self-loops), but 1 and
+# 2 both reach only 3, so no maximum matching leaves 3, 4 and 5 unmatched.
+PINNED_NOT_AVOIDABLE = Digraph(6, frozenset(
+    {(0, 3), (1, 3), (2, 3), (0, 4), (0, 5), (4, 4), (5, 5)}))
 
 
 class TestNecessaryCounts:
@@ -39,6 +54,19 @@ class TestNecessaryCounts:
         counts = necessary_counts(decompose(g))
         assert counts == {"n_alpha": 0, "n_beta_raw": 1, "n_beta_min": 1,
                           "min_total": 1, "overlap_matching_size": 0}
+
+    def test_overlap_matching_equals_frozen_routine(self, six_state_dec):
+        rng = np.random.default_rng(15)
+        decs = [six_state_dec, decompose(PINNED_NOT_AVOIDABLE)]
+        decs += [decompose(random_digraph(rng, int(rng.integers(2, 14)),
+                                          float(rng.uniform(0.05, 0.4))))
+                 for _ in range(300)]
+        sizes = set()
+        for dec in decs:
+            overlap = _overlap_matching(dec)
+            assert overlap == frozen_overlap_matching(dec)
+            sizes.add(len(overlap))
+        assert {0, 1, 2} <= sizes
 
     def test_overlap_never_exceeds_either_side(self):
         rng = np.random.default_rng(10)
@@ -105,6 +133,25 @@ class TestPlaceAgents:
             # an overlapping alpha, so no repair is ever needed.
             assert plan.repairs == ()
 
+    def test_pinned_state_refused_when_not_simultaneously_avoidable(self):
+        g = PINNED_NOT_AVOIDABLE
+        dec = decompose(g)
+        assert [c.members for c in dec.family.sets] == [{0, 1, 4, 5}, {0, 2, 4, 5}, {3}]
+        assert [dec.sccs.components[j] for j in dec.matched_parents] == [{4}, {5}]
+        assert _overlap_matching(dec) == {0: 0, 1: 1}
+        assert not _avoidable(dec, {3, 4, 5}) and _avoidable(dec, {2, 3, 4})
+        plan = place_agents(dec)
+        assert [(p.state, p.kind) for p in plan.placements] == [
+            (4, ALPHA), (2, ALPHA), (3, ALPHA), (5, BETA)]
+        a = structure_from_digraph(g)
+        assert check_centralized(a, plan_observation_structure(plan.states, 6)).observable
+        pinned = check_centralized(a, plan_observation_structure((3, 4, 5), 6))
+        assert pinned.accessible and pinned.deficiency == 1
+        # min_total is a lower bound the plan exceeds, and 4 is optimal here
+        assert necessary_counts(dec)["min_total"] == 3
+        assert not any(check_centralized(a, plan_observation_structure(h, 6)).observable
+                       for h in combinations(range(6), 3))
+
     def test_repairs_cover_each_unobserved_parent_once(self):
         rng = np.random.default_rng(14)
         repaired = 0
@@ -145,10 +192,12 @@ class TestPlanSerialization:
 
 
 class TestEquivalence:
-    def test_six_state_classes(self, six_state_dec):
-        eq = equivalence_report(six_state_dec)
-        assert set(eq.alpha_classes) == {frozenset({0, 2}), frozenset({0, 3, 4, 5})}
-        assert set(eq.beta_classes) == {frozenset({4}), frozenset({5})}
+    def test_six_state_classes(self, six_state_gml, tmp_path):
+        out = tmp_path / "out"
+        assert main(["classify", str(six_state_gml), "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "plan.json").read_text())
+        assert data["alpha_classes"] == [[0, 2], [0, 3, 4, 5]]
+        assert data["beta_classes"] == [[4], [5]]
 
     def test_any_alpha_representative_works(self, six_state_dec):
         # swapping the observed state within a class keeps the S-rank bonus:

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from netobserve import cli
+from netobserve.classify import PlanError
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import Digraph, DimensionError
 from netobserve.ingest import LabeledGraph
-from netobserve.matching import MatchingError, contractions
+from netobserve.matching import contractions
 from netobserve.netdesign import MAX_AGENTS
 from netobserve.scc import tarjan_scc
 
@@ -140,7 +141,7 @@ class TestClassifyAndDesign:
         assert verdict["topology_ok"] is True
         assert "distributed_observable=True" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("error", [DimensionError, MatchingError])
+    @pytest.mark.parametrize("error", [DimensionError, PlanError])
     def test_internal_contradiction_is_internal_error(self, fixture_gml, tmp_path, capsys,
                                                      monkeypatch, error):
         def contradict(net, dec):
@@ -249,6 +250,8 @@ class TestVerify:
          "placement agent 7 out of range for 3 agents"),
         ({"plan": lambda d: {**d, "placements": [{**d["placements"][0], "state": 99}]}},
          "plan JSON field 'state' must lie in [0, 6), got 99"),
+        ({"plan": lambda d: {**d, "placements": [{**d["placements"][0], "kind": "gamma"}]}},
+         "plan JSON field 'kind' must be 'alpha' or 'beta', got 'gamma'"),
         ({"network": lambda d: {**d, "alpha_edges": [1, 2]}},
          "network JSON field 'alpha_edges' must be a list of [source, target] integer pairs"),
         ({"network": lambda d: {**d, "agents": "3"}},
@@ -257,7 +260,7 @@ class TestVerify:
           "network": lambda d: {"agents": 0, "alpha_edges": [], "beta_edges": []}},
          "a network needs at least one agent, got 0"),
     ], ids=["placement-not-object", "plan-is-list", "agent-out-of-range", "state-out-of-range",
-          "alpha-edges-flat", "agents-string", "zero-agents"])
+          "kind-unknown", "alpha-edges-flat", "agents-string", "zero-agents"])
     def test_wrong_typed_json_is_input_error(self, fixture_gml, tmp_path, capsys,
                                              breaks, message):
         files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))

@@ -10,10 +10,15 @@ from netobserve.estimator import (
 )
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import Digraph, structure_from_digraph
-from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
+from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical, w_structure
 from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
 
-from .oracles import dense_gain_search, fused_observation_realization
+from .oracles import (
+    alpha_edge_set,
+    dense_gain_search,
+    fused_observation_realization,
+    with_alpha_edges,
+)
 
 
 def scaled_system(six_state, rho_target, seed=0):
@@ -30,7 +35,7 @@ def single_agent_full_obs(n):
     placements = tuple(
         Placement(state=i, agent=0, kind="alpha", covers_contraction=i)
         for i in range(n))
-    net = AgentNetwork(1, frozenset(), frozenset(), (placements,))
+    net = AgentNetwork(1, AlphaEdges(1), frozenset(), (placements,))
     return net
 
 
@@ -62,7 +67,7 @@ def noiseless(w, a, net, gains, horizon=20, seed=5):
 
 def unobserving_agents(n_agents):
     # observations are irrelevant under zero gains; each agent needs one
-    return AgentNetwork(n_agents, frozenset(), frozenset(), tuple(
+    return AgentNetwork(n_agents, AlphaEdges(n_agents), frozenset(), tuple(
         (Placement(state=0, agent=i, kind="alpha"),) for i in range(n_agents)))
 
 
@@ -214,11 +219,7 @@ class TestGainSearch:
     def test_unobservable_input_refused_with_certificate(self, six_state, six_state_net):
         # drop a load-bearing alpha broadcast edge and scale the plant
         # unstable: the search must refuse, not silently fail
-        crippled = AgentNetwork(
-            six_state_net.agent_count,
-            six_state_net.alpha_edges - {(0, 1)},
-            six_state_net.beta_edges,
-            six_state_net.observations)
+        crippled = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(0, 1)})
         a = scaled_system(six_state, 1.1)
         w = stochastic_realization(w_structure(crippled), seed=0)
         with pytest.raises(UnobservableSystemError) as exc_info:

@@ -1,18 +1,13 @@
 import sys
 
 import numpy as np
-import pytest
 
 from netobserve.fixtures import fan_contraction, six_state_demo, six_state_structure
 from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
 from netobserve.matching import (
-    Matching,
-    MatchingError,
+    _alternating_family,
     contractions,
-    family_for_matching,
-    is_maximum,
-    max_matching,
-    s_rank,
+    hopcroft_karp,
     structural_rank,
 )
 
@@ -25,20 +20,31 @@ from .oracles import (
 )
 
 
+def max_matching(g: Digraph) -> dict[int, int]:
+    return hopcroft_karp(g.node_count, g.successors())
+
+
+def brute_size(g: Digraph) -> int:
+    return brute_max_matching_size(g.node_count, {
+        p: frozenset(succ) for p, succ in enumerate(g.successors())})
+
+
+def assert_matching_in(g: Digraph, m: dict[int, int]):
+    """``m`` pairs plus nodes with distinct minus nodes along edges of ``g``."""
+    assert set(m.items()) <= g.edges and len(set(m.values())) == len(m)
+
+
 class TestMaxMatching:
     def test_fan_pattern_deficiency_one(self):
         m = max_matching(fan_contraction())
-        assert m.size == 4
+        assert len(m) == 4
         # exactly one of the three fan sources stays unmatched
-        unmatched = set(m.unmatched_plus(5))
-        assert sum(1 for u in unmatched if u in {0, 2, 4}) == 1
+        assert sum(1 for u in (0, 2, 4) if u not in m) == 1
 
     def test_self_loops_perfect(self):
         n = 6
         g = Digraph(n, frozenset((i, i) for i in range(n)))
-        m = max_matching(g)
-        assert m.size == n
-        assert m.unmatched_plus(n) == ()
+        assert max_matching(g) == {i: i for i in range(n)}
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
@@ -50,13 +56,8 @@ class TestMaxMatching:
         for n in (1, 2, 3):
             for g in all_digraphs(n):
                 m = max_matching(g)
-                adj = {}
-                for p, mi in g.edges:
-                    adj.setdefault(p, set()).add(mi)
-                oracle = brute_max_matching_size(
-                    n, {p: frozenset(v) for p, v in adj.items()})
-                assert m.size == oracle
-                assert is_maximum(g, m)
+                assert_matching_in(g, m)
+                assert len(m) == brute_size(g)
 
     def test_random_against_brute_force(self):
         rng = np.random.default_rng(3)
@@ -64,7 +65,7 @@ class TestMaxMatching:
             for _ in range(40):
                 g = random_digraph(rng, n, p)
                 s = structure_from_digraph(g)
-                assert s_rank(s) == brute_structural_rank(s)
+                assert structural_rank(s) == brute_structural_rank(s)
 
     def test_long_augmenting_path_needs_no_recursion(self, monkeypatch):
         # Plus node i reaches minus nodes L-i-1 and L-i.  The first phase
@@ -80,60 +81,35 @@ class TestMaxMatching:
 
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         m = max_matching(g)
-        assert m.size == n
-        assert is_maximum(g, m)
-
-
-class TestIsMaximum:
-    def test_empty_matching_on_nonempty_graph(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        assert not is_maximum(g, Matching(frozenset()))
-
-    def test_rejects_foreign_edges(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(MatchingError):
-            is_maximum(g, Matching(frozenset({(1, 0)})))
-
-    def test_overlapping_pairs_rejected(self):
-        with pytest.raises(MatchingError):
-            Matching(frozenset({(0, 1), (0, 2)}))
+        assert len(m) == n
+        assert_matching_in(g, m)
 
 
 class TestStructuralRank:
     def test_identity(self):
         s = StructuredMatrix(4, 4, frozenset((i, i) for i in range(4)))
-        assert s_rank(s) == 4
+        assert structural_rank(s) == 4
 
     def test_fan_pattern_deficiency_one(self):
-        assert s_rank(structure_from_digraph(fan_contraction())) == 4
+        assert structural_rank(structure_from_digraph(fan_contraction())) == 4
 
     def test_six_state_fixture(self):
-        assert s_rank(six_state_structure()) == 4
+        assert structural_rank(six_state_structure()) == 4
 
     def test_rectangular(self):
         s = StructuredMatrix(2, 4, frozenset({(0, 0), (1, 0), (1, 3)}))
         assert structural_rank(s) == 2
         assert structural_rank(s) == brute_structural_rank(s)
 
-    def test_square_required_for_s_rank(self):
-        from netobserve.graph_core import DimensionError
-        with pytest.raises(DimensionError):
-            s_rank(StructuredMatrix(2, 3, frozenset()))
-
 
 class TestContractions:
     def test_fan_pattern_single_family_member(self):
         fam = contractions(fan_contraction())
-        assert fam.as_sets() == {frozenset({0, 2, 4})}
+        assert [c.members for c in fam.sets] == [frozenset({0, 2, 4})]
 
     def test_perfect_matching_empty_family(self):
         g = Digraph(3, frozenset((i, i) for i in range(3)))
         assert contractions(g).sets == ()
-
-    def test_requires_maximum_matching(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        with pytest.raises(MatchingError):
-            family_for_matching(g, Matching(frozenset()))
 
     def test_members_are_minimal_deficient_sets(self):
         # Every contraction set is a Hall violator; the family witnesses the
@@ -143,9 +119,8 @@ class TestContractions:
         graphs += [random_digraph(rng, n, 0.25) for n in (4, 5, 6) for _ in range(40)]
         for g in graphs:
             s = structure_from_digraph(g)
-            m = max_matching(g)
             fam = contractions(g)
-            assert len(fam.sets) == g.node_count - m.size
+            assert len(fam.sets) == g.node_count - brute_size(g)
             violators = minimal_deficient_sets(s)
             neighbors = {j: {i for i, jj in s.support if jj == j}
                          for j in range(s.rows)}
@@ -161,21 +136,22 @@ class TestContractions:
         The six-state fixture admits two maximum matchings whose alternating
         searches give different families; only the union of members (and the
         family size) is invariant.  This is exactly why ``contractions``
-        canonicalizes on the matching from ``max_matching``.
+        canonicalizes on the matching from ``hopcroft_karp``.
         """
         g = six_state_demo()
         canonical = max_matching(g)
         # alternative maximum matching: x2 is matched via x2->x1 instead of x1
-        alternative = Matching(frozenset({(1, 0), (2, 1), (3, 4), (5, 5)}))
-        assert is_maximum(g, alternative)
-        fam_a = family_for_matching(g, canonical)
-        fam_b = family_for_matching(g, alternative)
-        assert fam_a.as_sets() != fam_b.as_sets()
+        alternative = {1: 0, 2: 1, 3: 4, 5: 5}
+        assert_matching_in(g, alternative)
+        assert len(alternative) == len(canonical) == brute_size(g)
+        fam_a = _alternating_family(g, canonical)
+        fam_b = _alternating_family(g, alternative)
+        members_a = {c.members for c in fam_a.sets}
+        assert members_a != {c.members for c in fam_b.sets}
         assert fam_a.union_members == fam_b.union_members
         assert len(fam_a.sets) == len(fam_b.sets)
         # the canonical API hides the dependence
-        assert contractions(g).as_sets() == fam_a.as_sets()
-
+        assert contractions(g) == fam_a
 
 
 class TestMatchingReport:

@@ -20,7 +20,14 @@ from netobserve.netdesign import (
 )
 
 
-from .oracles import per_agent_verify_topology, random_digraph, reachability_matrix
+from .oracles import (
+    agent_sources,
+    alpha_edge_set,
+    per_agent_verify_topology,
+    random_digraph,
+    reachability_matrix,
+    with_alpha_edges,
+)
 
 
 def single_state_plan():
@@ -48,8 +55,7 @@ class TestDesignCanonical:
         net = six_state_net
         assert net.agent_count == 3
         # both alpha agents (0 and 1) broadcast to everyone else
-        assert net.alpha_edges == frozenset(
-            {(0, 1), (0, 2), (1, 0), (1, 2)})
+        assert alpha_edge_set(net) == {(0, 1), (0, 2), (1, 0), (1, 2)}
         assert net.beta_edges == frozenset({(0, 1), (1, 2), (2, 0)})
         # the beta agent receives over the ring from both alpha agents
         w = w_structure(net)
@@ -59,7 +65,7 @@ class TestDesignCanonical:
     def test_single_agent_empty_network(self):
         net = design_canonical(single_state_plan())
         assert net.agent_count == 1
-        assert net.alpha_edges == frozenset() and net.beta_edges == frozenset()
+        assert net.alpha_edges == AlphaEdges(1) and net.beta_edges == frozenset()
 
     def test_no_alpha_agents_ring_only(self):
         plan = ObservationPlan((
@@ -67,7 +73,7 @@ class TestDesignCanonical:
             Placement(state=1, agent=1, kind=BETA, covers_scc=1),
         ))
         net = design_canonical(plan)
-        assert net.alpha_edges == frozenset()
+        assert net.alpha_edges == AlphaEdges(2)
         assert net.beta_edges == frozenset({(0, 1), (1, 0)})
 
     def test_empty_plan_rejected(self):
@@ -80,12 +86,9 @@ class TestVerifyTopology:
         assert verify_topology(six_state_net, six_state_dec).ok
 
     def test_missing_alpha_edge_names_deprived_agent(self, six_state_net, six_state_dec):
-        for drop in sorted(six_state_net.alpha_edges):
-            crippled = AgentNetwork(
-                six_state_net.agent_count,
-                six_state_net.alpha_edges - {drop},
-                six_state_net.beta_edges,
-                six_state_net.observations)
+        edges = alpha_edge_set(six_state_net)
+        for drop in sorted(edges):
+            crippled = with_alpha_edges(six_state_net, edges - {drop})
             verdict = verify_topology(crippled, six_state_dec)
             assert not verdict.ok
             deprived = drop[1]
@@ -129,10 +132,9 @@ class TestVerifyTopology:
             g = random_digraph(rng, int(rng.integers(2, 9)), 0.3)
             dec = decompose(g)
             net = design_canonical(place_agents(dec))
-            alpha = {e for e in net.alpha_edges if rng.random() < 0.7}
+            alpha = {e for e in sorted(alpha_edge_set(net)) if rng.random() < 0.7}
             beta = {e for e in net.beta_edges if rng.random() < 0.7}
-            net = AgentNetwork(net.agent_count, frozenset(alpha), frozenset(beta),
-                               net.observations)
+            net = replace(with_alpha_edges(net, alpha), beta_edges=frozenset(beta))
             expected = naive_violations(net, dec)
             assert verify_topology(net, dec).violations == expected
             total += len(expected)
@@ -151,8 +153,8 @@ class TestVerifyTopology:
             plan = place_agents(dec)
             net = design_canonical(plan, len(plan.placements) + int(rng.integers(0, 3)))
             crippled = replace(
-                net,
-                alpha_edges=frozenset(e for e in net.alpha_edges if rng.random() < 0.7),
+                with_alpha_edges(net, [e for e in sorted(alpha_edge_set(net))
+                                       if rng.random() < 0.7]),
                 beta_edges=frozenset(e for e in net.beta_edges if rng.random() < 0.7))
             pairs = [(u, v) for u in range(net.agent_count)
                      for v in range(net.agent_count) if u != v]
@@ -186,7 +188,7 @@ def naive_violations(net, dec):
     sends = reachability_matrix(Digraph(net.agent_count, net.beta_edges))
     out = []
     for i in range(net.agent_count):
-        direct = {i} | {u for u, v in net.alpha_edges if v == i}
+        direct = {i} | {u for u, v in alpha_edge_set(net) if v == i}
         for ci, c in enumerate(dec.family.sets):
             found = {a for a, obs in enumerate(net.observations) for p in obs
                      if p.kind == ALPHA and p.state in c.members}
@@ -203,45 +205,46 @@ def naive_violations(net, dec):
 class TestAlphaEdges:
     def test_canonical_design_holds_broadcasters(self, six_state_net):
         alpha = six_state_net.alpha_edges
-        assert isinstance(alpha, AlphaEdges)
-        assert alpha.broadcast == {0, 1} and alpha.explicit == frozenset()
-        assert len(alpha) == 4
-        assert (0, 2) in alpha and (1, 0) in alpha
-        assert (2, 0) not in alpha and (0, 0) not in alpha and (0, 3) not in alpha
+        assert alpha == AlphaEdges(3, frozenset({0, 1}))
+        assert alpha.explicit == frozenset() and len(alpha) == 4
 
     def test_edge_list_converts_to_broadcasters(self):
         edges = {(0, 1), (0, 2), (0, 3), (1, 2), (2, 2)}
         alpha = AlphaEdges(4, explicit=edges)
         assert alpha.broadcast == {0} and alpha.explicit == {(1, 2), (2, 2)}
-        assert alpha == edges and set(alpha) == edges and len(alpha) == len(edges)
+        assert len(alpha) == len(edges)
         assert alpha == AlphaEdges(4, [0], {(1, 2), (2, 2), (0, 3)})
+        assert hash(alpha) == hash(AlphaEdges(4, [0], {(1, 2), (2, 2)}))
 
     def test_dropping_a_broadcast_edge_makes_it_explicit(self, six_state_net):
-        dropped = AgentNetwork(3, six_state_net.alpha_edges - {(0, 1)},
-                               six_state_net.beta_edges, six_state_net.observations)
+        dropped = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(0, 1)})
         assert dropped.alpha_edges.broadcast == {1}
         assert dropped.alpha_edges.explicit == {(0, 2)}
-        assert tuple(dropped.alpha_sources) == ((0, 1), (1,), (2, 0, 1))
+        assert agent_sources(dropped) == [(0, 1), (1,), (2, 0, 1)]
         assert dropped.alpha_sources.extra == ((), (), (0,))
 
     def test_broadcaster_self_loop_is_a_member(self):
-        alpha = AlphaEdges(3, [0], {(0, 0)})
-        assert (0, 0) in alpha and set(alpha) == {(0, 0), (0, 1), (0, 2)}
-        assert len(alpha) == 3 and frozenset(alpha) == alpha and frozenset(alpha) <= alpha
+        alpha = AlphaEdges(3, [0], {(0, 0), (0, 1)})
+        assert alpha.broadcast == {0} and alpha.explicit == {(0, 0)}
+        assert len(alpha) == 3
 
     def test_single_agent_has_no_broadcasters(self):
-        assert AlphaEdges(1, [0]) == AlphaEdges(1) == frozenset()
+        assert AlphaEdges(1, [0]) == AlphaEdges(1) and len(AlphaEdges(1)) == 0
 
     @pytest.mark.parametrize("broadcast, explicit", [([3], []), ([], [(0, 3)]), ([-1], [])])
     def test_out_of_range_rejected(self, broadcast, explicit):
         with pytest.raises(ValueError, match="out of agent range"):
             AlphaEdges(3, broadcast, explicit)
 
+    def test_network_refuses_a_layer_of_another_size(self, six_state_net):
+        with pytest.raises(ValueError, match="alpha layer of 4 agents in a network of 3"):
+            replace(six_state_net, alpha_edges=AlphaEdges(4))
+
 
 class TestAlphaSources:
     def test_self_then_sorted_in_neighbors(self, six_state_net):
         # alpha edges (0, 1), (0, 2), (1, 0), (1, 2): agent 2 hears 0 and 1
-        assert tuple(six_state_net.alpha_sources) == ((0, 1), (1, 0), (2, 0, 1))
+        assert agent_sources(six_state_net) == [(0, 1), (1, 0), (2, 0, 1)]
         # held as the shared broadcasters, with no explicit in-neighbors
         assert six_state_net.alpha_sources.broadcast == (0, 1)
         assert six_state_net.alpha_sources.extra == ((), (), ())
@@ -249,12 +252,12 @@ class TestAlphaSources:
 
 class TestWStructure:
     def test_empty_beta_identity(self):
-        net = AgentNetwork(3, frozenset(), frozenset(), ((), (), ()))
+        net = AgentNetwork(3, AlphaEdges(3), frozenset(), ((), (), ()))
         assert w_structure(net).support == frozenset({(0, 0), (1, 1), (2, 2)})
 
     def test_three_ring_circulant(self):
         ring = frozenset({(0, 1), (1, 2), (2, 0)})
-        net = AgentNetwork(3, frozenset(), ring, ((), (), ()))
+        net = AgentNetwork(3, AlphaEdges(3), ring, ((), (), ()))
         w = w_structure(net)
         assert w.support == frozenset(
             {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (0, 2)})
@@ -269,12 +272,12 @@ class TestSerialization:
         assert rebuilt.observations == six_state_net.observations
 
     def test_json_round_trip_with_explicit_edges(self, six_state_net, six_state_plan):
-        dropped = replace(six_state_net, alpha_edges=six_state_net.alpha_edges - {(1, 0)})
+        dropped = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(1, 0)})
         data = json.loads(json.dumps(network_to_json(dropped)))
         assert (data["alpha_broadcast"], data["alpha_edges"]) == ([0], [[1, 2]])
         assert network_from_json(data, six_state_plan) == dropped
         # the same network written as a full edge list reads the same
-        edge_list = {**data, "alpha_edges": sorted(map(list, dropped.alpha_edges))}
+        edge_list = {**data, "alpha_edges": sorted(map(list, alpha_edge_set(dropped)))}
         del edge_list["alpha_broadcast"]
         assert network_from_json(edge_list, six_state_plan) == dropped
 

@@ -14,15 +14,17 @@ from netobserve.numeric import (
     stochastic_realization_gf,
 )
 from netobserve.classify import decompose, place_agents
-from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
+from netobserve.netdesign import design_canonical, w_structure
 from netobserve.structural_check import check_centralized, fused_observation_structure
 
 from .oracles import (
+    alpha_edge_set,
     brute_observability_rank,
     gf_observability_rank,
     kron_structure,
     plan_observation_structure,
     random_digraph,
+    with_alpha_edges,
 )
 
 
@@ -131,10 +133,8 @@ class TestObservability:
         while len(pairs) < 280:  # fused pairs of canonical designs, whole and crippled
             g = random_digraph(rng, int(rng.integers(3, 8)), 0.35)
             net = design_canonical(place_agents(decompose(g)))
-            nets = [net] + [
-                AgentNetwork(net.agent_count, net.alpha_edges - {e}, net.beta_edges,
-                             net.observations)
-                for e in sorted(net.alpha_edges)[:1]]
+            edges = alpha_edge_set(net)
+            nets = [net] + [with_alpha_edges(net, edges - {e}) for e in sorted(edges)[:1]]
             a = random_realization(structure_from_digraph(g), GF, seed=len(pairs))
             for each in nets:
                 w = stochastic_realization_gf(w_structure(each), seed=len(pairs))
@@ -211,16 +211,12 @@ class TestKroneckerTiedGenericity:
         is why design verification never relies on check_distributed alone.
         """
         from netobserve.graph_core import structure_from_digraph
-        from netobserve.netdesign import AgentNetwork, verify_topology, w_structure
+        from netobserve.netdesign import verify_topology, w_structure
         from netobserve.classify import decompose
         from netobserve.structural_check import check_distributed, fused_observation_structure
 
         a_s = structure_from_digraph(six_state)
-        crippled = AgentNetwork(
-            six_state_net.agent_count,
-            six_state_net.alpha_edges - {(1, 0)},
-            six_state_net.beta_edges,
-            six_state_net.observations)
+        crippled = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(1, 0)})
         dec = decompose(six_state)
         assert check_distributed(crippled, dec).observable
         assert not verify_topology(crippled, dec).ok

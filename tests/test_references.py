@@ -24,7 +24,7 @@ from netobserve.graph_core import Digraph  # noqa: E402
 from netobserve.netdesign import TopologyVerdict, design_canonical, verify_topology  # noqa: E402
 from netobserve.structural_check import ObservabilityVerdict, check_distributed  # noqa: E402
 
-from .oracles import corpus_graphs  # noqa: E402
+from .oracles import alpha_edge_set, corpus_graphs, with_alpha_edges  # noqa: E402
 
 
 def matching_size(rows, cols, shape) -> int:
@@ -88,7 +88,7 @@ def test_scc_partition_condensation_and_labels(corpus):
 def heard_by(net) -> list[set[int]]:
     """Per agent: itself and every agent with an alpha edge into it."""
     heard = [{i} for i in range(net.agent_count)]
-    for u, v in net.alpha_edges:
+    for u, v in alpha_edge_set(net):
         heard[v].add(u)
     return heard
 
@@ -168,7 +168,7 @@ def crippled_copies(net, dec):
                                   if p.kind == ALPHA and p.state in c.members}) == 1)
     deprived = net.agent_count - 1 if lone != net.agent_count - 1 else 0
     return {
-        "alpha-dropped": replace(net, alpha_edges=net.alpha_edges - {(lone, deprived)}),
+        "alpha-dropped": with_alpha_edges(net, alpha_edge_set(net) - {(lone, deprived)}),
         "ring-cut": replace(net, beta_edges=net.beta_edges - {min(net.beta_edges)}),
     }, (lone, deprived)
 

@@ -12,7 +12,7 @@ from netobserve.graph_core import (
     StructuredMatrix,
     structure_from_digraph,
 )
-from netobserve.netdesign import AgentNetwork, design_canonical, w_structure
+from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical, w_structure
 from netobserve.structural_check import (
     check_centralized,
     check_distributed,
@@ -20,24 +20,27 @@ from netobserve.structural_check import (
 )
 
 from .oracles import (
+    alpha_edge_set,
     brute_accessible,
     brute_structural_rank,
     kron_structure,
     plan_observation_structure,
     random_digraph,
     row_list_distributed,
+    with_alpha_edges,
 )
 
 
 def _crippled(rng, net):
     """Copies of ``net`` with 1-3 random edges dropped from one layer."""
     copies = []
-    for layer in ("alpha_edges", "beta_edges"):
-        edges = sorted(getattr(net, layer))
+    for layer, rebuild in ((alpha_edge_set(net), lambda e: with_alpha_edges(net, e)),
+                           (net.beta_edges, lambda e: replace(net, beta_edges=e))):
+        edges = sorted(layer)
         k = int(rng.integers(1, 4))
         if len(edges) >= k:
             drop = {edges[x] for x in rng.choice(len(edges), k, replace=False)}
-            copies.append(replace(net, **{layer: getattr(net, layer) - drop}))
+            copies.append(rebuild(layer - drop))
     return copies
 
 
@@ -52,7 +55,7 @@ def _arbitrary_network(rng, n):
         tuple(Placement(int(s), i, ALPHA)
               for s in rng.choice(n, int(rng.integers(0, min(n, 3) + 1)), replace=False))
         for i in range(agents))
-    return AgentNetwork(agents, alpha, beta, observations)
+    return AgentNetwork(agents, AlphaEdges(agents, (), alpha), beta, observations)
 
 
 class TestCheckCentralized:
@@ -159,7 +162,7 @@ class TestBlockDiag:
         # agent 0 observes state 0 and receives agent 1's state-2 alpha
         # observation; agent 1 observes only state 2
         net = AgentNetwork(
-            2, frozenset({(1, 0)}), frozenset(),
+            2, AlphaEdges(2, (), {(1, 0)}), frozenset(),
             ((Placement(0, 0, "alpha"),), (Placement(2, 1, "alpha"),)))
         d = fused_observation_structure(net, 3)
         assert d.rows == 6 and d.cols == 6
@@ -176,7 +179,7 @@ class TestFusedStructures:
         assert observed == all_states
 
     def test_idle_agent_without_links_sees_nothing(self):
-        net = AgentNetwork(2, frozenset(), frozenset({(0, 1), (1, 0)}),
+        net = AgentNetwork(2, AlphaEdges(2), frozenset({(0, 1), (1, 0)}),
                            ((), ()))
         assert fused_observation_structure(net, 4).support == frozenset()
 
@@ -196,7 +199,7 @@ class TestCheckDistributed:
     def test_single_agent_reduces_to_centralized(self, six_state, six_state_dec,
                                                  six_state_plan):
         net = design_canonical(six_state_plan, agent_count=None)
-        solo = AgentNetwork(1, frozenset(), frozenset(),
+        solo = AgentNetwork(1, AlphaEdges(1), frozenset(),
                             (tuple(p for obs in net.observations for p in obs),))
         a = structure_from_digraph(six_state)
         dist = check_distributed(solo, six_state_dec)
@@ -214,13 +217,9 @@ class TestCheckDistributed:
         # bearing here: the beta agent's own state sits inside that same
         # contraction, so its block stays covered.)
         lone_alpha = 0  # observes the only state-2 contraction representative
-        for drop in sorted(e for e in six_state_net.alpha_edges
-                           if e[0] == lone_alpha):
-            crippled = AgentNetwork(
-                six_state_net.agent_count,
-                six_state_net.alpha_edges - {drop},
-                six_state_net.beta_edges,
-                six_state_net.observations)
+        edges = alpha_edge_set(six_state_net)
+        for drop in sorted(e for e in edges if e[0] == lone_alpha):
+            crippled = with_alpha_edges(six_state_net, edges - {drop})
             verdict = check_distributed(crippled, six_state_dec)
             assert not verdict.observable
             assert verdict.deficiency >= 1
@@ -245,11 +244,12 @@ class TestCheckDistributed:
             dec = decompose(g)
             net = design_canonical(place_agents(dec))
             nets = [net]
-            for layer in ("alpha_edges", "beta_edges"):
-                edges = sorted(getattr(net, layer))
+            for layer, rebuild in ((alpha_edge_set(net), lambda e: with_alpha_edges(net, e)),
+                                   (net.beta_edges, lambda e: replace(net, beta_edges=e))):
+                edges = sorted(layer)
                 if edges:
                     drop = edges[int(rng.integers(len(edges)))]
-                    nets.append(replace(net, **{layer: getattr(net, layer) - {drop}}))
+                    nets.append(rebuild(layer - {drop}))
             for candidate in nets:
                 verdict = check_distributed(candidate, dec)
                 reference = check_centralized(
