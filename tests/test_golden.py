@@ -13,6 +13,10 @@ alpha layer came to be written as its broadcaster set (see
 ``steady_state_mse`` were recorded before the estimator's gain search took
 its spectral radii in batches and its simulation drew noise per block of
 steps.
+
+The GF(p) realizations behind ``verify --numeric`` and that command's
+``verify.json`` were recorded before the structure type the realizations
+read was replaced, so a changed draw order fails here.
 """
 
 import hashlib
@@ -21,9 +25,14 @@ from pathlib import Path
 
 import pytest
 
+from netobserve.classify import decompose, place_agents
 from netobserve.cli import EXIT_OK, main
 from netobserve.fixtures import six_state_demo
+from netobserve.graph_core import structure_from_digraph
 from netobserve.ingest import LabeledGraph
+from netobserve.netdesign import design_canonical, w_structure
+from netobserve.numeric import GF, REAL, random_realization, stochastic_realization_gf
+from netobserve.structural_check import fused_observation_structure
 
 from .oracles import blogs_shaped, emit_gml
 
@@ -113,3 +122,61 @@ def test_simulate_matches_recorded_digests(tmp_path, monkeypatch):
     assert {"trace.csv": hashlib.sha256(trace).hexdigest(),
             **{key: manifest[key] for key in ("rho", "gain_digest", "steady_state_mse")}
             } == SIMULATE_GOLDEN
+
+
+def _gf_realizations():
+    """The GF(p) realizations that ``verify --numeric`` draws for the
+    six-state fixture's canonical design: A, W and D_H for seeds 0-2."""
+    g = six_state_demo()
+    net = design_canonical(place_agents(decompose(g)))
+    a = structure_from_digraph(g)
+    w = w_structure(net)
+    d = fused_observation_structure(net, g.node_count)
+    for seed in range(3):
+        yield f"A/{seed}", random_realization(a, GF, seed)
+        yield f"W/{seed}", stochastic_realization_gf(w, seed)
+        yield f"D_H/{seed}", random_realization(d, GF, seed)
+
+
+GF_GOLDEN = {
+    "A/0":
+        "9ed9f7cbc1bf55c728f70257c98e214d833fb75946480264809431dff34f38c1",
+    "W/0":
+        "290fb1083b761017c3922a62c7d7f4df7dc2aafbf23ffea7a7069225b66005ac",
+    "D_H/0":
+        "efa0704f33885f18408f7918256720201d8b76fbfd23955a1b2ef4c687bce693",
+    "A/1":
+        "9b104ee922908fd3314cbff47ee0ef85845d2907874b2acb3efa38cca90eb3f7",
+    "W/1":
+        "63e37535d30fc01a58520c4252b01ced715f3036808ea7407860760332ebf33e",
+    "D_H/1":
+        "7ac807894aad822b47188538264cf6ab33553e9d36c0686a7151005d299436ea",
+    "A/2":
+        "697b4dc8592a9ed85ff07c506ac98b3a475da6b3121495979401252656ee6032",
+    "W/2":
+        "a6f0028cfa16904d40ad96e5f75baf4059856cb026dbb7a114498d5c699433c5",
+    "D_H/2":
+        "765b979b4d4c5266f038d88552282829fc3557d598385778beb77470738146c9",
+}
+
+
+def test_gf_realizations_match_recorded_digests():
+    assert {name: hashlib.sha256(r.matrix.tobytes()).hexdigest()
+            for name, r in _gf_realizations()} == GF_GOLDEN
+
+
+# Both fields agree with the structural verdict on all 20 seeds, so they
+# write the same ``verify.json``.
+NUMERIC_VERIFY_GOLDEN = "ac5383f77482863193a5ccbd3d730d7bd052fba9c8be4e197d690081c7b4e605"
+
+
+@pytest.mark.parametrize("field", [GF, REAL])
+def test_numeric_verify_matches_recorded_digest(field, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("graph.gml").write_text(emit_gml(GRAPHS["six-state"]()))
+    assert main(["design", "graph.gml", "--out", "design"]) == EXIT_OK
+    assert main(["verify", "graph.gml", "--plan", "design/plan.json",
+                 "--network", "design/network.json", "--numeric", "--field", field,
+                 "--out", "verify"]) == EXIT_OK
+    digest = hashlib.sha256(Path("verify/verify.json").read_bytes()).hexdigest()
+    assert digest == NUMERIC_VERIFY_GOLDEN
