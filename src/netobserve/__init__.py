@@ -15,14 +15,9 @@ from .classify import (
     place_agents,
     structural_counts_report,
 )
-from .graph_core import (
-    Digraph,
-    StructuredMatrix,
-    reachable,
-    structure_from_digraph,
-)
-from .matching import ContractionFamily, contractions, structural_rank
-from .netdesign import AgentNetwork, design_canonical, verify_topology, w_structure
+from .graph_core import Digraph, reachable
+from .matching import ContractionFamily, contractions
+from .netdesign import AgentNetwork, design_canonical, verify_topology
 from .scc import SccDecomposition, classify_sccs, tarjan_scc
 from .structural_check import ObservabilityVerdict, check_centralized, check_distributed
 
@@ -35,7 +30,6 @@ __all__ = [
     "ObservabilityVerdict",
     "ObservationPlan",
     "SccDecomposition",
-    "StructuredMatrix",
     "check_centralized",
     "check_distributed",
     "classify_sccs",
@@ -46,9 +40,6 @@ __all__ = [
     "place_agents",
     "reachable",
     "structural_counts_report",
-    "structure_from_digraph",
-    "structural_rank",
     "tarjan_scc",
     "verify_topology",
-    "w_structure",
 ]

@@ -29,7 +29,6 @@ from . import classify as classify_mod
 from . import estimator as estimator_mod
 from . import ingest
 from .datasets import REGISTRY, load_dataset
-from .graph_core import DimensionError, structure_from_digraph
 from .netdesign import (
     AgentNetwork,
     design_canonical,
@@ -37,7 +36,6 @@ from .netdesign import (
     network_to_dot,
     network_to_json,
     verify_topology,
-    w_structure,
 )
 from .numeric import (
     GF,
@@ -193,16 +191,14 @@ def cmd_verify(args) -> int:
         return EXIT_DESIGN
     verdict, structural, report = _checks(net, classify_mod.decompose(lg.digraph))
     if args.numeric:
-        a = structure_from_digraph(lg.digraph)
-        w = w_structure(net)
         d = fused_observation_structure(net, n)
         realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
         full = net.agent_count * n
         agree = 0
         for s in range(args.seeds):
             seed = args.seed + s
-            w_real = realize_w(w, seed)
-            a_real = random_realization(a, args.field, seed)
+            w_real = realize_w(net.fusion, seed)
+            a_real = random_realization(lg.digraph, args.field, seed)
             d_real = random_realization(d, args.field, seed + 1)
             rank = observability_rank(kron_numeric(w_real, a_real), d_real)
             agree += int((rank == full) == structural.observable)
@@ -251,8 +247,8 @@ def cmd_simulate(args) -> int:
     if not verify_topology(net, dec).ok:
         print("design does not verify; refusing to simulate", file=sys.stderr)
         return EXIT_DESIGN
-    a_real = random_realization(structure_from_digraph(lg.digraph), REAL, args.seed)
-    w_real = stochastic_realization(w_structure(net), args.seed)
+    a_real = random_realization(lg.digraph, REAL, args.seed)
+    w_real = stochastic_realization(net.fusion, args.seed)
     try:
         gains = estimator_mod.gain_search(w_real, a_real, net,
                                           budget=args.budget, seed=args.seed)
@@ -353,9 +349,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # looked up per call: the cached parser must not pin the command functions
         return globals()[f"cmd_{args.command}"](args)
-    except DimensionError as exc:  # a contradiction, not user input
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (ingest.ParseError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

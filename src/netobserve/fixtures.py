@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph_core import Digraph, StructuredMatrix, structure_from_digraph
+from .graph_core import Digraph
 
 
 def six_state_demo() -> Digraph:
@@ -29,10 +29,6 @@ def six_state_demo() -> Digraph:
         (5, 5),  # x6 self-loop
     }
     return Digraph(6, frozenset(edges))
-
-
-def six_state_structure() -> StructuredMatrix:
-    return structure_from_digraph(six_state_demo())
 
 
 def fan_contraction() -> Digraph:

@@ -1,12 +1,13 @@
-"""Directed-graph and structured-matrix primitives shared by all analysis modules.
+"""Directed-graph primitives shared by all analysis modules.
 
 Conventions used throughout the package:
 
-* A structured matrix records only the zero/nonzero pattern (the *support*)
-  of a real matrix; values live in :mod:`netobserve.numeric`.
-* A support entry ``(i, j)`` of a square structure (row ``i``, column ``j``
-  nonzero) produces the digraph edge ``j -> i``: information flows from
-  state ``j`` to state ``i``.
+* A structure records only the zero/nonzero pattern of a real square
+  matrix, and is held as a :class:`Digraph`; values live in
+  :mod:`netobserve.numeric`.
+* Entry ``(i, j)`` (row ``i``, column ``j`` nonzero) is the digraph edge
+  ``j -> i``: information flows from state ``j`` to state ``i``.  Row ``i``
+  of a structure is therefore :meth:`Digraph.predecessors` of ``i``.
 * Node ids are dense integers ``0..n-1``; external labels are kept in a
   side table by :mod:`netobserve.ingest`.
 
@@ -20,10 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
-
-
-class DimensionError(ValueError):
-    """Raised when matrix/graph dimensions are incompatible."""
 
 
 @dataclass(frozen=True)
@@ -62,45 +59,27 @@ class Digraph:
 
     @cached_property
     def _successors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for s, t in self.edges:
-            adj[s].append(t)
-        for targets in adj:
-            targets.sort()
-        return tuple(map(tuple, adj))
+        return _buckets(self.node_count, self.edges)
+
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """In-neighbour lists, each in increasing order: entry ``i`` lists
+        the ``j`` with an edge ``j -> i``, i.e. row ``i`` of the structure.
+        Built on first use and kept, like :meth:`successors`."""
+        return self._predecessors
+
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        return _buckets(self.node_count, ((t, s) for s, t in self.edges))
 
 
-@dataclass(frozen=True)
-class StructuredMatrix:
-    """Zero/nonzero pattern of a matrix: the social digraph in matrix form."""
-
-    rows: int
-    cols: int
-    support: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if not isinstance(self.support, frozenset):
-            object.__setattr__(self, "support", frozenset(self.support))
-        for i, j in self.support:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"support entry ({i}, {j}) out of bounds "
-                                 f"{self.rows}x{self.cols}")
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    @property
-    def nnz(self) -> int:
-        return len(self.support)
-
-
-def structure_from_digraph(g: Digraph) -> StructuredMatrix:
-    """Square structure of a digraph: edge ``j -> i`` gives entry ``(i, j)``."""
-    return StructuredMatrix(g.node_count, g.node_count,
-                            frozenset((t, s) for s, t in g.edges))
+def _buckets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Per key ``0..n-1``, the sorted values of the ``(key, value)`` pairs."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k, v in pairs:
+        adj[k].append(v)
+    for values in adj:
+        values.sort()
+    return tuple(map(tuple, adj))
 
 
 def reachable(successors: Sequence[Sequence[int]], sources: Iterable[int]) -> frozenset[int]:

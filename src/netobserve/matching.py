@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .graph_core import Digraph, StructuredMatrix
+from .graph_core import Digraph
 
 _INF = -1
 
@@ -114,16 +114,6 @@ def _augment(p: int, adjacency: Sequence[Sequence[int]], pair_plus: list[int],
             if not stack:
                 return
             p, untried, _ = stack.pop()
-
-
-def structural_rank(s: StructuredMatrix) -> int:
-    """Maximum matching size between rows and columns of an arbitrary structure."""
-    # Plus side = columns, minus side = rows, matching on the support.
-    n = max(s.rows, s.cols)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(s.support):
-        adj[j].append(i)
-    return len(hopcroft_karp(n, adj))
 
 
 def _alternating_family(g: Digraph, pair: dict[int, int]) -> ContractionFamily:

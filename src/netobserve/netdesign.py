@@ -3,9 +3,10 @@
 The agent network has two layers: over the alpha layer agents forward raw
 observations, over the beta layer they forward predictions.  An edge
 ``(u, v)`` in either layer means *u sends to v* (v receives).  The fused
-structure ``W`` therefore has support ``(v, u)`` — row = receiver — for
-every beta edge, plus the full diagonal (every agent keeps its own
-prediction), so ``W`` always has full structural rank.
+structure ``W`` (:attr:`AgentNetwork.fusion`) is therefore the beta layer
+itself, whose row ``v`` lists the senders to ``v``, plus a self-loop per
+agent (every agent keeps its own prediction), so ``W`` always has full
+structural rank.
 
 Conditions verified per agent ``i``:
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .classify import ALPHA, Decomposition, ObservationPlan, Placement, is_int
-from .graph_core import StructuredMatrix, reachable
+from .graph_core import Digraph, reachable
 
 
 MAX_AGENTS = 10_000  # above the 5,376 placements of a canonical design at 10x corpus size
@@ -125,15 +126,18 @@ class AgentNetwork:
         return AlphaSources(tuple(sorted(self.alpha_edges.broadcast)), tuple(map(tuple, into)))
 
     @cached_property
+    def fusion(self) -> Digraph:
+        """Prediction-fusion structure W: the beta edges plus a self-loop per
+        agent, so row ``i`` holds ``i`` and its beta in-neighbors."""
+        return Digraph(self.agent_count,
+                       self.beta_edges.union((i, i) for i in range(self.agent_count)))
+
+    @cached_property
     def beta_connected(self) -> bool:
         """Whether every agent has a beta path to every other agent, i.e.
         the fusion structure W is irreducible."""
-        out: list[list[int]] = [[] for _ in range(self.agent_count)]
-        into: list[list[int]] = [[] for _ in range(self.agent_count)]
-        for u, v in self.beta_edges:
-            out[u].append(v)
-            into[v].append(u)
-        return all(len(reachable(adj, [0])) == self.agent_count for adj in (out, into))
+        return all(len(reachable(adj, [0])) == self.agent_count
+                   for adj in (self.fusion.successors(), self.fusion.predecessors()))
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,7 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
         (j, found) for j in dec.matched_parents
         if broadcast.isdisjoint(found := _observer_union(observers, dec.sccs.components[j]))
         and not (found and net.beta_connected)]
-    beta_into: list[list[int]] = [[] for _ in range(net.agent_count)]
-    for u, v in net.beta_edges:
-        beta_into[v].append(u)
-    senders = [reachable(beta_into, found) for _, found in open_sccs]
+    senders = [reachable(net.fusion.predecessors(), found) for _, found in open_sccs]
 
     violations: list[tuple[int, str]] = []
     for i, extra in enumerate(sources.extra):
@@ -226,20 +227,13 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     return TopologyVerdict(ok=not violations, violations=tuple(violations))
 
 
-def w_structure(net: AgentNetwork) -> StructuredMatrix:
-    """Prediction-fusion structure: row i holds {i} and its beta in-neighbors."""
-    support = {(i, i) for i in range(net.agent_count)}
-    support.update((v, u) for u, v in net.beta_edges)
-    return StructuredMatrix(net.agent_count, net.agent_count, frozenset(support))
-
-
 def network_to_json(net: AgentNetwork) -> dict:
     return {
         "agents": net.agent_count,
         "alpha_broadcast": sorted(net.alpha_edges.broadcast),
         "alpha_edges": sorted(map(list, net.alpha_edges.explicit)),
         "beta_edges": sorted(map(list, net.beta_edges)),
-        "w_support": sorted(map(list, w_structure(net).support)),
+        "w_support": [[i, j] for i, row in enumerate(net.fusion.predecessors()) for j in row],
         "observations": [
             [{"state": p.state, "kind": p.kind} for p in obs]
             for obs in net.observations

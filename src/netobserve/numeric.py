@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import StructuredMatrix
+from .graph_core import Digraph
 
 PRIME = 2**31 - 1
 
@@ -32,67 +32,61 @@ MAX_TRACE_ENTRIES = 1_000_000
 
 @dataclass(frozen=True)
 class Realization:
-    """Dense value assignment agreeing with a structure's support."""
+    """Dense value assignment agreeing with a structure's nonzero pattern."""
 
     matrix: np.ndarray
     field: str
     seed: int
 
 
-def _support_mask(s: StructuredMatrix) -> np.ndarray:
-    mask = np.zeros((s.rows, s.cols), dtype=bool)
-    for i, j in s.support:
-        mask[i, j] = True
-    return mask
-
-
-def random_realization(s: StructuredMatrix, field: str = GF, seed: int = 0) -> Realization:
-    """Uniform nonzero entries on the support, deterministic under seed."""
+def random_realization(g: Digraph, field: str = GF, seed: int = 0) -> Realization:
+    """Uniform nonzero entries on the structure of ``g``, drawn row by row
+    in increasing column order, deterministic under seed."""
     rng = np.random.default_rng(seed)
+    n = g.node_count
     if field == GF:
-        mat = np.zeros((s.rows, s.cols), dtype=np.int64)
-        for i, j in sorted(s.support):
-            mat[i, j] = rng.integers(1, PRIME)
+        mat = np.zeros((n, n), dtype=np.int64)
+        for i, row in enumerate(g.predecessors()):
+            for j in row:
+                mat[i, j] = rng.integers(1, PRIME)
     elif field == REAL:
-        mat = np.zeros((s.rows, s.cols), dtype=float)
-        for i, j in sorted(s.support):
-            mat[i, j] = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
+        mat = np.zeros((n, n), dtype=float)
+        for i, row in enumerate(g.predecessors()):
+            for j in row:
+                mat[i, j] = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
     else:
         raise ValueError(f"unknown field {field!r}")
     return Realization(mat, field, seed)
 
 
-def stochastic_realization(w: StructuredMatrix, seed: int = 0) -> Realization:
+def stochastic_realization(w: Digraph, seed: int = 0) -> Realization:
     """Real row-stochastic realization of a fusion structure.
 
-    Rows are nonnegative and sum to one; requires every row to have
-    support (the designed structure always carries the diagonal).
+    Rows are nonnegative and sum to one; requires every row to be nonempty
+    (the designed structure always carries the diagonal).
     """
     rng = np.random.default_rng(seed)
-    mat = np.zeros((w.rows, w.cols), dtype=float)
-    mask = _support_mask(w)
-    for i in range(w.rows):
-        cols = np.flatnonzero(mask[i])
-        if cols.size == 0:
+    mat = np.zeros((w.node_count, w.node_count), dtype=float)
+    for i, cols in enumerate(w.predecessors()):
+        if not cols:
             raise ValueError(f"row {i} has empty support; cannot be stochastic")
-        weights = rng.uniform(0.1, 1.0, size=cols.size)
-        mat[i, cols] = weights / weights.sum()
+        weights = rng.uniform(0.1, 1.0, size=len(cols))
+        mat[i, list(cols)] = weights / weights.sum()
     return Realization(mat, REAL, seed)
 
 
-def stochastic_realization_gf(w: StructuredMatrix, seed: int = 0) -> Realization:
+def stochastic_realization_gf(w: Digraph, seed: int = 0) -> Realization:
     """GF(p) analogue: row sums congruent to 1 mod p.
 
     The stochastic constraint is affine, so genericity carries over; the
     diagonal absorbs the row-sum correction and is redrawn if it cancels.
     """
     rng = np.random.default_rng(seed)
-    mat = np.zeros((w.rows, w.cols), dtype=np.int64)
-    mask = _support_mask(w)
-    for i in range(w.rows):
-        if not mask[i, i]:
+    mat = np.zeros((w.node_count, w.node_count), dtype=np.int64)
+    for i, row in enumerate(w.predecessors()):
+        if i not in row:
             raise ValueError(f"row {i} lacks a diagonal entry")
-        cols = [j for j in np.flatnonzero(mask[i]) if j != i]
+        cols = [j for j in row if j != i]
         while True:
             for j in cols:
                 mat[i, j] = rng.integers(1, PRIME)

@@ -8,10 +8,11 @@ A pair is structurally observable iff
   size of its maximum matching rather than by enumerating cycle/path
   covers (the two are equivalent and matching is polynomial).
 
-Both questions are answered from the row adjacency of the pair: row ``i``
+Both questions are answered from :meth:`Digraph.predecessors`: row ``i``
 of A lists the states that drive state ``i``, so read as successor lists
 the rows are the reversed state digraph, and the accessible states are
-those reachable from the columns the observation rows touch.
+those reachable from the observed states.  H is one unit row per observed
+state, as in the paper, so it is given as those states.
 
 The distributed test asks the same of the pair ``(W (x) A, D_H)``: the
 Kronecker support of the fusion structure with the system structure,
@@ -55,14 +56,14 @@ agent x broadcaster:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classify import Decomposition
-from .graph_core import DimensionError, StructuredMatrix, reachable
+from .graph_core import Digraph, reachable
 from .matching import hopcroft_karp
-from .netdesign import AgentNetwork, w_structure
+from .netdesign import AgentNetwork
 from .scc import SccDecomposition
 
 
@@ -87,23 +88,14 @@ class ObservabilityVerdict:
         }
 
 
-def _rows(s: StructuredMatrix) -> list[list[int]]:
-    """Column lists of every row of a structure, sorted."""
-    rows: list[list[int]] = [[] for _ in range(s.rows)]
-    for i, j in sorted(s.support):
-        rows[i].append(j)
-    return rows
-
-
-def _verdict(rows: Sequence[Sequence[int]],
-             observations: Sequence[Sequence[int]]) -> ObservabilityVerdict:
+def _verdict(rows: Sequence[Sequence[int]], observed: Iterable[int]) -> ObservabilityVerdict:
     """Accessibility and structural rank of [A; H] from the row lists of a
-    square A and of H."""
+    square A and the observed states, one unit row of H each."""
     n = len(rows)
-    observations = [r for r in observations if r]
-    accessible = reachable(rows, {j for r in observations for j in r})
+    observed = list(observed)
+    accessible = reachable(rows, observed)
     inaccessible = tuple(v for v in range(n) if v not in accessible)
-    rank = len(hopcroft_karp(n + len(observations), [*rows, *observations]))
+    rank = len(hopcroft_karp(n + len(observed), [*rows, *([s] for s in observed)]))
     return ObservabilityVerdict(
         accessible=not inaccessible,
         inaccessible_states=inaccessible,
@@ -112,15 +104,12 @@ def _verdict(rows: Sequence[Sequence[int]],
     )
 
 
-def check_centralized(a: StructuredMatrix, h: StructuredMatrix) -> ObservabilityVerdict:
-    """Two-part structural test on the pair (A, H): every state must reach
-    an observed state, and the stacked support must have full structural
-    rank."""
-    if not a.is_square:
-        raise DimensionError(f"system structure must be square, got {a.rows}x{a.cols}")
-    if h.cols != a.cols:
-        raise DimensionError(f"observation columns {h.cols} != state count {a.cols}")
-    return _verdict(_rows(a), _rows(h))
+def check_centralized(g: Digraph, observed: Iterable[int]) -> ObservabilityVerdict:
+    """Two-part structural test on the pair (A, H), A the structure of
+    ``g`` and H a unit row per ``observed`` state: every state must reach an
+    observed state, and [A; H] must have full structural rank.  An observed
+    state outside ``g`` raises ``ValueError``."""
+    return _verdict(g.predecessors(), observed)
 
 
 def _observed_states(net: AgentNetwork) -> tuple[frozenset[int], dict[frozenset[int], list[int]]]:
@@ -139,11 +128,11 @@ def _observed_states(net: AgentNetwork) -> tuple[frozenset[int], dict[frozenset[
     return base, groups
 
 
-def fused_observation_structure(net: AgentNetwork, n: int) -> StructuredMatrix:
+def fused_observation_structure(net: AgentNetwork, n: int) -> Digraph:
     """Block-diagonal D_H: block ``i`` is the union of H_j^T H_j over agent
-    ``i``'s alpha sources."""
+    ``i``'s alpha sources, a self-loop per fused state it observes."""
     base, groups = _observed_states(net)
-    return StructuredMatrix(net.agent_count * n, net.agent_count * n, frozenset(
+    return Digraph(net.agent_count * n, frozenset(
         (i * n + s, i * n + s)
         for extra, agents in groups.items() for i in agents for s in base | extra))
 
@@ -217,10 +206,7 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     comp = sccs.component_of
     succ = dec.digraph.successors()
     cyclic = [len(c) > 1 or any(v in succ[v] for v in c) for c in sccs.components]
-    into: list[list[int]] = [[] for _ in sccs.components]
-    for c, upstream in enumerate(sccs.condensation.successors()):
-        for d in upstream:
-            into[d].append(c)
+    into = sccs.condensation.predecessors()
     closed = [False] * len(sccs.components)
     for c in _longest_walks(sccs, cyclic, into, {comp[t] for t in base}, closed, agents):
         closed[c] = True
@@ -294,7 +280,7 @@ def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVer
     Pair it with the topology conditions (``verify_topology``) and the
     numeric rank suite for a sufficient certificate.
     """
-    w_rows = _rows(w_structure(net))
+    w_rows = net.fusion.predecessors()
     base, groups = _observed_states(net)
     inaccessible = _inaccessible(dec, w_rows, base, groups, net.beta_connected)
     deficiency = _surplus_deficiency(dec, w_rows, base, groups)

@@ -22,20 +22,18 @@ from netobserve.estimator import (
     UnobservableSystemError,
     _observation_rows,
 )
-from netobserve.graph_core import Digraph, StructuredMatrix, reachable
+from netobserve.graph_core import Digraph, reachable
 from netobserve.ingest import LabeledGraph
 from netobserve.netdesign import (
     AgentNetwork,
     AlphaEdges,
     TopologyVerdict,
     _observer_union,
-    w_structure,
 )
 from netobserve.numeric import REAL, Realization, kron_numeric, observability_rank
 from netobserve.scc import SccDecomposition, SccLabel
 from netobserve.structural_check import (
     ObservabilityVerdict,
-    _rows,
     _verdict,
     fused_observation_structure,
 )
@@ -58,41 +56,37 @@ def brute_max_matching_size(n_plus: int, adjacency: dict[int, frozenset[int]]) -
     return max(best.values())
 
 
-def brute_structural_rank(s: StructuredMatrix) -> int:
-    adjacency: dict[int, set[int]] = {}
-    for i, j in s.support:
+def brute_structural_rank(g: Digraph, observed: Iterable[int] = ()) -> int:
+    """Structural rank of [A; H]: A the structure of ``g`` (edge ``j -> i``
+    is entry ``(i, j)``), H a unit row per ``observed`` state."""
+    adjacency: dict[int, set[int]] = {}  # column -> its rows
+    for j, i in g.edges:
         adjacency.setdefault(j, set()).add(i)
+    for k, s in enumerate(observed):
+        adjacency.setdefault(s, set()).add(g.node_count + k)
     adj = {u: frozenset(vs) for u, vs in adjacency.items()}
-    return brute_max_matching_size(s.cols, adj)
+    return brute_max_matching_size(g.node_count, adj)
 
 
-def kron_structure(w: StructuredMatrix, a: StructuredMatrix) -> StructuredMatrix:
-    """Materialised support of the Kronecker product: block (i, j) is a copy
-    of A's support wherever (i, j) lies in W's support."""
-    support = frozenset(
-        (iw * a.rows + ia, jw * a.cols + ja)
-        for iw, jw in w.support
-        for ia, ja in a.support
-    )
-    return StructuredMatrix(w.rows * a.rows, w.cols * a.cols, support)
+def kron_structure(w: Digraph, a: Digraph) -> Digraph:
+    """Materialised Kronecker product W (x) A: block (i, j) is a copy of A
+    wherever W has entry (i, j), i.e. edge ``(jw, ja) -> (iw, ia)`` for
+    every edge ``jw -> iw`` of W and ``ja -> ia`` of A."""
+    n = a.node_count
+    return Digraph(w.node_count * n, frozenset(
+        (jw * n + ja, iw * n + ia) for jw, iw in w.edges for ja, ia in a.edges))
 
 
-def row_list_distributed(net: AgentNetwork, a: StructuredMatrix) -> ObservabilityVerdict:
+def row_list_distributed(net: AgentNetwork, a: Digraph) -> ObservabilityVerdict:
     """The fused pair (W kron A, D_H) checked from its listed rows: row
     ``iw * n + ia`` holds ``jw * n + ja`` for every ``jw`` in row ``iw`` of W
     and every ``ja`` in row ``ia`` of A.  Lists all nnz(W) * nnz(A) entries,
     so it serves as the mid-scale reference for ``check_distributed``."""
-    n = a.rows
-    a_rows = _rows(a)
+    n = a.node_count
     fused = [[jw * n + ja for jw in w_row for ja in a_row]
-             for w_row in _rows(w_structure(net)) for a_row in a_rows]
-    return _verdict(fused, _rows(fused_observation_structure(net, n)))
-
-
-def plan_observation_structure(states: tuple[int, ...], n: int) -> StructuredMatrix:
-    """Stacked single-state observation rows (one row per observed state)."""
-    return StructuredMatrix(len(states), n,
-                            frozenset((k, s) for k, s in enumerate(states)))
+             for w_row in net.fusion.predecessors() for a_row in a.predecessors()]
+    observed = sorted(s for s, _ in fused_observation_structure(net, n).edges)
+    return _verdict(fused, observed)
 
 
 def emit_gml(lg: LabeledGraph) -> str:
@@ -149,35 +143,25 @@ def brute_accessible(g: Digraph, outputs: frozenset[int]) -> bool:
     return all(any(r[u, y] for y in outputs) for u in range(g.node_count))
 
 
-def minimal_deficient_sets(s: StructuredMatrix) -> list[frozenset[int]]:
-    """Minimal column sets S with |N(S)| < |S| (Hall violators).
+def minimal_deficient_sets(g: Digraph) -> list[frozenset[int]]:
+    """Minimal column sets S of the structure of ``g`` with |N(S)| < |S|
+    (Hall violators); column ``j``'s rows are the targets of ``j``'s edges.
 
     Exponential; keep inputs small.
     """
-    neighbors = {j: set() for j in range(s.cols)}
-    for i, j in s.support:
+    n = g.node_count
+    neighbors = {j: set() for j in range(n)}
+    for j, i in g.edges:
         neighbors[j].add(i)
     found: list[frozenset[int]] = []
-    for size in range(1, s.cols + 1):
-        for cols in combinations(range(s.cols), size):
+    for size in range(1, n + 1):
+        for cols in combinations(range(n), size):
             if any(v <= set(cols) for v in found):
                 continue
             hood = set().union(*(neighbors[j] for j in cols))
             if len(hood) < len(cols):
                 found.append(frozenset(cols))
     return found
-
-
-def unmatched_witnesses(s: StructuredMatrix) -> frozenset[int]:
-    """Columns that are unmatched in at least one maximum matching."""
-    full = brute_structural_rank(s)
-    out = set()
-    for j in range(s.cols):
-        reduced = StructuredMatrix(
-            s.rows, s.cols, frozenset(e for e in s.support if e[1] != j))
-        if brute_structural_rank(reduced) == full:
-            out.add(j)
-    return frozenset(out)
 
 
 def random_digraph(rng: np.random.Generator, n: int, p: float) -> Digraph:

@@ -20,15 +20,12 @@ from netobserve.classify import (
 from netobserve.datasets import REGISTRY, data_directory, load_dataset, locate
 from netobserve.estimator import GainSchedule, gain_search, simulate
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import structure_from_digraph
 from netobserve.matching import _alternating_family, contractions, hopcroft_karp
-from netobserve.netdesign import (
-    design_canonical,
-    verify_topology,
-    w_structure,
-)
+from netobserve.netdesign import design_canonical, verify_topology
 from netobserve.numeric import (
     GF,
+    REAL,
+    Realization,
     kron_numeric,
     observability_rank,
     random_realization,
@@ -48,7 +45,6 @@ from .oracles import (
     brute_max_matching_size,
     brute_sccs,
     minimal_deficient_sets,
-    plan_observation_structure,
     random_digraph,
     with_alpha_edges,
 )
@@ -136,7 +132,7 @@ def test_criterion_3_oracle_equivalence():
         m = hopcroft_karp(g.node_count, g.successors())
         brute = _brute_size(g)
         fam = contractions(g)
-        violators = set(minimal_deficient_sets(structure_from_digraph(g)))
+        violators = set(minimal_deficient_sets(g))
         union_violators = frozenset().union(*violators) if violators else frozenset()
         good = (len(m) == brute
                 and len(fam.sets) == g.node_count - len(m)
@@ -193,13 +189,10 @@ def test_criterion_5_necessity_ablations():
         n = int(rng.integers(4, 11))
         g = random_digraph(rng, n, 1.8 / n)
         plan = place_agents(decompose(g))
-        a = structure_from_digraph(g)
-        assert check_centralized(
-            a, plan_observation_structure(plan.states, n)).observable
+        assert check_centralized(g, plan.states).observable
         for k, p in enumerate(plan.placements):
             kept = tuple(q.state for j, q in enumerate(plan.placements) if j != k)
-            verdict = check_centralized(
-                a, plan_observation_structure(kept, n))
+            verdict = check_centralized(g, kept)
             total += 1
             if verdict.observable:
                 non_flipping += 1
@@ -220,14 +213,12 @@ def test_criterion_6_structural_numeric_agreement():
     for _ in range(10):
         n = int(rng.integers(3, 9))
         g = random_digraph(rng, n, 1.8 / n)
-        a_s = structure_from_digraph(g)
         k = int(rng.integers(1, min(4, n) + 1))
-        states = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
-        h_s = plan_observation_structure(states, n)
-        verdict = check_centralized(a_s, h_s).observable
+        states = [int(v) for v in rng.choice(n, size=k, replace=False)]
+        verdict = check_centralized(g, states).observable
+        h = Realization(np.eye(n, dtype=np.int64)[states], GF, 0)  # one unit row per state
         for seed in range(20):
-            a = random_realization(a_s, GF, seed=seed)
-            h = random_realization(h_s, GF, seed=seed + 1)
+            a = random_realization(g, GF, seed=seed)
             pairs += 1
             agreeing += int((observability_rank(a, h) == n) == verdict)
 
@@ -242,14 +233,13 @@ def test_criterion_6_structural_numeric_agreement():
             continue
         fused += 1
         net = design_canonical(plan)
-        a_s = structure_from_digraph(g)
         verdict = (check_distributed(net, dec).observable
                    and verify_topology(net, dec).ok)
         d_s = fused_observation_structure(net, n)
         full = net.agent_count * n
         for seed in range(20):
-            w = stochastic_realization_gf(w_structure(net), seed=seed)
-            a = random_realization(a_s, GF, seed=seed)
+            w = stochastic_realization_gf(net.fusion, seed=seed)
+            a = random_realization(g, GF, seed=seed)
             d = random_realization(d_s, GF, seed=seed + 1)
             rank = observability_rank(kron_numeric(w, a), d)
             pairs += 1
@@ -268,7 +258,6 @@ def test_criterion_7_distributed_ablation():
     dec = decompose(g)
     plan = place_agents(dec)
     net = design_canonical(plan)
-    a_s = structure_from_digraph(g)
     n, full = 6, net.agent_count * 6
 
     # the load-bearing agent observes the contraction nobody else touches
@@ -283,9 +272,9 @@ def test_criterion_7_distributed_ablation():
     d_crip = fused_observation_structure(crippled, n)
     full_ok = drop_ok = 0
     for seed in range(20):
-        a = random_realization(a_s, GF, seed=seed)
-        w1 = stochastic_realization_gf(w_structure(net), seed=seed)
-        w2 = stochastic_realization_gf(w_structure(crippled), seed=seed)
+        a = random_realization(g, GF, seed=seed)
+        w1 = stochastic_realization_gf(net.fusion, seed=seed)
+        w2 = stochastic_realization_gf(crippled.fusion, seed=seed)
         d1 = random_realization(d_full, GF, seed=seed + 1)
         d2 = random_realization(d_crip, GF, seed=seed + 1)
         full_ok += int(observability_rank(kron_numeric(w1, a), d1) == full)
@@ -304,14 +293,12 @@ def test_criterion_8_estimator_properties():
     plan = place_agents(decompose(g))
     net = design_canonical(plan)
     rng = np.random.default_rng(4)
-    s = structure_from_digraph(g)
     base = np.zeros((6, 6))
-    for i, j in s.support:
+    for j, i in sorted(g.edges):
         base[i, j] = rng.uniform(0.4, 1.0)
 
-    from netobserve.numeric import REAL, Realization
     a = Realization(base * (0.95 / max(abs(np.linalg.eigvals(base)))), REAL, 0)
-    w = stochastic_realization(w_structure(net), seed=0)
+    w = stochastic_realization(net.fusion, seed=0)
     sched = gain_search(w, a, net, budget=10_000, seed=1)
     decay_ok = False
     observed_rate = float("nan")
@@ -327,7 +314,7 @@ def test_criterion_8_estimator_properties():
     a_unstable = Realization(
         base * (1.1 / max(abs(np.linalg.eigvals(base)))), REAL, 0)
     crippled = with_alpha_edges(net, {e for e in alpha_edge_set(net) if e[0] != 0})
-    w_crippled = stochastic_realization(w_structure(crippled), seed=0)
+    w_crippled = stochastic_realization(crippled.fusion, seed=0)
     zero = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)), 1.1, False, 0)
     trace = simulate(w_crippled, a_unstable, crippled, zero, horizon=200,
                      process_noise=0.05, observation_noise=0.05, seed=3)

@@ -17,14 +17,13 @@ from netobserve.classify import (
     structural_counts_report,
 )
 from netobserve.cli import EXIT_OK, main
-from netobserve.graph_core import Digraph, StructuredMatrix, structure_from_digraph
-from netobserve.matching import structural_rank
+from netobserve.graph_core import Digraph
 from netobserve.structural_check import check_centralized
 
 from .oracles import (
     brute_accessible,
+    brute_structural_rank,
     frozen_overlap_matching,
-    plan_observation_structure,
     random_digraph,
 )
 
@@ -118,9 +117,7 @@ class TestPlaceAgents:
         for _ in range(80):
             g = random_digraph(rng, 9, 0.2)
             plan = place_agents(decompose(g))
-            h = plan_observation_structure(plan.states, g.node_count)
-            verdict = check_centralized(structure_from_digraph(g), h)
-            assert verdict.observable
+            assert check_centralized(g, plan.states).observable
 
     def test_plan_restores_accessibility(self):
         rng = np.random.default_rng(13)
@@ -143,13 +140,12 @@ class TestPlaceAgents:
         plan = place_agents(dec)
         assert [(p.state, p.kind) for p in plan.placements] == [
             (4, ALPHA), (2, ALPHA), (3, ALPHA), (5, BETA)]
-        a = structure_from_digraph(g)
-        assert check_centralized(a, plan_observation_structure(plan.states, 6)).observable
-        pinned = check_centralized(a, plan_observation_structure((3, 4, 5), 6))
+        assert check_centralized(g, plan.states).observable
+        pinned = check_centralized(g, (3, 4, 5))
         assert pinned.accessible and pinned.deficiency == 1
         # min_total is a lower bound the plan exceeds, and 4 is optimal here
         assert necessary_counts(dec)["min_total"] == 3
-        assert not any(check_centralized(a, plan_observation_structure(h, 6)).observable
+        assert not any(check_centralized(g, h).observable
                        for h in combinations(range(6), 3))
 
     def test_repairs_cover_each_unobserved_parent_once(self):
@@ -203,12 +199,9 @@ class TestEquivalence:
         # swapping the observed state within a class keeps the S-rank bonus:
         # observing any one member of a contraction raises structural rank.
         g = six_state_dec.digraph
-        a = structure_from_digraph(g)
         for members in six_state_dec.family.sets:
             for state in members.members:
-                n = g.node_count
-                stacked = StructuredMatrix(n + 1, n, a.support | {(n, state)})
-                assert structural_rank(stacked) == six_state_dec.s_rank + 1
+                assert brute_structural_rank(g, [state]) == six_state_dec.s_rank + 1
 
 
 class TestCountsReport:

@@ -10,7 +10,7 @@ from netobserve import cli
 from netobserve.classify import PlanError
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import Digraph, DimensionError
+from netobserve.graph_core import Digraph
 from netobserve.ingest import LabeledGraph
 from netobserve.matching import contractions
 from netobserve.netdesign import MAX_AGENTS
@@ -141,7 +141,7 @@ class TestClassifyAndDesign:
         assert verdict["topology_ok"] is True
         assert "distributed_observable=True" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("error", [DimensionError, PlanError])
+    @pytest.mark.parametrize("error", [PlanError])
     def test_internal_contradiction_is_internal_error(self, fixture_gml, tmp_path, capsys,
                                                      monkeypatch, error):
         def contradict(net, dec):

@@ -9,8 +9,8 @@ from netobserve.estimator import (
     simulate,
 )
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import Digraph, structure_from_digraph
-from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical, w_structure
+from netobserve.graph_core import Digraph
+from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical
 from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
 
 from .oracles import (
@@ -23,9 +23,8 @@ from .oracles import (
 
 def scaled_system(six_state, rho_target, seed=0):
     rng = np.random.default_rng(seed)
-    s = structure_from_digraph(six_state)
     a = np.zeros((6, 6))
-    for i, j in s.support:
+    for j, i in sorted(six_state.edges):
         a[i, j] = rng.uniform(0.4, 1.0)
     a *= rho_target / max(abs(np.linalg.eigvals(a)))
     return Realization(a, REAL, seed)
@@ -94,7 +93,7 @@ class TestPredictStep:
 
     def test_stacked_form_matches_kron(self, six_state, six_state_net):
         a = scaled_system(six_state, 0.9)
-        w = stochastic_realization(w_structure(six_state_net), seed=1)
+        w = stochastic_realization(six_state_net.fusion, seed=1)
         trace = noiseless(w, a, six_state_net, zero_gains(3, 6))
         kron = np.kron(w.matrix, a.matrix)
         e = np.tile(initial_error(6, 5), 3)
@@ -108,7 +107,7 @@ class TestUpdateStep:
     def test_zero_gain_no_change(self, six_state, six_state_net):
         # a zero gain ignores the innovation, so observation noise is inert
         a = scaled_system(six_state, 0.9)
-        w = stochastic_realization(w_structure(six_state_net), seed=1)
+        w = stochastic_realization(six_state_net.fusion, seed=1)
         runs = [simulate(w, a, six_state_net, zero_gains(3, 6), horizon=50,
                          process_noise=0.1, observation_noise=noise, seed=3)
                 for noise in (0.0, 1.0)]
@@ -132,7 +131,7 @@ class TestErrorMatrix:
         # F = W kron A under zero gains: the noiseless squared error
         # contracts per step at rho(W kron A)^2
         a = scaled_system(six_state, 0.8)
-        w = stochastic_realization(w_structure(six_state_net), seed=5)
+        w = stochastic_realization(six_state_net.fusion, seed=5)
         rho_kron = max(abs(np.linalg.eigvals(np.kron(w.matrix, a.matrix))))
         m = noiseless(w, a, six_state_net, zero_gains(3, 6), horizon=80).mse.mean(axis=1)
         window = 10
@@ -159,7 +158,7 @@ class TestErrorMatrix:
 
 def six_state_case(six_state, six_state_net, blocks):
     a = scaled_system(six_state, 0.9)
-    w = stochastic_realization(w_structure(six_state_net), seed=1)
+    w = stochastic_realization(six_state_net.fusion, seed=1)
     return w, a, six_state_net, GainSchedule(blocks, 1.0, False, 0)
 
 
@@ -210,7 +209,7 @@ class TestGainSearch:
 
     def test_six_state_canonical_design_succeeds(self, six_state, six_state_net):
         a = scaled_system(six_state, 1.1)  # unstable plant
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=10_000, seed=1)
         assert sched.found
         assert sched.spectral_radius < 1.0
@@ -221,7 +220,7 @@ class TestGainSearch:
         # unstable: the search must refuse, not silently fail
         crippled = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(0, 1)})
         a = scaled_system(six_state, 1.1)
-        w = stochastic_realization(w_structure(crippled), seed=0)
+        w = stochastic_realization(crippled.fusion, seed=0)
         with pytest.raises(UnobservableSystemError) as exc_info:
             gain_search(w, a, crippled, budget=500, seed=0)
         assert exc_info.value.rank < exc_info.value.full
@@ -231,9 +230,9 @@ class TestGainSearch:
     def test_fast_growing_powers_not_refused(self, six_state, six_state_net):
         # rho(A) near 10 makes the unscaled blocks D_H M^k span many orders
         # of magnitude; the design is observable, so the rank test must pass
-        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        base = random_realization(six_state, REAL, seed=0)
         a = Realization(base.matrix * 10, REAL, 0)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=20, seed=0)
         assert sched.evaluations == 20
 
@@ -259,16 +258,16 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("rho", [0.95, 1.1])
     def test_six_state_fixture(self, six_state, six_state_net, rho):
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         self.assert_matches_dense(w, scaled_system(six_state, rho), six_state_net,
                                   budget=10_000, seed=1)
 
     def test_fast_growing_with_perturbation_fallback(self, six_state, six_state_net):
         # rho(A) near 10: no iterate is contractive, so the 99 evaluations
         # after the 201 covariance steps are random perturbations
-        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        base = random_realization(six_state, REAL, seed=0)
         a = Realization(base.matrix * 10, REAL, 0)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = self.assert_matches_dense(w, a, six_state_net, budget=300, seed=0)
         assert not sched.found
 
@@ -279,15 +278,15 @@ class TestDenseReference:
         for n, arcs in small_graphs(np.random.default_rng(5), 6):
             g = Digraph(n, frozenset(arcs))
             net = design_canonical(place_agents(decompose(g)))
-            w = stochastic_realization(w_structure(net), seed=0)
-            a = random_realization(structure_from_digraph(g), REAL, seed=0)
+            w = stochastic_realization(net.fusion, seed=0)
+            a = random_realization(g, REAL, seed=0)
             self.assert_matches_dense(w, a, net, budget=10_000, seed=0)
 
 
 class TestSimulate:
     def test_noiseless_decay_rate_matches_rho_squared(self, six_state, six_state_net):
         a = scaled_system(six_state, 0.95)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=10_000, seed=1)
         assert sched.found
         trace = simulate(w, a, six_state_net, sched, horizon=80,
@@ -300,7 +299,7 @@ class TestSimulate:
 
     def test_noisy_mse_bounded(self, six_state, six_state_net):
         a = scaled_system(six_state, 0.95)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=10_000, seed=1)
         trace = simulate(w, a, six_state_net, sched, horizon=600,
                          process_noise=0.05, observation_noise=0.05, seed=3)
@@ -309,7 +308,7 @@ class TestSimulate:
 
     def test_divergence_with_sabotaged_gain(self, six_state, six_state_net):
         a = scaled_system(six_state, 1.1)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         zero = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)),
                             1.1, False, 0)  # rho(F) = rho(W kron A) >= 1.1
         trace = simulate(w, a, six_state_net, zero, horizon=200,
@@ -320,7 +319,7 @@ class TestSimulate:
         # rho(A) = 1.1: the estimate and the truth both diverge, yet their
         # difference contracts at rho(F) < 1
         a = scaled_system(six_state, 1.1)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=10_000, seed=1)
         assert sched.found
         trace = simulate(w, a, six_state_net, sched, horizon=1000,
@@ -339,8 +338,8 @@ class TestSimulate:
 
     def test_requires_real_field(self, six_state, six_state_net):
         from netobserve.numeric import GF
-        a = random_realization(structure_from_digraph(six_state), GF, seed=0)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        a = random_realization(six_state, GF, seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)), 1.0, False, 0)
         with pytest.raises(ValueError):
             simulate(w, a, six_state_net, sched)

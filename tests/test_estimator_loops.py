@@ -19,8 +19,8 @@ from netobserve.estimator import (
     gain_search,
     simulate,
 )
-from netobserve.graph_core import Digraph, structure_from_digraph
-from netobserve.netdesign import design_canonical, w_structure
+from netobserve.graph_core import Digraph
+from netobserve.netdesign import design_canonical
 from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
 
 from .oracles import frozen_gain_search, frozen_simulate
@@ -54,8 +54,8 @@ def small_cases(seed: int):
     for n, arcs in estimator_small(np.random.default_rng(seed)):
         g = Digraph(n, frozenset(arcs))
         net = design_canonical(place_agents(decompose(g)))
-        cases.append((stochastic_realization(w_structure(net), seed=0),
-                      random_realization(structure_from_digraph(g), REAL, seed=0), net))
+        cases.append((stochastic_realization(net.fusion, seed=0),
+                      random_realization(g, REAL, seed=0), net))
     return cases
 
 
@@ -70,7 +70,7 @@ def test_benchmark_graphs(seed):
 
 @pytest.mark.parametrize("rho", [0.95, 1.1])
 def test_six_state_fixture(six_state, six_state_net, rho):
-    w = stochastic_realization(w_structure(six_state_net), seed=0)
+    w = stochastic_realization(six_state_net.fusion, seed=0)
     assert_matches_frozen(w, scaled_system(six_state, rho), six_state_net,
                           budget=10_000, seed=1)
 
@@ -79,8 +79,8 @@ def scaled_plant(six_state, six_state_net, scale=10):
     """The fixture's plant times ``scale``.  At 10, rho(A) is near 10: no
     covariance iterate is contractive, so a budget past 201 evaluations is
     spent in the perturbation fallback."""
-    base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
-    w = stochastic_realization(w_structure(six_state_net), seed=0)
+    base = random_realization(six_state, REAL, seed=0)
+    w = stochastic_realization(six_state_net.fusion, seed=0)
     return w, Realization(base.matrix * scale, REAL, 0), six_state_net
 
 

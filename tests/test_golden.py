@@ -28,9 +28,8 @@ import pytest
 from netobserve.classify import decompose, place_agents
 from netobserve.cli import EXIT_OK, main
 from netobserve.fixtures import six_state_demo
-from netobserve.graph_core import structure_from_digraph
 from netobserve.ingest import LabeledGraph
-from netobserve.netdesign import design_canonical, w_structure
+from netobserve.netdesign import design_canonical
 from netobserve.numeric import GF, REAL, random_realization, stochastic_realization_gf
 from netobserve.structural_check import fused_observation_structure
 
@@ -129,12 +128,10 @@ def _gf_realizations():
     six-state fixture's canonical design: A, W and D_H for seeds 0-2."""
     g = six_state_demo()
     net = design_canonical(place_agents(decompose(g)))
-    a = structure_from_digraph(g)
-    w = w_structure(net)
     d = fused_observation_structure(net, g.node_count)
     for seed in range(3):
-        yield f"A/{seed}", random_realization(a, GF, seed)
-        yield f"W/{seed}", stochastic_realization_gf(w, seed)
+        yield f"A/{seed}", random_realization(g, GF, seed)
+        yield f"W/{seed}", stochastic_realization_gf(net.fusion, seed)
         yield f"D_H/{seed}", random_realization(d, GF, seed)
 
 

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netobserve.graph_core import (
-    Digraph,
-    StructuredMatrix,
-    reachable,
-    structure_from_digraph,
-)
+from netobserve.graph_core import Digraph, reachable
 
 from .oracles import random_digraph, reachability_matrix
 
@@ -20,25 +15,34 @@ def small_digraphs():
         ).map(lambda edges: Digraph(n, edges)))
 
 
-class TestStructuredMatrix:
-    def test_rejects_out_of_range_support(self):
+class TestDigraph:
+    def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError):
-            StructuredMatrix(2, 2, frozenset({(2, 0)}))
+            Digraph(2, frozenset({(2, 0)}))
 
-    def test_rejects_negative_dims(self):
+    def test_rejects_negative_node_count(self):
         with pytest.raises(ValueError):
-            StructuredMatrix(-1, 3, frozenset())
+            Digraph(-1, frozenset())
 
 
 class TestDigraphConversion:
+    """A digraph read as a structure: row ``i`` is ``predecessors()[i]``."""
+
     def test_self_loop_support(self):
-        a = structure_from_digraph(Digraph(1, frozenset({(0, 0)})))
-        assert (a.rows, a.cols, a.support) == (1, 1, frozenset({(0, 0)}))
+        assert Digraph(1, frozenset({(0, 0)})).predecessors() == ((0,),)
 
     def test_entry_one_zero_means_edge_zero_to_one(self):
-        # edge 0 -> 1 ("state 0 drives state 1") is support entry (row 1, col 0)
-        a = structure_from_digraph(Digraph(2, frozenset({(0, 1)})))
-        assert a.support == frozenset({(1, 0)})
+        # edge 0 -> 1 ("state 0 drives state 1") is entry (row 1, col 0)
+        assert Digraph(2, frozenset({(0, 1)})).predecessors() == ((), (0,))
+
+    @given(small_digraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_predecessors_transpose_successors(self, g):
+        into = [[] for _ in range(g.node_count)]
+        for s, targets in enumerate(g.successors()):
+            for t in targets:
+                into[t].append(s)
+        assert g.predecessors() == tuple(tuple(sorted(row)) for row in into)
 
 
 class TestReachable:

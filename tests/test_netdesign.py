@@ -16,7 +16,6 @@ from netobserve.netdesign import (
     network_to_dot,
     network_to_json,
     verify_topology,
-    w_structure,
 )
 
 
@@ -58,9 +57,8 @@ class TestDesignCanonical:
         assert alpha_edge_set(net) == {(0, 1), (0, 2), (1, 0), (1, 2)}
         assert net.beta_edges == frozenset({(0, 1), (1, 2), (2, 0)})
         # the beta agent receives over the ring from both alpha agents
-        w = w_structure(net)
         beta_agent = 2
-        assert (beta_agent, 1) in w.support
+        assert 1 in net.fusion.predecessors()[beta_agent]
 
     def test_single_agent_empty_network(self):
         net = design_canonical(single_state_plan())
@@ -253,14 +251,13 @@ class TestAlphaSources:
 class TestWStructure:
     def test_empty_beta_identity(self):
         net = AgentNetwork(3, AlphaEdges(3), frozenset(), ((), (), ()))
-        assert w_structure(net).support == frozenset({(0, 0), (1, 1), (2, 2)})
+        assert net.fusion.predecessors() == ((0,), (1,), (2,))
 
     def test_three_ring_circulant(self):
         ring = frozenset({(0, 1), (1, 2), (2, 0)})
         net = AgentNetwork(3, AlphaEdges(3), ring, ((), (), ()))
-        w = w_structure(net)
-        assert w.support == frozenset(
-            {(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (0, 2)})
+        # row i holds i and the agent sending to i
+        assert net.fusion.predecessors() == ((0, 2), (0, 1), (1, 2))
 
 
 class TestSerialization:

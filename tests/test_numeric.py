@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netobserve.graph_core import StructuredMatrix, structure_from_digraph
+from netobserve.graph_core import Digraph
 from netobserve.numeric import (
     GF,
     PRIME,
@@ -14,7 +14,7 @@ from netobserve.numeric import (
     stochastic_realization_gf,
 )
 from netobserve.classify import decompose, place_agents
-from netobserve.netdesign import design_canonical, w_structure
+from netobserve.netdesign import design_canonical
 from netobserve.structural_check import check_centralized, fused_observation_structure
 
 from .oracles import (
@@ -22,19 +22,18 @@ from .oracles import (
     brute_observability_rank,
     gf_observability_rank,
     kron_structure,
-    plan_observation_structure,
     random_digraph,
     with_alpha_edges,
 )
 
 
 def identity_structure(n):
-    return StructuredMatrix(n, n, frozenset((i, i) for i in range(n)))
+    return Digraph(n, frozenset((i, i) for i in range(n)))
 
 
 class TestRandomRealization:
     def test_empty_support_zero_matrix(self):
-        r = random_realization(StructuredMatrix(2, 2, frozenset()), REAL, seed=0)
+        r = random_realization(Digraph(2), REAL, seed=0)
         assert not r.matrix.any()
 
     def test_identity_support_diagonal(self):
@@ -44,17 +43,17 @@ class TestRandomRealization:
         assert all(r.matrix[i, i] != 0 for i in range(3))
 
     def test_seed_reproducible(self):
-        s = StructuredMatrix(4, 4, frozenset({(0, 1), (2, 3), (3, 0)}))
+        s = Digraph(4, frozenset({(1, 0), (3, 2), (0, 3)}))
         for field in (GF, REAL):
             a = random_realization(s, field, seed=7)
             b = random_realization(s, field, seed=7)
             assert (a.matrix == b.matrix).all()
 
     def test_support_respected(self):
-        s = StructuredMatrix(3, 3, frozenset({(0, 1), (1, 2)}))
+        s = Digraph(3, frozenset({(1, 0), (2, 1)}))
         r = random_realization(s, GF, seed=1)
         nonzero = {(i, j) for i in range(3) for j in range(3) if r.matrix[i, j]}
-        assert nonzero == set(s.support)
+        assert nonzero == {(i, j) for j, i in s.edges}
 
 
 class TestStochasticRealization:
@@ -63,18 +62,18 @@ class TestStochasticRealization:
         assert np.allclose(r.matrix, np.eye(3))
 
     def test_rows_sum_to_one(self):
-        support = frozenset({(i, i) for i in range(4)} | {(i, (i + 1) % 4) for i in range(4)})
-        r = stochastic_realization(StructuredMatrix(4, 4, support), seed=3)
+        edges = frozenset({(i, i) for i in range(4)} | {((i + 1) % 4, i) for i in range(4)})
+        r = stochastic_realization(Digraph(4, edges), seed=3)
         assert np.allclose(r.matrix.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gf_rows_sum_to_one_mod_p(self):
-        support = frozenset({(i, i) for i in range(4)} | {(i, (i + 1) % 4) for i in range(4)})
-        r = stochastic_realization_gf(StructuredMatrix(4, 4, support), seed=3)
+        edges = frozenset({(i, i) for i in range(4)} | {((i + 1) % 4, i) for i in range(4)})
+        r = stochastic_realization_gf(Digraph(4, edges), seed=3)
         sums = np.array([int(sum(int(v) for v in row)) % PRIME for row in r.matrix])
         assert (sums == 1).all()
 
     def test_requires_nonempty_rows(self):
-        s = StructuredMatrix(2, 2, frozenset({(0, 1)}))
+        s = Digraph(2, frozenset({(1, 0)}))  # row 1 is empty
         with pytest.raises(ValueError):
             stochastic_realization(s, seed=0)
 
@@ -113,7 +112,7 @@ class TestObservability:
 
     def test_zero_observation(self):
         a = random_realization(identity_structure(4), GF, seed=0)
-        h = random_realization(StructuredMatrix(1, 4, frozenset()), GF, seed=1)
+        h = Realization(np.zeros((1, 4), dtype=np.int64), GF, 1)
         assert observability_rank(a, h) == 0
 
     def test_matches_gf_reference(self):
@@ -123,21 +122,20 @@ class TestObservability:
         for _ in range(240):  # centralized pairs
             n = int(rng.integers(1, 9))
             g = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
-            rows = int(rng.integers(1, 4))
-            h_s = StructuredMatrix(rows, n, frozenset(
-                (r, int(c)) for r in range(rows)
-                for c in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+            h = np.zeros((int(rng.integers(1, 4)), n), dtype=np.int64)
+            for row in h:
+                cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+                row[cols] = rng.integers(1, PRIME, size=cols.size)
             seed = int(rng.integers(1 << 30))
-            pairs.append((random_realization(structure_from_digraph(g), GF, seed),
-                          random_realization(h_s, GF, seed + 1)))
+            pairs.append((random_realization(g, GF, seed), Realization(h, GF, seed + 1)))
         while len(pairs) < 280:  # fused pairs of canonical designs, whole and crippled
             g = random_digraph(rng, int(rng.integers(3, 8)), 0.35)
             net = design_canonical(place_agents(decompose(g)))
             edges = alpha_edge_set(net)
             nets = [net] + [with_alpha_edges(net, edges - {e}) for e in sorted(edges)[:1]]
-            a = random_realization(structure_from_digraph(g), GF, seed=len(pairs))
+            a = random_realization(g, GF, seed=len(pairs))
             for each in nets:
-                w = stochastic_realization_gf(w_structure(each), seed=len(pairs))
+                w = stochastic_realization_gf(each.fusion, seed=len(pairs))
                 d = random_realization(
                     fused_observation_structure(each, g.node_count), GF, seed=len(pairs))
                 pairs.append((kron_numeric(w, a), d))
@@ -159,9 +157,9 @@ class TestObservability:
     def test_real_scaled_powers_keep_full_rank(self, six_state, six_state_net):
         # A times 10 makes the blocks H A^k span many orders of magnitude;
         # eliminating them stacked loses all but 6 of the 18 directions
-        base = random_realization(structure_from_digraph(six_state), REAL, seed=0)
+        base = random_realization(six_state, REAL, seed=0)
         a = Realization(base.matrix * 10, REAL, 0)
-        w = stochastic_realization(w_structure(six_state_net), seed=0)
+        w = stochastic_realization(six_state_net.fusion, seed=0)
         d = random_realization(fused_observation_structure(six_state_net, 6), REAL, seed=1)
         assert observability_rank(kron_numeric(w, a), d) == 18
 
@@ -169,10 +167,10 @@ class TestObservability:
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_digraph(rng, 5, 0.4)
-            s = structure_from_digraph(g)
-            a = random_realization(s, REAL, seed=int(rng.integers(1 << 30)))
-            h = random_realization(
-                StructuredMatrix(2, 5, frozenset({(0, 0), (1, 3)})), REAL, seed=9)
+            a = random_realization(g, REAL, seed=int(rng.integers(1 << 30)))
+            h = np.zeros((2, 5))
+            h[0, 0], h[1, 3] = 0.7, -0.4
+            h = Realization(h, REAL, 9)
             assert observability_rank(a, h) == brute_observability_rank(
                 a.matrix, h.matrix)
 
@@ -183,15 +181,13 @@ class TestObservability:
         checked = agreeing = 0
         while checked < 20:
             g = random_digraph(rng, 8, 0.25)
-            s = structure_from_digraph(g)
-            states = tuple(int(v) for v in rng.choice(8, size=3, replace=False))
-            h_s = plan_observation_structure(states, 8)
-            if not check_centralized(s, h_s).observable:
+            states = [int(v) for v in rng.choice(8, size=3, replace=False)]
+            if not check_centralized(g, states).observable:
                 continue
             checked += 1
             seed = int(rng.integers(1 << 30))
-            a = random_realization(s, GF, seed=seed)
-            h = random_realization(h_s, GF, seed=seed + 1)
+            a = random_realization(g, GF, seed=seed)
+            h = Realization(np.eye(8, dtype=np.int64)[states], GF, seed + 1)
             agreeing += int(observability_rank(a, h) == 8)
         assert agreeing >= 19  # >= 95%
 
@@ -210,12 +206,9 @@ class TestKroneckerTiedGenericity:
         conditions (direct alpha links) are what rule this case out, which
         is why design verification never relies on check_distributed alone.
         """
-        from netobserve.graph_core import structure_from_digraph
-        from netobserve.netdesign import verify_topology, w_structure
-        from netobserve.classify import decompose
-        from netobserve.structural_check import check_distributed, fused_observation_structure
+        from netobserve.netdesign import verify_topology
+        from netobserve.structural_check import check_distributed
 
-        a_s = structure_from_digraph(six_state)
         crippled = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(1, 0)})
         dec = decompose(six_state)
         assert check_distributed(crippled, dec).observable
@@ -223,12 +216,12 @@ class TestKroneckerTiedGenericity:
 
         n, full = 6, 18
         d_s = fused_observation_structure(crippled, n)
-        m_s = kron_structure(w_structure(crippled), a_s)
+        m_s = kron_structure(crippled.fusion, six_state)
         tied_ranks, free_ranks = [], []
         for seed in range(5):
-            a = random_realization(a_s, GF, seed=seed)
+            a = random_realization(six_state, GF, seed=seed)
             d = random_realization(d_s, GF, seed=seed + 1)
-            w = random_realization(w_structure(crippled), GF, seed=seed)
+            w = random_realization(crippled.fusion, GF, seed=seed)
             m_free = random_realization(m_s, GF, seed=seed + 2)
             tied_ranks.append(observability_rank(kron_numeric(w, a), d))
             free_ranks.append(observability_rank(m_free, d))
@@ -254,8 +247,8 @@ class TestKronAndBlocks:
         # when all agents hold the same estimate x, fusing with any
         # stochastic W leaves the stacked prediction equal to 1 kron (A x)
         rng = np.random.default_rng(7)
-        support = frozenset({(i, j) for i in range(3) for j in range(3)})
-        w = stochastic_realization(StructuredMatrix(3, 3, support), seed=1)
+        complete = frozenset({(i, j) for i in range(3) for j in range(3)})
+        w = stochastic_realization(Digraph(3, complete), seed=1)
         a = random_realization(identity_structure(4), REAL, seed=2)
         x = rng.standard_normal(4)
         stacked = np.tile(x, 3)

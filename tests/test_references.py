@@ -4,6 +4,10 @@ library.
 * The decomposition of a corpus-sized graph: the structural rank, the union
   of the contraction sets, the SCC partition and condensation, and each
   component's parent and matched labels.
+* The observation plan of a corpus-sized and a design-mixed graph: scipy's
+  structural rank of A with and without the alpha columns and of [A; H],
+  networkx ancestors for accessibility, and ``check_centralized`` on the
+  plan's states.
 * The distributed check and the topology conditions on a design-mixed
   graph: ``check_distributed`` against the fused pair (W kron A, D_H) built
   as sparse matrices, and ``verify_topology`` against conditions (i) and
@@ -22,9 +26,13 @@ from dataclasses import replace  # noqa: E402
 from netobserve.classify import ALPHA, decompose, place_agents  # noqa: E402
 from netobserve.graph_core import Digraph  # noqa: E402
 from netobserve.netdesign import TopologyVerdict, design_canonical, verify_topology  # noqa: E402
-from netobserve.structural_check import ObservabilityVerdict, check_distributed  # noqa: E402
+from netobserve.structural_check import (  # noqa: E402
+    ObservabilityVerdict,
+    check_centralized,
+    check_distributed,
+)
 
-from .oracles import alpha_edge_set, corpus_graphs, with_alpha_edges  # noqa: E402
+from .oracles import alpha_edge_set, blogs_shaped, corpus_graphs, with_alpha_edges  # noqa: E402
 
 
 def matching_size(rows, cols, shape) -> int:
@@ -83,6 +91,47 @@ def test_scc_partition_condensation_and_labels(corpus):
         perfect = matching_size(np.searchsorted(nodes, src[inside]),
                                 np.searchsorted(nodes, dst[inside]), (k, k)) == k
         assert lab.is_matched == perfect, sorted(comp)
+
+
+@pytest.fixture(scope="module", params=["blogs-shaped", "design-mixed"])
+def planned(request):
+    if request.param == "blogs-shaped":
+        g = blogs_shaped(1)
+    else:
+        from perfbench.workloads import design_mixed
+
+        n, arcs = design_mixed(np.random.default_rng(1))[0]
+        g = Digraph(n, frozenset(arcs))
+    dec = decompose(g)
+    return g, dec, place_agents(dec)
+
+
+def test_plan_observes_against_scipy_and_networkx(planned):
+    """The alpha columns are simultaneously avoidable (dropping them all
+    keeps the structural rank), [A; H] has full structural rank with one
+    unit row of H per planned state, every state is planned or an ancestor
+    of a planned state, and ``check_centralized`` agrees with all three."""
+    g, dec, plan = planned
+    n = g.node_count
+    src, dst = np.array(sorted(g.edges)).T
+
+    def rank(keep, observed=()):  # entry (t, s) per kept arc s -> t, then H
+        rows = [*dst[keep], *range(n, n + len(observed))]
+        cols = [*src[keep], *observed]
+        return csgraph.structural_rank(scipy_sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(n + len(observed), n)))
+
+    alpha = [p.state for p in plan.placements if p.kind == ALPHA]
+    assert alpha and dec.s_rank < n
+    assert rank(src >= 0) == rank(~np.isin(src, alpha)) == dec.s_rank
+    assert rank(src >= 0, plan.states) == n
+
+    reach = nx.DiGraph(zip(src.tolist(), dst.tolist()))
+    reach.add_edges_from((s, "observed") for s in plan.states)
+    assert nx.ancestors(reach, "observed") == set(range(n))
+
+    verdict = check_centralized(g, plan.states)
+    assert verdict.observable and verdict.deficiency == 0
 
 
 def heard_by(net) -> list[set[int]]:

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from netobserve.classify import ALPHA, Placement, decompose, place_agents
-from netobserve.graph_core import (
-    Digraph,
-    DimensionError,
-    StructuredMatrix,
-    structure_from_digraph,
-)
-from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical, w_structure
+from netobserve.graph_core import Digraph
+from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical
 from netobserve.structural_check import (
     check_centralized,
     check_distributed,
@@ -24,7 +19,6 @@ from .oracles import (
     brute_accessible,
     brute_structural_rank,
     kron_structure,
-    plan_observation_structure,
     random_digraph,
     row_list_distributed,
     with_alpha_edges,
@@ -60,27 +54,20 @@ def _arbitrary_network(rng, n):
 
 class TestCheckCentralized:
     def test_single_self_loop_observed(self):
-        a = StructuredMatrix(1, 1, frozenset({(0, 0)}))
-        h = StructuredMatrix(1, 1, frozenset({(0, 0)}))
-        assert check_centralized(a, h).observable
+        assert check_centralized(Digraph(1, frozenset({(0, 0)})), [0]).observable
 
     def test_empty_observation(self):
-        a = StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)}))
-        h = StructuredMatrix(1, 2, frozenset())
-        verdict = check_centralized(a, h)
+        verdict = check_centralized(Digraph(2, frozenset({(0, 0), (1, 1)})), [])
         assert not verdict.observable
         assert set(verdict.inaccessible_states) == {0, 1}
 
     def test_six_state_plan_observable(self, six_state, six_state_plan):
-        a = structure_from_digraph(six_state)
-        h = plan_observation_structure(six_state_plan.states, 6)
-        assert check_centralized(a, h).observable
+        assert check_centralized(six_state, six_state_plan.states).observable
 
     def test_dropping_beta_breaks_accessibility_only(self, six_state, six_state_plan):
-        a = structure_from_digraph(six_state)
         beta_states = {p.state for p in six_state_plan.placements if p.kind == "beta"}
         kept = tuple(s for s in six_state_plan.states if s not in beta_states)
-        verdict = check_centralized(a, plan_observation_structure(kept, 6))
+        verdict = check_centralized(six_state, kept)
         assert not verdict.observable
         assert verdict.s_rank_ok  # alpha placements still recover the S-rank
         # exactly the states of the uncovered matched parent SCC are cut off
@@ -92,9 +79,7 @@ class TestCheckCentralized:
             g = random_digraph(rng, 7, 0.2)
             states = tuple(
                 int(s) for s in rng.choice(7, size=2, replace=False))
-            verdict = check_centralized(
-                structure_from_digraph(g),
-                plan_observation_structure(states, 7))
+            verdict = check_centralized(g, states)
             assert verdict.accessible == brute_accessible(g, frozenset(states))
 
     def test_empty_and_repeated_rows_match_oracles(self):
@@ -102,59 +87,46 @@ class TestCheckCentralized:
         for _ in range(60):
             n = int(rng.integers(1, 7))
             g = random_digraph(rng, n, 0.25)
-            a = structure_from_digraph(g)
-            rows = int(rng.integers(1, 5))
-            entries = [(int(rng.integers(rows)), int(rng.integers(n)))
-                       for _ in range(int(rng.integers(0, 4)))]
-            entries += [(rows, j) for i, j in entries if i == 0]  # last row repeats row 0
-            h = StructuredMatrix(rows + 1, n, frozenset(entries))
-            verdict = check_centralized(a, h)
-            observed = frozenset(j for _, j in h.support)
-            assert verdict.accessible == brute_accessible(g, observed)
-            stacked = StructuredMatrix(n + h.rows, n, a.support | frozenset(
-                (n + i, j) for i, j in h.support))
-            assert verdict.deficiency == n - brute_structural_rank(stacked)
+            observed = rng.integers(n, size=int(rng.integers(0, 4))).tolist()
+            observed += observed[:1]  # a repeated unit row, or none at all
+            verdict = check_centralized(g, observed)
+            assert verdict.accessible == brute_accessible(g, frozenset(observed))
+            assert verdict.deficiency == n - brute_structural_rank(g, observed)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            check_centralized(StructuredMatrix(2, 3, frozenset()),
-                              StructuredMatrix(1, 3, frozenset()))
-        with pytest.raises(DimensionError):
-            check_centralized(StructuredMatrix(2, 2, frozenset()),
-                              StructuredMatrix(1, 3, frozenset()))
+    def test_out_of_range_observed_state_rejected(self):
+        g = Digraph(2, frozenset({(0, 1)}))
+        for state in (2, -1):
+            with pytest.raises(ValueError):
+                check_centralized(g, [0, state])
 
     def test_verdict_json(self, six_state, six_state_plan):
-        a = structure_from_digraph(six_state)
-        h = plan_observation_structure(six_state_plan.states, 6)
-        data = check_centralized(a, h).to_json()
+        data = check_centralized(six_state, six_state_plan.states).to_json()
         assert data["observable"] is True
         assert data["s_rank_deficiency"] == 0
 
 
 class TestKronStructure:
     def test_scalar_w(self):
-        a = StructuredMatrix(3, 3, frozenset({(0, 1), (2, 2)}))
-        w = StructuredMatrix(1, 1, frozenset({(0, 0)}))
+        a = Digraph(3, frozenset({(1, 0), (2, 2)}))
+        w = Digraph(1, frozenset({(0, 0)}))
         assert kron_structure(w, a) == a
 
     def test_identity_w_block_diag(self):
-        a = StructuredMatrix(2, 2, frozenset({(0, 1)}))
-        w = StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)}))
-        k = kron_structure(w, a)
-        assert k.support == frozenset({(0, 1), (2, 3)})
+        a = Digraph(2, frozenset({(1, 0)}))
+        w = Digraph(2, frozenset({(0, 0), (1, 1)}))
+        assert kron_structure(w, a).edges == frozenset({(1, 0), (3, 2)})
 
     def test_full_w_self_loop_a(self):
-        a = StructuredMatrix(1, 1, frozenset({(0, 0)}))
-        w = StructuredMatrix(2, 2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
-        assert kron_structure(w, a).support == frozenset(
-            {(0, 0), (0, 1), (1, 0), (1, 1)})
+        a = Digraph(1, frozenset({(0, 0)}))
+        w = Digraph(2, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+        assert kron_structure(w, a) == w
 
     def test_support_cardinality_product(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            w = structure_from_digraph(random_digraph(rng, 3, 0.5))
-            a = structure_from_digraph(random_digraph(rng, 4, 0.3))
-            assert kron_structure(w, a).nnz == w.nnz * a.nnz
+            w = random_digraph(rng, 3, 0.5)
+            a = random_digraph(rng, 4, 0.3)
+            assert kron_structure(w, a).edge_count == w.edge_count * a.edge_count
 
 
 class TestBlockDiag:
@@ -165,8 +137,8 @@ class TestBlockDiag:
             2, AlphaEdges(2, (), {(1, 0)}), frozenset(),
             ((Placement(0, 0, "alpha"),), (Placement(2, 1, "alpha"),)))
         d = fused_observation_structure(net, 3)
-        assert d.rows == 6 and d.cols == 6
-        assert d.support == frozenset({(0, 0), (2, 2), (5, 5)})
+        assert d.node_count == 6
+        assert d.edges == frozenset({(0, 0), (2, 2), (5, 5)})
 
 
 class TestFusedStructures:
@@ -174,19 +146,19 @@ class TestFusedStructures:
         # agent 2 (the beta agent) receives alpha links from agents 0 and 1,
         # so its fused observation covers all three observed states
         fused = fused_observation_structure(six_state_net, 6)
-        observed = {j - 12 for _, j in fused.support if j >= 12}
+        observed = {j - 12 for _, j in fused.edges if j >= 12}
         all_states = {p.state for obs in six_state_net.observations for p in obs}
         assert observed == all_states
 
     def test_idle_agent_without_links_sees_nothing(self):
         net = AgentNetwork(2, AlphaEdges(2), frozenset({(0, 1), (1, 0)}),
                            ((), ()))
-        assert fused_observation_structure(net, 4).support == frozenset()
+        assert fused_observation_structure(net, 4).edges == frozenset()
 
     def test_one_block_per_agent(self, six_state_net):
         fused = fused_observation_structure(six_state_net, 6)
-        assert fused.rows == fused.cols == six_state_net.agent_count * 6
-        assert all(i == j for i, j in fused.support)
+        assert fused.node_count == six_state_net.agent_count * 6
+        assert all(i == j for i, j in fused.edges)
 
 
 class TestCheckDistributed:
@@ -201,10 +173,8 @@ class TestCheckDistributed:
         net = design_canonical(six_state_plan, agent_count=None)
         solo = AgentNetwork(1, AlphaEdges(1), frozenset(),
                             (tuple(p for obs in net.observations for p in obs),))
-        a = structure_from_digraph(six_state)
         dist = check_distributed(solo, six_state_dec)
-        cent = check_centralized(
-            a, plan_observation_structure(six_state_plan.states, 6))
+        cent = check_centralized(six_state, six_state_plan.states)
         assert dist.observable == cent.observable is True
 
     def test_canonical_design_observable(self, six_state_dec, six_state_net):
@@ -240,7 +210,6 @@ class TestCheckDistributed:
         for _ in range(300):
             n = int(rng.integers(1, 9))
             g = random_digraph(rng, n, float(rng.uniform(0.1, 0.5)))
-            a = structure_from_digraph(g)
             dec = decompose(g)
             net = design_canonical(place_agents(dec))
             nets = [net]
@@ -252,9 +221,8 @@ class TestCheckDistributed:
                     nets.append(rebuild(layer - {drop}))
             for candidate in nets:
                 verdict = check_distributed(candidate, dec)
-                reference = check_centralized(
-                    kron_structure(w_structure(candidate), a),
-                    fused_observation_structure(candidate, n))
+                observed = sorted(s for s, _ in fused_observation_structure(candidate, n).edges)
+                reference = check_centralized(kron_structure(candidate.fusion, g), observed)
                 assert verdict == reference
                 seen.add(verdict.observable)
         assert seen == {True, False}
@@ -267,12 +235,11 @@ class TestCheckDistributed:
         for _ in range(500):
             n = int(rng.integers(1, 13))
             g = random_digraph(rng, n, float(rng.uniform(0.05, 0.5)))
-            a = structure_from_digraph(g)
             dec = decompose(g)
             net = design_canonical(place_agents(dec))
             for candidate in (net, *_crippled(rng, net), _arbitrary_network(rng, n)):
                 verdict = check_distributed(candidate, dec)
-                assert verdict == row_list_distributed(candidate, a)
+                assert verdict == row_list_distributed(candidate, g)
                 seen.add((verdict.accessible, verdict.s_rank_ok))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -283,13 +250,12 @@ class TestCheckDistributed:
         rng = np.random.default_rng(36)
         n, arcs = design_mixed(rng)[0]
         g = Digraph(n, frozenset(arcs))
-        a = structure_from_digraph(g)
         dec = decompose(g)
         net = design_canonical(place_agents(dec))
         assert n == 200 and 54 <= net.agent_count <= 55
         seen = set()
         for candidate in (net, *_crippled(rng, net), *_crippled(rng, net)):
             verdict = check_distributed(candidate, dec)
-            assert verdict == row_list_distributed(candidate, a)
+            assert verdict == row_list_distributed(candidate, g)
             seen.add(verdict.observable)
         assert seen == {True, False}
