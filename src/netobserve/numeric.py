@@ -42,20 +42,14 @@ class Realization:
 def random_realization(g: Digraph, field: str = GF, seed: int = 0) -> Realization:
     """Uniform nonzero entries on the structure of ``g``, drawn row by row
     in increasing column order, deterministic under seed."""
-    rng = np.random.default_rng(seed)
-    n = g.node_count
-    if field == GF:
-        mat = np.zeros((n, n), dtype=np.int64)
-        for i, row in enumerate(g.predecessors()):
-            for j in row:
-                mat[i, j] = rng.integers(1, PRIME)
-    elif field == REAL:
-        mat = np.zeros((n, n), dtype=float)
-        for i, row in enumerate(g.predecessors()):
-            for j in row:
-                mat[i, j] = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
-    else:
+    if field not in (GF, REAL):
         raise ValueError(f"unknown field {field!r}")
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((g.node_count, g.node_count), dtype=np.int64 if field == GF else float)
+    for i, row in enumerate(g.predecessors()):
+        for j in row:
+            mat[i, j] = (rng.integers(1, PRIME) if field == GF
+                         else rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
     return Realization(mat, field, seed)
 
 
