@@ -143,13 +143,15 @@ class Decomposition:
 
 
 def decompose(g: Digraph) -> Decomposition:
-    """One canonical matching, one Tarjan pass and one taxonomy matching."""
+    """One canonical matching, one Tarjan pass and one taxonomy matching,
+    the last started from the canonical one."""
     d = tarjan_scc(g)
+    family = contractions(g)
     return Decomposition(
         digraph=g,
-        family=contractions(g),
+        family=family,
         sccs=d,
-        labels=classify_sccs(g, d),
+        labels=classify_sccs(g, d, family.matching),
     )
 
 

@@ -84,8 +84,15 @@ def _write(out_dir: Path, name: str, payload: str) -> Path:
     return path
 
 
+def _json(obj, sort_keys: bool = False) -> str:
+    """The artifact layout: every value on its own line, unindented, and a
+    final newline.  Without indentation ``json.dumps`` runs CPython's C
+    encoder in one call; any indentation falls back to its Python encoder."""
+    return json.dumps(obj, separators=(",\n", ": "), sort_keys=sort_keys) + "\n"
+
+
 def _manifest(args, extra: dict) -> str:
-    return json.dumps({"config": vars(args), **extra}, indent=2, sort_keys=True)
+    return _json({"config": vars(args), **extra}, sort_keys=True)
 
 
 def _plan_and_dec(lg: ingest.LabeledGraph):
@@ -126,7 +133,7 @@ def cmd_analyze(args) -> int:
         },
     }
     out = Path(args.out)
-    path = _write(out, "analysis.json", json.dumps(report, indent=2))
+    path = _write(out, "analysis.json", _json(report))
     _write(out, "manifest.json", _manifest(args, {"outputs": [str(path)]}))
     row = report["summary"]
     print(f"n={row['n']} E={row['edges']} s_rank={row['s_rank']} "
@@ -144,7 +151,7 @@ def cmd_classify(args) -> int:
         "beta_classes": [sorted(dec.sccs.components[j]) for j in dec.matched_parents],
     }
     out = Path(args.out)
-    path = _write(out, "plan.json", json.dumps(payload, indent=2))
+    path = _write(out, "plan.json", _json(payload))
     _write(out, "manifest.json", _manifest(args, {"outputs": [str(path)]}))
     print(f"plan: {plan.n_alpha} alpha + {plan.n_beta} beta placements")
     return EXIT_OK
@@ -170,10 +177,10 @@ def cmd_design(args) -> int:
     verdict, structural, report = _checks(net, dec)
     out = Path(args.out)
     outputs = [
-        _write(out, "plan.json", json.dumps(plan.to_json(lg.labels), indent=2)),
-        _write(out, "network.json", json.dumps(network_to_json(net), indent=2)),
+        _write(out, "plan.json", _json(plan.to_json(lg.labels))),
+        _write(out, "network.json", _json(network_to_json(net))),
         _write(out, "network.dot", network_to_dot(net)),
-        _write(out, "verdict.json", json.dumps(report, indent=2)),
+        _write(out, "verdict.json", _json(report)),
     ]
     _write(out, "manifest.json", _manifest(args, {"outputs": list(map(str, outputs))}))
     ok = verdict.ok and structural.observable
@@ -204,7 +211,7 @@ def cmd_verify(args) -> int:
             agree += int((rank == full) == structural.observable)
         report["numeric_agreement"] = {"seeds": args.seeds, "agreeing": agree}
     out = Path(args.out)
-    path = _write(out, "verify.json", json.dumps(report, indent=2))
+    path = _write(out, "verify.json", _json(report))
     _write(out, "manifest.json", _manifest(args, {"outputs": [str(path)]}))
     print(f"topology_ok={verdict.ok} distributed_observable={structural.observable}")
     return EXIT_OK if verdict.ok and structural.observable else EXIT_VERIFY

@@ -163,7 +163,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     iterates = min(200, budget)
     seen: set[bytes] = set()  # digests of the iterates' P
     for i in range(iterates):
-        digest = hashlib.blake2b(p.tobytes(), digest_size=16).digest()
+        digest = hashlib.sha256(p.tobytes()).digest()
         replay = digest in seen  # then every later iterate replays an earlier F
         if replay:
             evaluations = 1 + min(iterates, budget - 1)  # as if run to the end

@@ -17,13 +17,14 @@ Matching-dependence caveat: the family of contraction sets obtained from
 alternating search genuinely depends on which maximum matching is used
 (only the union of the members is matching-invariant).  To keep reports
 reproducible, :func:`contractions` always derives the family from the
-deterministic matching of :func:`hopcroft_karp`.
+deterministic matching of :func:`hopcroft_karp`, and the family records
+that matching, so later passes can start from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 
 from .graph_core import Digraph
 
@@ -42,9 +43,13 @@ class ContractionSet:
 
 @dataclass(frozen=True)
 class ContractionFamily:
-    """One contraction set per unit of structural-rank deficiency."""
+    """One contraction set per unit of structural-rank deficiency, with the
+    maximum matching (plus -> minus) the sets were derived from.  The
+    matching is a by-product, not part of the family's identity: two
+    families with the same sets compare and hash equal."""
 
     sets: tuple[ContractionSet, ...]
+    matching: Mapping[int, int] = field(compare=False, repr=False)
 
     @property
     def union_members(self) -> frozenset[int]:
@@ -54,7 +59,8 @@ class ContractionFamily:
         return frozenset(out)
 
 
-def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[int, int]:
+def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]],
+                  start: Mapping[int, int] | None = None) -> dict[int, int]:
     """Maximum bipartite matching in O(sqrt(n) |E|), mapping plus -> minus.
 
     ``adjacency[p]`` lists the minus nodes of plus node ``p``; minus ids may
@@ -62,10 +68,18 @@ def hopcroft_karp(node_count: int, adjacency: Sequence[Sequence[int]]) -> dict[i
     full breadth-first search, then augments from the free plus nodes in
     increasing order along neighbours in adjacency order.  The result lists
     plus nodes in increasing order.
+
+    ``start``, a matching (plus -> minus) of edges of ``adjacency``, is
+    augmented instead of the empty matching: the result is a maximum
+    matching all the same, found in fewer phases when ``start`` is large,
+    but which one depends on ``start``.
     """
     width = max(node_count, max(map(max, filter(None, adjacency)), default=-1) + 1)
     pair_plus = [-1] * node_count
     pair_minus = [-1] * width
+    for p, m in (start or {}).items():
+        pair_plus[p] = m
+        pair_minus[m] = p
     while True:
         free = [p for p, m in enumerate(pair_plus) if m < 0]
         dist = [0 if m < 0 else _INF for m in pair_plus]
@@ -144,7 +158,7 @@ def _alternating_family(g: Digraph, pair: dict[int, int]) -> ContractionFamily:
                     members.add(q)
                     queue.append(q)
         sets.append(ContractionSet(witness, frozenset(members)))
-    return ContractionFamily(tuple(sets))
+    return ContractionFamily(tuple(sets), pair)
 
 
 def contractions(g: Digraph) -> ContractionFamily:
@@ -154,6 +168,7 @@ def contractions(g: Digraph) -> ContractionFamily:
     :func:`hopcroft_karp`, so it does not depend on any matching a caller
     holds.  See the module docstring for why this canonicalization is
     needed.  Its witnesses are the nodes that matching leaves unmatched, in
-    increasing order, so the structural rank is ``node_count - len(sets)``.
+    increasing order, so the structural rank is ``node_count - len(sets)``;
+    the matching itself is kept as ``matching``.
     """
     return _alternating_family(g, hopcroft_karp(g.node_count, g.successors()))

@@ -233,7 +233,6 @@ def network_to_json(net: AgentNetwork) -> dict:
         "alpha_broadcast": sorted(net.alpha_edges.broadcast),
         "alpha_edges": sorted(map(list, net.alpha_edges.explicit)),
         "beta_edges": sorted(map(list, net.beta_edges)),
-        "w_support": [[i, j] for i, row in enumerate(net.fusion.predecessors()) for j in row],
         "observations": [
             [{"state": p.state, "kind": p.kind} for p in obs]
             for obs in net.observations

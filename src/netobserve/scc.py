@@ -9,12 +9,14 @@ matched iff it has a self-loop, and no matching is run for it.  The
 bipartite graph of the internal edges of the cyclic components (two or
 more nodes) is block-diagonal per component, so one maximum matching of it
 labels all of them: a cyclic component is matched iff all its nodes are.
-Which maximum matching is found does not change the labels.
+Which maximum matching is found does not change the labels, so the search
+may start from the pairs of any matching of the digraph that lie inside one
+cyclic component, such as the canonical one a contraction family records.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .graph_core import Digraph
@@ -94,8 +96,14 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
     )
 
 
-def classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...]:
-    """Label every component as parent/child and matched/unmatched."""
+def classify_sccs(g: Digraph, d: SccDecomposition,
+                  matching: Mapping[int, int] | None = None) -> tuple[SccLabel, ...]:
+    """Label every component as parent/child and matched/unmatched.
+
+    ``matching``, a matching (plus -> minus) of ``g``'s edges such as
+    ``ContractionFamily.matching``, seeds the taxonomy matching with its
+    pairs inside cyclic components; the labels do not depend on it.
+    """
     out_degree = [0] * len(d.components)
     for s, _ in d.condensation.edges:
         out_degree[s] += 1
@@ -109,7 +117,9 @@ def classify_sccs(g: Digraph, d: SccDecomposition) -> tuple[SccLabel, ...]:
             internal[v] = [t for t in adj[v] if comp[t] == c]
         elif v not in adj[v]:  # a singleton without a self-loop
             covered[c] = False
-    matched = hopcroft_karp(g.node_count, internal)
+    start = {p: m for p, m in (matching or {}).items()
+             if comp[p] == comp[m] and size[comp[p]] > 1}  # edges of ``internal``
+    matched = hopcroft_karp(g.node_count, internal, start)
     for v, c in enumerate(comp):
         if size[c] > 1 and v not in matched:
             covered[c] = False

@@ -67,6 +67,13 @@ class TestAnalyze:
         assert main(["design", str(fixture_gml), "--out", str(tmp_path)]) == EXIT_OK
         assert example.group(1) == (tmp_path / "network.dot").read_text()
 
+    def test_formats_doc_layout_example_is_fixture_output(self, fixture_gml, tmp_path):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        example = re.search(r"`verdict\.json` exactly as `design` writes it:\n\n```\n(.*?)```",
+                            doc, re.S)
+        assert main(["design", str(fixture_gml), "--out", str(tmp_path)]) == EXIT_OK
+        assert example.group(1) == (tmp_path / "verdict.json").read_text()
+
     def test_empty_edgelist_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -202,14 +209,16 @@ class TestVerify:
         assert deprived == {1}
 
     def test_full_edge_list_network_verifies_the_same(self, fixture_gml, tmp_path):
-        """A ``network.json`` that lists every alpha edge, as written before
-        ``alpha_broadcast`` existed, gives the same ``verify.json`` bytes as
-        the broadcaster form, also with one broadcast edge missing."""
+        """A ``network.json`` that lists every alpha edge and ``w_support``,
+        as written before ``alpha_broadcast`` existed, gives the same
+        ``verify.json`` bytes as the broadcaster form, also with one
+        broadcast edge missing."""
         plan, network = self._design(fixture_gml, tmp_path)
         edge_list = json.loads(
             (Path(__file__).parent / "data" / "six_state_network_edge_list.json").read_text())
-        assert "alpha_broadcast" not in edge_list
+        assert "alpha_broadcast" not in edge_list and "w_support" in edge_list
         broadcast = json.loads(network.read_text())
+        assert "w_support" not in broadcast
         pairs = [
             (edge_list, broadcast),
             ({**edge_list, "alpha_edges": [e for e in edge_list["alpha_edges"] if e != [0, 1]]},

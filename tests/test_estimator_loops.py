@@ -191,11 +191,11 @@ def test_search_stops_at_a_repeated_covariance(monkeypatch, seed, index, repeat)
 
     digests = []
 
-    def blake2b(data, **kwargs):
-        digests.append(hashlib.blake2b(data, **kwargs).digest())
+    def sha256(data):
+        digests.append(hashlib.sha256(data).digest())
         return SimpleNamespace(digest=lambda: digests[-1])
 
-    monkeypatch.setattr(estimator, "hashlib", SimpleNamespace(blake2b=blake2b))
+    monkeypatch.setattr(estimator, "hashlib", SimpleNamespace(sha256=sha256))
     w, a, net = small_cases(seed)[index]
     for budget in (repeat, repeat + 1, repeat + 2, repeat + 3, 201, 10_000):
         digests.clear()

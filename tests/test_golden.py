@@ -1,12 +1,17 @@
-"""The artifacts the commands write stay byte-identical.
+"""The artifacts the commands write keep their content.
 
 The sha256 digests below were recorded before the graph kernels (adjacency
 build, Hopcroft–Karp, Tarjan, SCC taxonomy) were rewritten for speed, so a
-rewrite that changes any artifact byte fails here.  ``manifest.json`` is
-left out: it echoes the configuration, not the analysis.  The
-``network.json`` and ``network.dot`` digests were re-recorded when the
-alpha layer came to be written as its broadcaster set (see
-``docs/formats.md``); every other digest predates that change.
+rewrite that changes any artifact's content fails here.  A JSON artifact is
+digested in the two-space indented rendering of its parsed content, the
+layout the digests were recorded in; other files are digested as written.
+The layout itself is checked byte for byte by
+``test_json_artifacts_are_in_the_artifact_layout``.  ``manifest.json`` is
+left out of the digests: it echoes the configuration, not the analysis.
+The ``network.json`` and ``network.dot`` digests were re-recorded when the
+alpha layer came to be written as its broadcaster set, and the
+``network.json`` ones again when its derived ``w_support`` was dropped
+(see ``docs/formats.md``); every other digest predates those changes.
 
 ``simulate`` on the six-state fixture is pinned the same way: its
 ``trace.csv`` digest and the manifest's ``rho``, ``gain_digest`` and
@@ -51,7 +56,7 @@ GOLDEN = {
         "design/network.dot":
             "6484691e62b97e9aca09f87c31131c8bf1dfc9152d1768de868f40b8671c05de",
         "design/network.json":
-            "bbfb309160843c2e951342186351d836d686afcd88950f2a1875ac0ac0724402",
+            "ca82ced9d01c0c807a6e3332ae72b98dafa736319ff900ae718f9b70974592dd",
         "design/plan.json":
             "021814cb34e468c5a7ba9e275c5db1a97496a184518e1b317c5a14304550c396",
         "design/verdict.json":
@@ -67,7 +72,7 @@ GOLDEN = {
         "design/network.dot":
             "f00c996eedb16528c574b5ba543e530fea7999c5fd197b5dca4fc31ecd9c0a08",
         "design/network.json":
-            "fa0db447f7ef5e8fdeaefba7b761ef7f7f5fb6be0f4a8726235675afc722cab9",
+            "a3d6c6ef2db04cffbbae57af52d3d9cac7c331e160b22b0b5710d84ab822f5e5",
         "design/plan.json":
             "739eab0f8e2a311020a1f93af89c990545e491ee4f175d0569b4e220285c7bd5",
         "design/verdict.json":
@@ -78,9 +83,17 @@ GOLDEN = {
 }
 
 
+def content_digest(path: Path) -> str:
+    """sha256 of a file, a JSON one in its two-space indented rendering."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        data = json.dumps(json.loads(data), indent=2).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def artifact_digests(name: str) -> dict[str, str]:
     """Run analyze, classify, design and verify on graph ``name`` in the
-    working directory; digest of every artifact but the manifests."""
+    working directory; content digest of every artifact but the manifests."""
     Path("graph.gml").write_text(emit_gml(GRAPHS[name]()))
     commands = {
         "analyze": ["analyze", "graph.gml"],
@@ -94,7 +107,7 @@ def artifact_digests(name: str) -> dict[str, str]:
         assert main([*argv, "--out", out]) == EXIT_OK, out
         for path in sorted(Path(out).iterdir()):
             if path.name != "manifest.json":
-                digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[f"{out}/{path.name}"] = content_digest(path)
     return digests
 
 
@@ -175,5 +188,24 @@ def test_numeric_verify_matches_recorded_digest(field, tmp_path, monkeypatch):
     assert main(["verify", "graph.gml", "--plan", "design/plan.json",
                  "--network", "design/network.json", "--numeric", "--field", field,
                  "--out", "verify"]) == EXIT_OK
-    digest = hashlib.sha256(Path("verify/verify.json").read_bytes()).hexdigest()
-    assert digest == NUMERIC_VERIFY_GOLDEN
+    assert content_digest(Path("verify/verify.json")) == NUMERIC_VERIFY_GOLDEN
+
+
+def test_json_artifacts_are_in_the_artifact_layout(tmp_path, monkeypatch):
+    """Every JSON file the five commands write on the six-state fixture,
+    manifests included, holds one value per line, unindented, with a final
+    newline; only the manifests sort their keys (docs/formats.md)."""
+    monkeypatch.chdir(tmp_path)
+    Path("graph.gml").write_text(emit_gml(GRAPHS["six-state"]()))
+    for argv in (["analyze", "graph.gml"], ["classify", "graph.gml"], ["design", "graph.gml"],
+                 ["verify", "graph.gml", "--plan", "design/plan.json",
+                  "--network", "design/network.json", "--numeric"],
+                 ["simulate", "graph.gml"]):
+        assert main([*argv, "--out", argv[0]]) == EXIT_OK, argv[0]
+    written = sorted(Path().glob("*/*.json"))
+    assert len(written) == 11
+    for path in written:
+        text = path.read_text()
+        layout = json.dumps(json.loads(text), separators=(",\n", ": "),
+                            sort_keys=path.name == "manifest.json") + "\n"
+        assert text == layout, path

@@ -8,18 +8,22 @@ enough."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netobserve.graph_core import Digraph
-from netobserve.matching import hopcroft_karp
+from netobserve.matching import contractions, hopcroft_karp
 from netobserve.scc import classify_sccs, tarjan_scc
 
 from .oracles import (
+    blogs_shaped,
     corpus_graphs,
     frozen_classify_sccs,
     frozen_hopcroft_karp,
     frozen_successors,
     frozen_tarjan_scc,
 )
+from .test_graph_core import small_digraphs
 
 
 def random_digraphs(seed: int, count: int):
@@ -79,3 +83,46 @@ def test_corpus_sized_graph_matches_frozen_kernels(variant):
     g = corpus_graphs()[variant == "self-loops"]
     assert (g.node_count, len(frozenset(e for e in g.edges if e[0] != e[1]))) == (1224, 15_500)
     assert_kernels_equal(g)
+
+
+def random_start(rng: random.Random, adjacency) -> dict[int, int]:
+    """A random matching of edges of ``adjacency``: the edges in random
+    order, each kept with probability 0.7 when both its ends are free."""
+    edges = [(p, m) for p, succ in enumerate(adjacency) for m in succ]
+    rng.shuffle(edges)
+    start: dict[int, int] = {}
+    taken: set[int] = set()
+    for p, m in edges:
+        if p not in start and m not in taken and rng.random() < 0.7:
+            start[p] = m
+            taken.add(m)
+    return start
+
+
+def assert_warm_starts_exact(g: Digraph, rng: random.Random):
+    """From a random start, ``hopcroft_karp`` still finds a maximum matching,
+    and the taxonomy labels do not depend on the matching it starts from."""
+    adj = g.successors()
+    canonical = frozen_hopcroft_karp(g.node_count, adj)
+    family = contractions(g)
+    assert family.matching == canonical
+    labels = frozen_classify_sccs(g, frozen_tarjan_scc(g))
+    d = tarjan_scc(g)
+    assert classify_sccs(g, d, family.matching) == labels
+    for _ in range(3):
+        start = random_start(rng, adj)
+        got = hopcroft_karp(g.node_count, adj, start)
+        assert len(got) == len(canonical)
+        assert len(set(got.values())) == len(got)
+        assert all(m in adj[p] for p, m in got.items())
+        assert classify_sccs(g, d, start) == labels
+
+
+@given(small_digraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_warm_started_matchings_are_maximum(g, rng):
+    assert_warm_starts_exact(g, rng)
+
+
+def test_warm_started_matchings_are_maximum_on_corpus_sized_graph():
+    assert_warm_starts_exact(blogs_shaped(1), random.Random(3))
