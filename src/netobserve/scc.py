@@ -97,11 +97,11 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
 
 
 def classify_sccs(g: Digraph, d: SccDecomposition,
-                  matching: Mapping[int, int] | None = None) -> tuple[SccLabel, ...]:
+                  matching: Mapping[int, int]) -> tuple[SccLabel, ...]:
     """Label every component as parent/child and matched/unmatched.
 
     ``matching``, a matching (plus -> minus) of ``g``'s edges such as
-    ``ContractionFamily.matching``, seeds the taxonomy matching with its
+    ``contractions(g).matching``, seeds the taxonomy matching with its
     pairs inside cyclic components; the labels do not depend on it.
     """
     out_degree = [0] * len(d.components)
@@ -117,7 +117,7 @@ def classify_sccs(g: Digraph, d: SccDecomposition,
             internal[v] = [t for t in adj[v] if comp[t] == c]
         elif v not in adj[v]:  # a singleton without a self-loop
             covered[c] = False
-    start = {p: m for p, m in (matching or {}).items()
+    start = {p: m for p, m in matching.items()
              if comp[p] == comp[m] and size[comp[p]] > 1}  # edges of ``internal``
     matched = hopcroft_karp(g.node_count, internal, start)
     for v, c in enumerate(comp):

@@ -1,6 +1,7 @@
 import numpy as np
 
 from netobserve.graph_core import Digraph, reachable
+from netobserve.matching import contractions
 from netobserve.scc import classify_sccs, matched_parent_indices, tarjan_scc
 
 from .oracles import all_digraphs, brute_component_matched, brute_sccs, random_digraph
@@ -51,12 +52,12 @@ class TestTarjan:
 class TestClassify:
     def test_self_loop_singleton_is_matched_parent(self):
         g = Digraph(1, frozenset({(0, 0)}))
-        labels = classify_sccs(g, tarjan_scc(g))
+        labels = classify_sccs(g, tarjan_scc(g), contractions(g).matching)
         assert labels[0].is_parent and labels[0].is_matched
 
     def test_bare_singleton_is_unmatched_parent(self):
         g = Digraph(1, frozenset())
-        labels = classify_sccs(g, tarjan_scc(g))
+        labels = classify_sccs(g, tarjan_scc(g), contractions(g).matching)
         assert labels[0].is_parent and not labels[0].is_matched
 
     def test_child_feeding_cyclic_parent(self):
@@ -64,7 +65,7 @@ class TestClassify:
         # sink cycle is a matched parent.
         g = Digraph(4, frozenset({(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)}))
         d = tarjan_scc(g)
-        labels = classify_sccs(g, d)
+        labels = classify_sccs(g, d, contractions(g).matching)
         child = d.component_of[0]
         parent = d.component_of[2]
         assert not labels[child].is_parent
@@ -77,12 +78,13 @@ class TestClassify:
         # into one SCC via 1->2 and 3->0.
         g = Digraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (3, 0)}))
         d = tarjan_scc(g)
-        labels = classify_sccs(g, d)
+        labels = classify_sccs(g, d, contractions(g).matching)
         assert len(d.components) == 1
         assert labels[0].is_matched
 
     def test_six_state_fixture_matched_parents(self, six_state, six_state_dec):
-        labels = classify_sccs(six_state, six_state_dec.sccs)
+        labels = classify_sccs(six_state, six_state_dec.sccs,
+                               six_state_dec.family.matching)
         parents = matched_parent_indices(labels)
         observed = {six_state_dec.sccs.components[j] for j in parents}
         assert observed == {frozenset({4}), frozenset({5})}
@@ -96,7 +98,7 @@ class TestClassify:
                    for _ in range(300)]
         for g in graphs:
             d = tarjan_scc(g)
-            for comp, lab in zip(d.components, classify_sccs(g, d)):
+            for comp, lab in zip(d.components, classify_sccs(g, d, contractions(g).matching)):
                 assert lab.is_matched == brute_component_matched(g, comp), sorted(g.edges)
                 leaves = any(s in comp and t not in comp for s, t in g.edges)
                 assert lab.is_parent == (not leaves), sorted(g.edges)
@@ -108,7 +110,7 @@ class TestPartialOrder:
         for _ in range(50):
             g = random_digraph(rng, 9, 0.2)
             d = tarjan_scc(g)
-            labels = classify_sccs(g, d)
+            labels = classify_sccs(g, d, contractions(g).matching)
             parents = {i for i, lab in enumerate(labels) if lab.is_parent}
             for i, lab in enumerate(labels):
                 if not lab.is_parent:
