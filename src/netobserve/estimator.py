@@ -34,20 +34,24 @@ rho(F) only picks the best iterate and never feeds the recursion, so the
 search buffers the iterates' F matrices (``_RHO_BATCH_BYTES``) and takes
 their spectral radii in one batched ``eigvals`` call after the recursion
 steps that produced them; the earliest iterate of least rho still wins.
-The simulation draws its noise per block of ``_STEP_BLOCK`` steps from the
-same generator stream, in the same order, as one draw per step would.
-Neither batching changes a bit of the gains, rho or the trace:
-``eigvals`` of a stack makes the per-matrix LAPACK call for each matrix,
-and generator draws concatenate.  The recursion is a deterministic map of
-the covariance P, so once an iterate's P repeats one seen before (compared
-by a digest of its bytes), every later iterate replays an earlier F, whose
-rho the strict ``<`` cannot prefer: the search stops there and counts the
-evaluations the full loop would have made.
+``eigvals`` of a stack makes the per-matrix LAPACK call for each matrix, so
+the batching changes no bit of rho.  The recursion stops at the first
+iterate whose projected gain blocks moved by at most ``_GAIN_TOLERANCE``
+times their largest entry since the iterate before (the zero gain, for
+the first): past that point rho moves only in its last bits.  Blocks that
+are not finite never count as converged.
+
+The simulation iterates the certified error matrix F itself: stacked over
+agents, the error obeys ``x <- F x + c`` with the forcing
+``c = K vec(observed) - (I - K D_H)(1 (x) v)`` of the step's observation
+and process noise.  It draws its noise per block of ``_STEP_BLOCK`` steps
+from the same generator stream, in the same order, as one draw per step
+would (generator draws concatenate), and takes the block's forcing in two
+matrix products.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +110,10 @@ _RHO_BATCH_BYTES = 1 << 18
 # Steps drawn, and reduced to the MSE, together in one block.
 _STEP_BLOCK = 128
 
+# The gain search stops once no entry of the projected gain blocks moves by
+# more than this times their largest entry.
+_GAIN_TOLERANCE = 1e-12
+
 
 def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray,
                  out: np.ndarray) -> np.ndarray:
@@ -161,23 +169,20 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     p = eye
     pending: list[np.ndarray] = []  # the iterates whose F waits in f
     iterates = min(200, budget)
-    seen: set[bytes] = set()  # digests of the iterates' P
+    previous = best  # the zero gain, evaluated first
     for i in range(iterates):
-        digest = hashlib.sha256(p.tobytes()).digest()
-        replay = digest in seen  # then every later iterate replays an earlier F
-        if replay:
-            evaluations = 1 + min(iterates, budget - 1)  # as if run to the end
-        else:
-            seen.add(digest)
-            s = m @ p @ m.T + eye
-            s_obs = s[:, obs] * d_obs
-            x = d_obs[:, None] * s_obs[obs] + eye_obs
-            g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
-            blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
-            k = _closed_loop(m, blocks, d, f[len(pending)])
-            pending.append(blocks)
-            evaluations += 1
-        last = replay or evaluations >= budget or i == iterates - 1
+        s = m @ p @ m.T + eye
+        s_obs = s[:, obs] * d_obs
+        x = d_obs[:, None] * s_obs[obs] + eye_obs
+        g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
+        blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
+        k = _closed_loop(m, blocks, d, f[len(pending)])
+        pending.append(blocks)
+        evaluations += 1
+        # NaN compares false, so blocks that are not finite never converge
+        converged = (np.abs(blocks - previous).max()
+                     <= _GAIN_TOLERANCE * np.abs(blocks).max())
+        last = converged or evaluations >= budget or i == iterates - 1
         if last or len(pending) == len(f):
             for candidate, rho in zip(pending, _spectral_radii(f[:len(pending)])):
                 if rho < best_rho:
@@ -185,6 +190,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
             pending = []
         if last:
             break
+        previous = blocks
         ikd = eye - k * d
         p = ikd @ s @ ikd.T + k @ k.T
 
@@ -208,12 +214,15 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
              seed: int = 0) -> ErrorTrace:
     """Run the distributed filter as one recursion on the stacked error.
 
-    Per step, with ``d = R H`` the diagonals of the blocks of ``D_H``:
-    ``E <- W E A^T - v`` (process noise ``v``), then
+    Per step, with ``d = R H`` the diagonals of the blocks of ``D_H``, the
+    filter's ``E <- W E A^T - v`` (process noise ``v``), then
     ``E_i <- E_i - K_i (d_i o E_i - sum_rows R_ir nu_r H_r)`` (observation
-    noise ``nu``).  Noise is drawn as ``x0``, then per step ``n`` process
-    and one observation draw per placement row, in agent order; each block
-    of ``_STEP_BLOCK`` steps takes its draws in one call.
+    noise ``nu``), is ``x <- F x + c`` on ``x = vec(E)`` with
+    ``F = (I - K D_H)(W (x) A)`` and ``c = K vec((R * nu) H) -
+    (I - K D_H)(1 (x) v)``.  Noise is drawn as ``x0``, then per step ``n``
+    process and one observation draw per placement row, in agent order;
+    each block of ``_STEP_BLOCK`` steps takes its draws, and its forcing
+    ``c``, in one call.
     """
     if a.field != REAL or w.field != REAL:
         raise ValueError("simulation runs on real-valued realizations")
@@ -225,22 +234,27 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
         raise ValueError("fusion matrix rows must sum to one")
     rng = np.random.default_rng(seed)
     n = a.matrix.shape[0]
+    dim = n_agents * n
     h, r = _observation_rows(net, n)
-    d = r @ h
-    k = np.stack(gains.blocks)
+    d = (r @ h).ravel()
+    f = np.empty((dim, dim))
+    k = _closed_loop(kron_numeric(w, a).matrix, np.stack(gains.blocks), d, f)
+    kt, ikd_t = k.T, (np.eye(dim) - k * d).T
 
-    wm, at = w.matrix, a.matrix.T
-    e = np.tile(-rng.standard_normal(n), (n_agents, 1))
+    x = np.tile(-rng.standard_normal(n), n_agents)
     mse = np.zeros((horizon, n_agents))
     errors = np.empty((min(_STEP_BLOCK, horizon), n_agents, n))
+    rows = errors.reshape(len(errors), dim)
     for start in range(0, horizon, _STEP_BLOCK):
         steps = min(_STEP_BLOCK, horizon - start)
         noise = rng.standard_normal((steps, n + len(h)))
         v = process_noise * noise[:, :n]
         nu = observation_noise * noise[:, n:]
-        observed = (r * nu[:, None, :]) @ h  # one (R * nu) H product per step
-        for v_step, observed_step, out in zip(v, observed, errors):
-            e = wm @ e @ at - v_step
-            e = np.subtract(e, np.einsum("inm,im->in", k, d * e - observed_step), out=out)
+        observed = ((r * nu[:, None, :]) @ h).reshape(steps, dim)  # (R * nu) H per step
+        c = observed @ kt - np.tile(v, n_agents) @ ikd_t
+        for c_step, row in zip(c, rows):
+            np.matmul(f, x, out=row)
+            row += c_step
+            x = row
         np.mean(errors[:steps] ** 2, axis=2, out=mse[start:start + steps])
     return ErrorTrace(mse, process_noise, observation_noise)

@@ -94,14 +94,16 @@ def stochastic_realization_gf(w: Digraph, seed: int = 0) -> Realization:
     return Realization(mat, GF, seed)
 
 
-def _basis_gf(m: np.ndarray) -> np.ndarray:
-    """Rows of the reduced echelon form of ``m`` over GF(p), in int64.
+def _basis_gf(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Rows of the reduced echelon form of ``m`` over GF(p), in int64, and
+    their pivot columns.
 
     Residues are below 2^31, so each outer-product update stays below 2^62.
     """
     e = np.mod(m, PRIME)
-    rank = 0
+    pivots: list[int] = []
     for col in range(e.shape[1]):
+        rank = len(pivots)
         nonzero = np.flatnonzero(e[rank:, col])
         if nonzero.size == 0:
             continue
@@ -110,10 +112,10 @@ def _basis_gf(m: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(e[:, col])
         rows = rows[rows != rank]
         e[rows] = (e[rows] - np.outer(e[rows, col], e[rank]) % PRIME) % PRIME
-        rank += 1
-        if rank == e.shape[0]:
+        pivots.append(col)
+        if rank + 1 == e.shape[0]:
             break
-    return e[:rank]
+    return e[:len(pivots)], pivots
 
 
 def _basis_real(m: np.ndarray) -> np.ndarray:
@@ -125,16 +127,27 @@ def _basis_real(m: np.ndarray) -> np.ndarray:
     return vt[:int(np.count_nonzero(s > 1e-9 * s[0]))]
 
 
+def _times_gf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` over GF(p) for residues ``x`` and ``y``.  ``y`` is split into
+    16-bit limbs, so each partial sum stays below 2^62 while ``x`` has fewer
+    than 2^16 columns."""
+    hi, lo = np.divmod(y, 1 << 16)
+    return ((x @ hi % PRIME) * (1 << 16) + x @ lo % PRIME) % PRIME
+
+
 def observability_rank(a: Realization, h: Realization) -> int:
     """Rank of [H; HA; ...; HA^(n-1)], grown as a Krylov row basis.
 
-    A row basis E of span(H) is replaced by a basis of [E; E A] until its
-    row count stops growing: then span(E) is A-invariant and no later power
-    adds rank.  Over GF(p), E A splits A into 16-bit limbs, which is exact
-    while n < 2^16 (larger n raises ``ValueError``).  Over the reals A is
-    scaled to unit spectral norm, which keeps the row space; as E is
-    orthonormal, growing or shrinking powers of A cannot fall below the
-    tolerance.
+    Over GF(p) the basis is kept in reduced echelon form.  Each round
+    multiplies only the rows the previous round added (the frontier) by A,
+    reduces the products against the basis and adds what is left; once
+    nothing is left, span(E) is A-invariant and no later power adds rank.
+    Products split a factor into 16-bit limbs, which is exact while
+    n < 2^16 (larger n raises ``ValueError``).  Over the reals a row basis
+    E of span(H) is replaced by an orthonormal basis of [E; E A] until its
+    row count stops growing; A is scaled to unit spectral norm, which keeps
+    the row space, and as E is orthonormal, growing or shrinking powers of
+    A cannot fall below the tolerance.
     """
     if a.field != h.field:
         raise ValueError("mixed-field observability rank")
@@ -142,20 +155,21 @@ def observability_rank(a: Realization, h: Realization) -> int:
     if a.field == GF:
         if n >= 1 << 16:
             raise ValueError(f"GF(p) observability rank needs dimension < 2^16, got {n}")
-        hi, lo = np.divmod(np.mod(a.matrix, PRIME), 1 << 16)
-        basis = _basis_gf
-
-        def times_a(e):
-            return ((e @ hi % PRIME) * (1 << 16) + e @ lo % PRIME) % PRIME
-    else:
-        scaled = a.matrix / (np.linalg.norm(a.matrix, 2) or 1.0)
-        basis = _basis_real
-
-        def times_a(e):
-            return e @ scaled
-    e = basis(h.matrix)
+        a_mod = np.mod(a.matrix, PRIME)
+        basis, pivots = _basis_gf(h.matrix)
+        frontier = basis
+        while len(frontier):
+            rows = _times_gf(frontier, a_mod)
+            rows = (rows - _times_gf(rows[:, pivots], basis)) % PRIME
+            frontier, new_pivots = _basis_gf(rows)
+            basis = (basis - _times_gf(basis[:, new_pivots], frontier)) % PRIME
+            basis = np.vstack([basis, frontier])
+            pivots = pivots + new_pivots
+        return len(basis)
+    scaled = a.matrix / (np.linalg.norm(a.matrix, 2) or 1.0)
+    e = _basis_real(h.matrix)
     while True:
-        grown = basis(np.vstack([e, times_a(e)]))
+        grown = _basis_real(np.vstack([e, e @ scaled]))
         if len(grown) == len(e):
             return len(e)
         e = grown

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import netobserve
 from netobserve import cli
 from netobserve.classify import PlanError
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
@@ -348,6 +352,37 @@ def test_successive_calls_share_no_parser_state(fixture_gml, tmp_path):
     assert (first["numeric"], first["seeds"]) == (True, 3)
     second = config(verify, "v2")
     assert (second["numeric"], second["seeds"]) == (False, 20)
+
+
+def test_numeric_artifacts_are_identical_across_processes(tmp_path):
+    """``verify --numeric`` and ``simulate`` write the same bytes in two fresh
+    processes and in this one, whose heap has a different history, on two
+    estimator-small graphs (fused dimension 60-64)."""
+    from perfbench.workloads import estimator_small, to_gml
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(netobserve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    artifacts = {}
+    for k, graph in enumerate(estimator_small(np.random.default_rng(1))[:2]):
+        gml = tmp_path / f"g{k}.gml"
+        gml.write_text(to_gml(graph))
+        design = tmp_path / f"design{k}"
+        assert main(["design", str(gml), "--out", str(design)]) == EXIT_OK
+        commands = {"verify.json": ["verify", str(gml), "--plan", str(design / "plan.json"),
+                                    "--network", str(design / "network.json"),
+                                    "--numeric", "--seeds", "1"],
+                    "trace.csv": ["simulate", str(gml)]}
+        for name, argv in commands.items():
+            for run in ("first", "second", "in-process"):
+                out = tmp_path / run / f"{k}-{argv[0]}"
+                if run == "in-process":
+                    assert main([*argv, "--out", str(out)]) == EXIT_OK
+                else:
+                    subprocess.run([sys.executable, "-m", "netobserve.cli", *argv,
+                                    "--out", str(out)], check=True, env=env,
+                                   capture_output=True)
+                artifacts.setdefault((k, name), set()).add((out / name).read_bytes())
+    assert [len(found) for found in artifacts.values()] == [1, 1, 1, 1]
 
 
 def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):

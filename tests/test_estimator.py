@@ -238,16 +238,17 @@ class TestGainSearch:
 
 
 class TestDenseReference:
-    """``gain_search`` solves on the observed block; the dense pseudo-inverse
-    recursion of ``dense_gain_search`` must give the same schedule up to
-    rounding."""
+    """``gain_search`` solves on the observed block and stops at a converged
+    gain; the dense pseudo-inverse recursion of ``dense_gain_search``, run
+    to its 200th iterate, must give the same schedule up to rounding."""
 
     @staticmethod
     def assert_matches_dense(w, a, net, budget, seed):
         sched = gain_search(w, a, net, budget=budget, seed=seed)
         ref = dense_gain_search(w, a, net, budget=budget, seed=seed)
-        assert (sched.found, sched.evaluations) == (ref.found, ref.evaluations)
-        assert abs(sched.spectral_radius - ref.spectral_radius) <= 1e-12
+        assert sched.found == ref.found
+        assert sched.evaluations <= ref.evaluations
+        assert abs(sched.spectral_radius - ref.spectral_radius) <= 1e-9
         assert len(sched.blocks) == len(ref.blocks)
         for k, k_ref in zip(sched.blocks, ref.blocks):
             np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-9)

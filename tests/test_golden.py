@@ -15,9 +15,11 @@ alpha layer came to be written as its broadcaster set, and the
 
 ``simulate`` on the six-state fixture is pinned the same way: its
 ``trace.csv`` digest and the manifest's ``rho``, ``gain_digest`` and
-``steady_state_mse`` were recorded before the estimator's gain search took
-its spectral radii in batches and its simulation drew noise per block of
-steps.
+``steady_state_mse``.  They were re-recorded when the gain search came to
+stop at a converged gain and the simulation to iterate the error matrix F
+(see ``docs/formats.md``): ``rho``, ``gain_digest`` and
+``steady_state_mse`` moved in their last bits, and ``trace.csv`` kept its
+bytes.
 
 The GF(p) realizations behind ``verify --numeric`` and that command's
 ``verify.json`` were recorded before the structure type the realizations
@@ -119,9 +121,9 @@ def test_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
 
 SIMULATE_GOLDEN = {
     "trace.csv": "f0ed9cbd71de64de2aaa758156a93d740fb8e5ef53f90f96174eadffb85fc101",
-    "rho": 0.7130404835115951,
-    "gain_digest": "107650e7d77770d5",
-    "steady_state_mse": 0.010775333254911,
+    "rho": 0.7130404835116846,
+    "gain_digest": "3f846105538bb2cb",
+    "steady_state_mse": 0.010775333254912627,
 }
 
 

@@ -154,6 +154,27 @@ class TestObservability:
         assert ranks[-2:] == [64, 41]
         assert any(r < a.matrix.shape[0] for r, (a, _) in zip(ranks, pairs))
 
+    def test_gf_matches_oracle_on_full_and_deficient_pairs(self):
+        """The GF(p) frontier basis agrees with the floating-point oracle on
+        small integer pairs, where the GF(p) rank is the rational rank: full
+        and deficient A, and H with repeated and zero rows."""
+        rng = np.random.default_rng(12)
+        ranks = []
+        for trial in range(60):
+            n = int(rng.integers(2, 7))
+            a = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.45)
+            if trial % 3 == 0:  # block diagonal, H sees the first block only
+                a[:n // 2, n // 2:] = a[n // 2:, :n // 2] = 0
+                h = np.zeros((2, n), dtype=np.int64)
+                h[:, :n // 2] = rng.integers(-1, 2, (2, n // 2))
+            else:
+                h = rng.integers(-1, 2, (int(rng.integers(1, 4)), n))
+                h[-1] = h[0] * (trial % 2)  # a repeated or a zero row
+            rank = observability_rank(Realization(a, GF, 0), Realization(h, GF, 0))
+            assert rank == brute_observability_rank(a.astype(float), h.astype(float))
+            ranks.append(rank == n)
+        assert 10 <= sum(ranks) <= 50
+
     def test_real_scaled_powers_keep_full_rank(self, six_state, six_state_net):
         # A times 10 makes the blocks H A^k span many orders of magnitude;
         # eliminating them stacked loses all but 6 of the 18 directions
