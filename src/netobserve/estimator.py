@@ -30,16 +30,12 @@ definite: one ``|O| x |O|`` solve per step, not a pseudo-inverse of the
 fused dimension.  Unobservable inputs are refused with a rank
 certificate instead of searched.
 
-rho(F) only picks the best iterate and never feeds the recursion, so the
-search buffers the iterates' F matrices (``_RHO_BATCH_BYTES``) and takes
-their spectral radii in one batched ``eigvals`` call after the recursion
-steps that produced them; the earliest iterate of least rho still wins.
-``eigvals`` of a stack makes the per-matrix LAPACK call for each matrix, so
-the batching changes no bit of rho.  The recursion stops at the first
-iterate whose projected gain blocks moved by at most ``_GAIN_TOLERANCE``
-times their largest entry since the iterate before (the zero gain, for
-the first): past that point rho moves only in its last bits.  Blocks that
-are not finite never count as converged.
+Each iterate's rho(F) comes from one ``eigvals`` call, and the earliest
+iterate of least rho wins.  The recursion stops at the first iterate
+whose projected gain blocks moved by at most ``_GAIN_TOLERANCE`` times
+their largest entry since the iterate before (the zero gain, for the
+first): past that point rho moves only in its last bits.  Blocks that are
+not finite never count as converged.
 
 The simulation iterates the certified error matrix F itself: stacked over
 agents, the error obeys ``x <- F x + c`` with the forcing
@@ -57,15 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netdesign import AgentNetwork
-from .numeric import REAL, Realization, kron_numeric, observability_rank
+from .numeric import kron_numeric, observability_rank
 
 
 class UnobservableSystemError(RuntimeError):
     """Gain search refused: the fused pair is not numerically observable."""
 
     def __init__(self, rank: int, full: int):
-        super().__init__(f"observability rank {rank} < {full}; no stabilizing "
-                         f"block-diagonal gain can exist")
+        super().__init__(f"observability rank {rank} < {full}; the fused pair is not "
+                         f"numerically observable, so the gain search is refused")
         self.rank = rank
         self.full = full
 
@@ -103,10 +99,6 @@ def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray
     return np.eye(n)[states], sources[:, owner]
 
 
-# Iterates whose rho(F) waits for one batched ``eigvals`` call: F matrices of
-# about this many bytes in all, 8 at fused dimension 64.
-_RHO_BATCH_BYTES = 1 << 18
-
 # Steps drawn, and reduced to the MSE, together in one block.
 _STEP_BLOCK = 128
 
@@ -115,25 +107,24 @@ _STEP_BLOCK = 128
 _GAIN_TOLERANCE = 1e-12
 
 
-def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal K of the agents x n x n ``blocks``; writes
-    F = M - (K * d) M, i.e. K D_H as a column scaling, to ``out``."""
+def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense block-diagonal K of the agents x n x n ``blocks``, and
+    F = M - (K * d) M, i.e. K D_H as a column scaling."""
     n_agents, n, _ = blocks.shape
     k = np.zeros((n_agents, n, n_agents, n))
     agents = np.arange(n_agents)
     k[agents, :, agents, :] = blocks
     k = k.reshape(n_agents * n, n_agents * n)
-    np.subtract(m, (k * d) @ m, out=out)
-    return k
+    return k, m - (k * d) @ m
 
 
-def _spectral_radii(f: np.ndarray) -> list[float]:
-    """rho of every matrix of the stack ``f``, from one ``eigvals`` call."""
-    return np.abs(np.linalg.eigvals(f)).max(axis=1).tolist()
+def _spectral_radius(f: np.ndarray) -> float:
+    """rho(F), from one ``eigvals`` call."""
+    return float(np.abs(np.linalg.eigvals(f)).max())
 
 
-def gain_search(w: Realization, a: Realization, net: AgentNetwork,
+def gain_search(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
                 budget: int = 10_000, seed: int = 0) -> GainSchedule:
     """Find static per-agent gains with rho(F) < 1.
 
@@ -144,51 +135,41 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     perturbations of the best candidate.
     """
     n_agents = net.agent_count
-    n = a.matrix.shape[0]
+    n = a.shape[0]
     dim = n_agents * n
-    fused = kron_numeric(w, a)
-    m = fused.matrix
+    m = kron_numeric(w, a)
     h, r = _observation_rows(net, n)
     d = (r @ h).ravel()
     obs = np.flatnonzero(d)
     d_obs = d[obs]
 
-    rank = observability_rank(fused, Realization(np.eye(dim)[obs], REAL, 0))
+    rank = observability_rank(m, np.eye(dim)[obs])
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 
-    f = np.empty((max(1, _RHO_BATCH_BYTES // (8 * dim * dim)), dim, dim))
     best = np.zeros((n_agents, n, n))
-    _closed_loop(m, best, d, f[0])
-    best_rho = _spectral_radii(f[:1])[0]
+    best_rho = _spectral_radius(_closed_loop(m, best, d)[1])
     evaluations = 1
 
     agents = np.arange(n_agents)
     eye, eye_obs = np.eye(dim), np.eye(len(obs))
     g = np.zeros((dim, dim))  # the centralized gain, nonzero on the columns obs only
     p = eye
-    pending: list[np.ndarray] = []  # the iterates whose F waits in f
-    iterates = min(200, budget)
     previous = best  # the zero gain, evaluated first
-    for i in range(iterates):
+    for _ in range(min(200, budget)):
         s = m @ p @ m.T + eye
         s_obs = s[:, obs] * d_obs
         x = d_obs[:, None] * s_obs[obs] + eye_obs
         g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
         blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
-        k = _closed_loop(m, blocks, d, f[len(pending)])
-        pending.append(blocks)
+        k, f = _closed_loop(m, blocks, d)
         evaluations += 1
+        rho = _spectral_radius(f)
+        if rho < best_rho:
+            best_rho, best = rho, blocks
         # NaN compares false, so blocks that are not finite never converge
-        converged = (np.abs(blocks - previous).max()
-                     <= _GAIN_TOLERANCE * np.abs(blocks).max())
-        last = converged or evaluations >= budget or i == iterates - 1
-        if last or len(pending) == len(f):
-            for candidate, rho in zip(pending, _spectral_radii(f[:len(pending)])):
-                if rho < best_rho:
-                    best_rho, best = rho, candidate
-            pending = []
-        if last:
+        if evaluations >= budget or (np.abs(blocks - previous).max()
+                                     <= _GAIN_TOLERANCE * np.abs(blocks).max()):
             break
         previous = blocks
         ikd = eye - k * d
@@ -198,9 +179,8 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     scale = 0.5
     while best_rho >= 1.0 and evaluations < budget:
         blocks = best + scale * rng.standard_normal(best.shape)
-        _closed_loop(m, blocks, d, f[0])
         evaluations += 1
-        rho = _spectral_radii(f[:1])[0]
+        rho = _spectral_radius(_closed_loop(m, blocks, d)[1])
         if rho < best_rho:
             best_rho, best = rho, blocks
             scale = max(scale * 0.9, 1e-3)
@@ -208,7 +188,7 @@ def gain_search(w: Realization, a: Realization, net: AgentNetwork,
     return GainSchedule(tuple(best), best_rho, best_rho < 1.0, evaluations)
 
 
-def simulate(w: Realization, a: Realization, net: AgentNetwork,
+def simulate(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
              gains: GainSchedule, horizon: int = 1000,
              process_noise: float = 0.1, observation_noise: float = 0.1,
              seed: int = 0) -> ErrorTrace:
@@ -224,21 +204,20 @@ def simulate(w: Realization, a: Realization, net: AgentNetwork,
     each block of ``_STEP_BLOCK`` steps takes its draws, and its forcing
     ``c``, in one call.
     """
-    if a.field != REAL or w.field != REAL:
+    if w.dtype.kind != "f" or a.dtype.kind != "f":
         raise ValueError("simulation runs on real-valued realizations")
     n_agents = net.agent_count
-    if w.matrix.shape != (n_agents, n_agents):
-        raise ValueError(f"fusion matrix of shape {w.matrix.shape} does not match "
+    if w.shape != (n_agents, n_agents):
+        raise ValueError(f"fusion matrix of shape {w.shape} does not match "
                          f"{n_agents} agents")
-    if np.abs(w.matrix.sum(axis=1) - 1.0).max() > 1e-9:
+    if np.abs(w.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("fusion matrix rows must sum to one")
     rng = np.random.default_rng(seed)
-    n = a.matrix.shape[0]
+    n = a.shape[0]
     dim = n_agents * n
     h, r = _observation_rows(net, n)
     d = (r @ h).ravel()
-    f = np.empty((dim, dim))
-    k = _closed_loop(kron_numeric(w, a).matrix, np.stack(gains.blocks), d, f)
+    k, f = _closed_loop(kron_numeric(w, a), np.stack(gains.blocks), d)
     kt, ikd_t = k.T, (np.eye(dim) - k * d).T
 
     x = np.tile(-rng.standard_normal(n), n_agents)

@@ -5,11 +5,12 @@ exact, so genericity arguments ("a random realization of an observable
 structure has full observability rank with probability >= 1 - n/p") hold
 without any conditioning headaches.  The same rank routine also runs over
 the reals, for ``verify --field real`` and the estimator's refusal test.
+
+A realization is a plain square array, and its dtype names its field:
+integer entries are residues over GF(p), float entries are reals.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +31,10 @@ MAX_FUSED_DIM = 256
 MAX_TRACE_ENTRIES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Realization:
-    """Dense value assignment agreeing with a structure's nonzero pattern."""
-
-    matrix: np.ndarray
-    field: str
-    seed: int
-
-
-def random_realization(g: Digraph, field: str = GF, seed: int = 0) -> Realization:
+def random_realization(g: Digraph, field: str = GF, seed: int = 0) -> np.ndarray:
     """Uniform nonzero entries on the structure of ``g``, drawn row by row
-    in increasing column order, deterministic under seed."""
+    in increasing column order, deterministic under seed: int64 residues
+    over GF(p), or float64 reals."""
     if field not in (GF, REAL):
         raise ValueError(f"unknown field {field!r}")
     rng = np.random.default_rng(seed)
@@ -50,10 +43,10 @@ def random_realization(g: Digraph, field: str = GF, seed: int = 0) -> Realizatio
         for j in row:
             mat[i, j] = (rng.integers(1, PRIME) if field == GF
                          else rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
-    return Realization(mat, field, seed)
+    return mat
 
 
-def stochastic_realization(w: Digraph, seed: int = 0) -> Realization:
+def stochastic_realization(w: Digraph, seed: int = 0) -> np.ndarray:
     """Real row-stochastic realization of a fusion structure.
 
     Rows are nonnegative and sum to one; requires every row to be nonempty
@@ -66,10 +59,10 @@ def stochastic_realization(w: Digraph, seed: int = 0) -> Realization:
             raise ValueError(f"row {i} has empty support; cannot be stochastic")
         weights = rng.uniform(0.1, 1.0, size=len(cols))
         mat[i, list(cols)] = weights / weights.sum()
-    return Realization(mat, REAL, seed)
+    return mat
 
 
-def stochastic_realization_gf(w: Digraph, seed: int = 0) -> Realization:
+def stochastic_realization_gf(w: Digraph, seed: int = 0) -> np.ndarray:
     """GF(p) analogue: row sums congruent to 1 mod p.
 
     The stochastic constraint is affine, so genericity carries over; the
@@ -91,7 +84,7 @@ def stochastic_realization_gf(w: Digraph, seed: int = 0) -> Realization:
             if not cols:  # lone diagonal: row sum 1 means the entry is 1
                 mat[i, i] = 1
                 break
-    return Realization(mat, GF, seed)
+    return mat
 
 
 def _basis_gf(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -135,7 +128,20 @@ def _times_gf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x @ hi % PRIME) * (1 << 16) + x @ lo % PRIME) % PRIME
 
 
-def observability_rank(a: Realization, h: Realization) -> int:
+def _field(*mats: np.ndarray) -> tuple[bool, list[np.ndarray]]:
+    """Whether the realizations ``mats`` are over GF(p), and the arrays to
+    compute with.  Integer dtypes that int64 holds mean GF(p) and are cast
+    to int64; float dtypes mean the reals.  Anything else, or a mix, raises
+    ``ValueError``."""
+    if all(m.dtype.kind in "iu" and np.can_cast(m.dtype, np.int64) for m in mats):
+        return True, [m.astype(np.int64, copy=False) for m in mats]
+    if all(m.dtype.kind == "f" for m in mats):
+        return False, list(mats)
+    raise ValueError("realizations must be all integer (GF(p)) or all float (real), got "
+                     + ", ".join(str(m.dtype) for m in mats))
+
+
+def observability_rank(a: np.ndarray, h: np.ndarray) -> int:
     """Rank of [H; HA; ...; HA^(n-1)], grown as a Krylov row basis.
 
     Over GF(p) the basis is kept in reduced echelon form.  Each round
@@ -149,14 +155,13 @@ def observability_rank(a: Realization, h: Realization) -> int:
     the row space, and as E is orthonormal, growing or shrinking powers of
     A cannot fall below the tolerance.
     """
-    if a.field != h.field:
-        raise ValueError("mixed-field observability rank")
-    n = a.matrix.shape[0]
-    if a.field == GF:
+    gf, (a, h) = _field(a, h)
+    n = a.shape[0]
+    if gf:
         if n >= 1 << 16:
             raise ValueError(f"GF(p) observability rank needs dimension < 2^16, got {n}")
-        a_mod = np.mod(a.matrix, PRIME)
-        basis, pivots = _basis_gf(h.matrix)
+        a_mod = np.mod(a, PRIME)
+        basis, pivots = _basis_gf(h)
         frontier = basis
         while len(frontier):
             rows = _times_gf(frontier, a_mod)
@@ -166,8 +171,8 @@ def observability_rank(a: Realization, h: Realization) -> int:
             basis = np.vstack([basis, frontier])
             pivots = pivots + new_pivots
         return len(basis)
-    scaled = a.matrix / (np.linalg.norm(a.matrix, 2) or 1.0)
-    e = _basis_real(h.matrix)
+    scaled = a / (np.linalg.norm(a, 2) or 1.0)
+    e = _basis_real(h)
     while True:
         grown = _basis_real(np.vstack([e, e @ scaled]))
         if len(grown) == len(e):
@@ -175,10 +180,8 @@ def observability_rank(a: Realization, h: Realization) -> int:
         e = grown
 
 
-def kron_numeric(w: Realization, a: Realization) -> Realization:
-    if w.field != a.field:
-        raise ValueError("mixed-field Kronecker product")
-    mat = np.kron(w.matrix, a.matrix)
-    if w.field == GF:
-        mat = np.mod(mat, PRIME)
-    return Realization(mat, w.field, w.seed)
+def kron_numeric(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """W (x) A, reduced mod p over GF(p)."""
+    gf, (w, a) = _field(w, a)
+    mat = np.kron(w, a)
+    return np.mod(mat, PRIME) if gf else mat

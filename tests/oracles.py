@@ -30,7 +30,7 @@ from netobserve.netdesign import (
     TopologyVerdict,
     _observer_union,
 )
-from netobserve.numeric import REAL, Realization, kron_numeric, observability_rank
+from netobserve.numeric import kron_numeric, observability_rank
 from netobserve.scc import SccDecomposition, SccLabel
 from netobserve.structural_check import (
     ObservabilityVerdict,
@@ -286,20 +286,19 @@ def _closed_loop(m: np.ndarray, kbar: np.ndarray, d_h: np.ndarray
     return f, float(np.max(np.abs(np.linalg.eigvals(f))))
 
 
-def dense_gain_search(w: Realization, a: Realization, net: AgentNetwork,
+def dense_gain_search(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
                       budget: int = 10_000, seed: int = 0) -> GainSchedule:
     """The gain search on the dense fused matrices: D_H as a full diagonal
     matrix and the centralized gain through a pseudo-inverse of the whole
     innovation covariance ``D_H S D_H + I``.  The reference for
     ``estimator.gain_search``, which solves on the observed block only."""
     n_agents = net.agent_count
-    n = a.matrix.shape[0]
+    n = a.shape[0]
     dim = n_agents * n
-    fused = kron_numeric(w, a)
-    m = fused.matrix
+    m = kron_numeric(w, a)
     d_h = fused_observation_realization(net, n)
 
-    rank = observability_rank(fused, Realization(d_h, REAL, 0))
+    rank = observability_rank(m, d_h)
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 
@@ -562,20 +561,19 @@ def frozen_closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
     return k, float(np.max(np.abs(np.linalg.eigvals(f))))
 
 
-def frozen_gain_search(w: Realization, a: Realization, net: AgentNetwork,
+def frozen_gain_search(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
                        budget: int = 10_000, seed: int = 0) -> GainSchedule:
     """``estimator.gain_search`` with one ``eigvals`` call per iterate."""
     n_agents = net.agent_count
-    n = a.matrix.shape[0]
+    n = a.shape[0]
     dim = n_agents * n
-    fused = kron_numeric(w, a)
-    m = fused.matrix
+    m = kron_numeric(w, a)
     h, r = _observation_rows(net, n)
     d = (r @ h).ravel()
     obs = np.flatnonzero(d)
     d_obs = d[obs]
 
-    rank = observability_rank(fused, Realization(np.eye(dim)[obs], REAL, 0))
+    rank = observability_rank(m, np.eye(dim)[obs])
     if rank < dim:
         raise UnobservableSystemError(rank, dim)
 
@@ -614,21 +612,21 @@ def frozen_gain_search(w: Realization, a: Realization, net: AgentNetwork,
     return GainSchedule(tuple(best), best_rho, best_rho < 1.0, evaluations)
 
 
-def frozen_simulate(w: Realization, a: Realization, net: AgentNetwork,
+def frozen_simulate(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
                     gains: GainSchedule, horizon: int = 1000,
                     process_noise: float = 0.1, observation_noise: float = 0.1,
                     seed: int = 0) -> ErrorTrace:
     """``estimator.simulate`` drawing the noise and reducing the MSE per step."""
-    if a.field != REAL or w.field != REAL:
+    if w.dtype.kind != "f" or a.dtype.kind != "f":
         raise ValueError("simulation runs on real-valued realizations")
     n_agents = net.agent_count
-    if w.matrix.shape != (n_agents, n_agents):
-        raise ValueError(f"fusion matrix of shape {w.matrix.shape} does not match "
+    if w.shape != (n_agents, n_agents):
+        raise ValueError(f"fusion matrix of shape {w.shape} does not match "
                          f"{n_agents} agents")
-    if np.abs(w.matrix.sum(axis=1) - 1.0).max() > 1e-9:
+    if np.abs(w.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("fusion matrix rows must sum to one")
     rng = np.random.default_rng(seed)
-    n = a.matrix.shape[0]
+    n = a.shape[0]
     h, r = _observation_rows(net, n)
     d = r @ h
     k = np.stack(gains.blocks)
@@ -636,7 +634,7 @@ def frozen_simulate(w: Realization, a: Realization, net: AgentNetwork,
     e = np.tile(-rng.standard_normal(n), (n_agents, 1))
     mse = np.zeros((horizon, n_agents))
     for step in range(horizon):
-        e = w.matrix @ e @ a.matrix.T - process_noise * rng.standard_normal(n)
+        e = w @ e @ a.T - process_noise * rng.standard_normal(n)
         nu = observation_noise * rng.standard_normal(len(h))
         e = e - np.einsum("inm,im->in", k, d * e - (r * nu) @ h)
         mse[step] = np.mean(e ** 2, axis=1)

@@ -24,8 +24,6 @@ from netobserve.matching import _alternating_family, contractions, hopcroft_karp
 from netobserve.netdesign import design_canonical, verify_topology
 from netobserve.numeric import (
     GF,
-    REAL,
-    Realization,
     kron_numeric,
     observability_rank,
     random_realization,
@@ -216,7 +214,7 @@ def test_criterion_6_structural_numeric_agreement():
         k = int(rng.integers(1, min(4, n) + 1))
         states = [int(v) for v in rng.choice(n, size=k, replace=False)]
         verdict = check_centralized(g, states).observable
-        h = Realization(np.eye(n, dtype=np.int64)[states], GF, 0)  # one unit row per state
+        h = np.eye(n, dtype=np.int64)[states]  # one unit row per state
         for seed in range(20):
             a = random_realization(g, GF, seed=seed)
             pairs += 1
@@ -297,7 +295,7 @@ def test_criterion_8_estimator_properties():
     for j, i in sorted(g.edges):
         base[i, j] = rng.uniform(0.4, 1.0)
 
-    a = Realization(base * (0.95 / max(abs(np.linalg.eigvals(base)))), REAL, 0)
+    a = base * (0.95 / max(abs(np.linalg.eigvals(base))))
     w = stochastic_realization(net.fusion, seed=0)
     sched = gain_search(w, a, net, budget=10_000, seed=1)
     decay_ok = False
@@ -311,8 +309,7 @@ def test_criterion_8_estimator_properties():
         decay_ok = abs(observed_rate - sched.spectral_radius ** 2) \
             <= 0.05 * sched.spectral_radius ** 2
 
-    a_unstable = Realization(
-        base * (1.1 / max(abs(np.linalg.eigvals(base)))), REAL, 0)
+    a_unstable = base * (1.1 / max(abs(np.linalg.eigvals(base))))
     crippled = with_alpha_edges(net, {e for e in alpha_edge_set(net) if e[0] != 0})
     w_crippled = stochastic_realization(crippled.fusion, seed=0)
     zero = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)), 1.1, False, 0)

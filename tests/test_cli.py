@@ -385,6 +385,18 @@ def test_numeric_artifacts_are_identical_across_processes(tmp_path):
     assert [len(found) for found in artifacts.values()] == [1, 1, 1, 1]
 
 
+def test_structural_layers_import_without_numpy():
+    """The package and its structural layers load no numpy: only the numeric
+    certificates (``structural_check``, ``numeric``, ``estimator``) need it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(netobserve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, netobserve, netobserve.classify, netobserve.netdesign; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    run = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True)
+    assert run.stdout == "[]\n"
+
+
 def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):
     """Each command runs one canonical matching and one Tarjan pass: the
     distributed check reads both from the command's decomposition."""
@@ -462,6 +474,19 @@ class TestSimulate:
         assert time.perf_counter() - start < 5
         assert "input error: a trace of 1000000000 steps x 3 agents exceeds the cap " \
                "of 1000000 entries" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_unobservable_pair_refused(self, fixture_gml, tmp_path, capsys, monkeypatch):
+        # the refusal keeps its exit code and the prefix the benchmark matches
+        def refuse(*args, **kwargs):
+            raise cli.estimator_mod.UnobservableSystemError(17, 18)
+
+        monkeypatch.setattr(cli.estimator_mod, "gain_search", refuse)
+        code = main(["simulate", str(fixture_gml), "--out", str(tmp_path / "s")])
+        assert code == EXIT_DESIGN
+        assert capsys.readouterr().err.startswith(
+            "gain search refused: observability rank 17 < 18; the fused pair is not "
+            "numerically observable")
         assert not (tmp_path / "s").exists()
 
     def test_above_dense_cap_refused(self, fixture_gml, tmp_path, capsys):

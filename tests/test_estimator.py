@@ -11,7 +11,7 @@ from netobserve.estimator import (
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import Digraph
 from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical
-from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
+from netobserve.numeric import REAL, random_realization, stochastic_realization
 
 from .oracles import (
     alpha_edge_set,
@@ -27,7 +27,7 @@ def scaled_system(six_state, rho_target, seed=0):
     for j, i in sorted(six_state.edges):
         a[i, j] = rng.uniform(0.4, 1.0)
     a *= rho_target / max(abs(np.linalg.eigvals(a)))
-    return Realization(a, REAL, seed)
+    return a
 
 
 def single_agent_full_obs(n):
@@ -74,28 +74,28 @@ class TestPredictStep:
     # with zero gains every step is the prediction E <- W E A^T alone
 
     def test_identity_w_independent_predictors(self):
-        a = Realization(np.diag([0.5, 2.0]), REAL, 0)
-        w = Realization(np.eye(3), REAL, 0)
+        a = np.diag([0.5, 2.0])
+        w = np.eye(3)
         trace = noiseless(w, a, unobserving_agents(3), zero_gains(3, 2))
         e = initial_error(2, 5)
         for step in range(20):
-            e = a.matrix @ e
+            e = a @ e
             assert np.allclose(trace.mse[step], np.mean(e ** 2), rtol=1e-12)
 
     def test_single_agent_standard_predictor(self):
-        a = Realization(np.array([[0.0, 1.0], [-0.5, 0.3]]), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
+        a = np.array([[0.0, 1.0], [-0.5, 0.3]])
+        w = np.eye(1)
         trace = noiseless(w, a, unobserving_agents(1), zero_gains(1, 2))
         e = initial_error(2, 5)
         for step in range(20):
-            e = a.matrix @ e
+            e = a @ e
             assert trace.mse[step, 0] == pytest.approx(np.mean(e ** 2), rel=1e-12)
 
     def test_stacked_form_matches_kron(self, six_state, six_state_net):
         a = scaled_system(six_state, 0.9)
         w = stochastic_realization(six_state_net.fusion, seed=1)
         trace = noiseless(w, a, six_state_net, zero_gains(3, 6))
-        kron = np.kron(w.matrix, a.matrix)
+        kron = np.kron(w, a)
         e = np.tile(initial_error(6, 5), 3)
         for step in range(20):
             e = kron @ e
@@ -118,8 +118,8 @@ class TestUpdateStep:
         # (H^T H)^-1 = I recovers the state at every step, whatever the
         # process noise drove it to
         n = 3
-        a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
+        a = np.random.default_rng(6).uniform(-1, 1, (n, n))
+        w = np.eye(1)
         gains = GainSchedule((np.eye(n),), 0.0, True, 0)
         trace = simulate(w, a, single_agent_full_obs(n), gains, horizon=20,
                          process_noise=0.5, observation_noise=0.0, seed=2)
@@ -132,7 +132,7 @@ class TestErrorMatrix:
         # contracts per step at rho(W kron A)^2
         a = scaled_system(six_state, 0.8)
         w = stochastic_realization(six_state_net.fusion, seed=5)
-        rho_kron = max(abs(np.linalg.eigvals(np.kron(w.matrix, a.matrix))))
+        rho_kron = max(abs(np.linalg.eigvals(np.kron(w, a))))
         m = noiseless(w, a, six_state_net, zero_gains(3, 6), horizon=80).mse.mean(axis=1)
         window = 10
         observed = (m[60] / m[60 - window]) ** (1 / window)
@@ -143,9 +143,9 @@ class TestErrorMatrix:
         # gives rho(F) = 0, so even an unstable plant leaves only the
         # last observation noise as error
         n = 3
-        a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
-        a = Realization(a.matrix * 3 / max(abs(np.linalg.eigvals(a.matrix))), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
+        a = np.random.default_rng(6).uniform(-1, 1, (n, n))
+        a = a * 3 / max(abs(np.linalg.eigvals(a)))
+        w = np.eye(1)
         gains = GainSchedule((np.eye(n),), 0.0, True, 0)  # K D_H = I
         trace = simulate(w, a, single_agent_full_obs(n), gains, horizon=200,
                          process_noise=0.1, observation_noise=0.1, seed=4)
@@ -165,8 +165,8 @@ def six_state_case(six_state, six_state_net, blocks):
 def deadbeat_case():
     # full observation of one agent: D_H = I, so K = I gives K D_H = I
     n = 3
-    a = Realization(np.random.default_rng(6).uniform(-1, 1, (n, n)), REAL, 0)
-    w = Realization(np.eye(1), REAL, 0)
+    a = np.random.default_rng(6).uniform(-1, 1, (n, n))
+    w = np.eye(1)
     return w, a, single_agent_full_obs(n), GainSchedule((np.eye(n),), 0.0, True, 0)
 
 
@@ -180,12 +180,12 @@ def test_error_recursion_matches_dense(six_state, six_state_net, case, vanishes)
     # noiseless, the stacked error after step k is F^(k+1) e0 with
     # F = (I - Kbar D_H)(W kron A) and e0 = -x0 in every agent's block
     w, a, net, gains = case(six_state, six_state_net)
-    n_agents, n = net.agent_count, a.matrix.shape[0]
+    n_agents, n = net.agent_count, a.shape[0]
     kbar = np.zeros((n_agents * n, n_agents * n))
     for i, k in enumerate(gains.blocks):
         kbar[i * n:(i + 1) * n, i * n:(i + 1) * n] = k
     d_h = fused_observation_realization(net, n)
-    f = (np.eye(n_agents * n) - kbar @ d_h) @ np.kron(w.matrix, a.matrix)
+    f = (np.eye(n_agents * n) - kbar @ d_h) @ np.kron(w, a)
     e = np.tile(-np.random.default_rng(5).standard_normal(n), n_agents)
     trace = simulate(w, a, net, gains, horizon=20, process_noise=0.0,
                      observation_noise=0.0, seed=5)
@@ -202,8 +202,8 @@ class TestGainSearch:
         n = 4
         net = single_agent_full_obs(n)
         rng = np.random.default_rng(7)
-        a = Realization(rng.uniform(-1, 1, (n, n)), REAL, 0)
-        w = Realization(np.eye(1), REAL, 0)
+        a = rng.uniform(-1, 1, (n, n))
+        w = np.eye(1)
         sched = gain_search(w, a, net, budget=2_000, seed=0)
         assert sched.found and sched.spectral_radius < 1.0
 
@@ -227,11 +227,28 @@ class TestGainSearch:
         assert exc_info.value.full == 18
 
 
+    def test_refusal_does_not_claim_no_gain_exists(self):
+        # the unobserved mode of A = diag(0.5, 2) is stable: K = diag(0, 1)
+        # gives rho(F) = 0.5, yet the unobservable pair is refused
+        a, w = np.diag([0.5, 2.0]), np.eye(1)
+        net = AgentNetwork(1, AlphaEdges(1), frozenset(),
+                           ((Placement(state=1, agent=0, kind="alpha"),),))
+        with pytest.raises(UnobservableSystemError) as exc_info:
+            gain_search(w, a, net, budget=100, seed=0)
+        assert (exc_info.value.rank, exc_info.value.full) == (1, 2)
+        assert str(exc_info.value) == ("observability rank 1 < 2; the fused pair is not "
+                                       "numerically observable, so the gain search is "
+                                       "refused")
+        d_h = fused_observation_realization(net, 2)
+        f = (np.eye(2) - np.diag([0.0, 1.0]) @ d_h) @ np.kron(w, a)
+        assert max(abs(np.linalg.eigvals(f))) == 0.5
+
+
     def test_fast_growing_powers_not_refused(self, six_state, six_state_net):
         # rho(A) near 10 makes the unscaled blocks D_H M^k span many orders
         # of magnitude; the design is observable, so the rank test must pass
         base = random_realization(six_state, REAL, seed=0)
-        a = Realization(base.matrix * 10, REAL, 0)
+        a = base * 10
         w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = gain_search(w, a, six_state_net, budget=20, seed=0)
         assert sched.evaluations == 20
@@ -267,7 +284,7 @@ class TestDenseReference:
         # rho(A) near 10: no iterate is contractive, so the 99 evaluations
         # after the 201 covariance steps are random perturbations
         base = random_realization(six_state, REAL, seed=0)
-        a = Realization(base.matrix * 10, REAL, 0)
+        a = base * 10
         w = stochastic_realization(six_state_net.fusion, seed=0)
         sched = self.assert_matches_dense(w, a, six_state_net, budget=300, seed=0)
         assert not sched.found
@@ -335,7 +352,7 @@ class TestSimulate:
     def test_rejects_bad_fusion_matrix(self, six_state, six_state_net, matrix):
         a = scaled_system(six_state, 0.9)
         with pytest.raises(ValueError, match="fusion matrix"):
-            simulate(Realization(matrix, REAL, 0), a, six_state_net, zero_gains(3, 6))
+            simulate(matrix, a, six_state_net, zero_gains(3, 6))
 
     def test_requires_real_field(self, six_state, six_state_net):
         from netobserve.numeric import GF
@@ -344,3 +361,13 @@ class TestSimulate:
         sched = GainSchedule(tuple(np.zeros((6, 6)) for _ in range(3)), 1.0, False, 0)
         with pytest.raises(ValueError):
             simulate(w, a, six_state_net, sched)
+
+    @pytest.mark.parametrize("integer", ["w", "both"])
+    def test_refuses_integer_realizations(self, six_state, six_state_net, integer):
+        # integer dtypes name GF(p): even an integral stochastic W is refused
+        a = scaled_system(six_state, 0.9)
+        w = np.eye(3, dtype=np.int64)
+        if integer == "both":
+            a = (a != 0).astype(np.int32)
+        with pytest.raises(ValueError, match="real-valued"):
+            simulate(w, a, six_state_net, zero_gains(3, 6))

@@ -17,15 +17,14 @@ from netobserve.classify import decompose, place_agents
 from netobserve.cli import _CSV_BLOCK_ENTRIES, _write_trace_csv
 from netobserve.estimator import (
     _GAIN_TOLERANCE,
-    _RHO_BATCH_BYTES,
     _STEP_BLOCK,
-    _spectral_radii,
+    _spectral_radius,
     gain_search,
     simulate,
 )
 from netobserve.graph_core import Digraph
 from netobserve.netdesign import design_canonical
-from netobserve.numeric import REAL, Realization, random_realization, stochastic_realization
+from netobserve.numeric import REAL, random_realization, stochastic_realization
 
 from . import oracles
 from .oracles import frozen_gain_search, frozen_simulate
@@ -78,7 +77,7 @@ def test_benchmark_graphs(seed):
     cases = small_cases(seed)
     assert len(cases) == 12
     for w, a, net in cases:
-        assert 60 <= net.agent_count * a.matrix.shape[0] <= 64
+        assert 60 <= net.agent_count * a.shape[0] <= 64
         assert_matches_frozen(w, a, net, budget=10_000, seed=0)
 
 
@@ -95,12 +94,7 @@ def scaled_plant(six_state, six_state_net, scale=10):
     spent in the perturbation fallback."""
     base = random_realization(six_state, REAL, seed=0)
     w = stochastic_realization(six_state_net.fusion, seed=0)
-    return w, Realization(base.matrix * scale, REAL, 0), six_state_net
-
-
-def test_batch_size_at_fixture_dimension():
-    # the budgets below straddle the batch boundaries of the fused dimension 18
-    assert _RHO_BATCH_BYTES // (8 * 18 * 18) == 101
+    return w, base * scale, six_state_net
 
 
 @pytest.mark.parametrize("budget", [1, 2, 100, 101, 102, 103, 200, 201, 202, 300])
@@ -118,7 +112,7 @@ def test_budgets_around_batch_and_loop_ends(six_state, six_state_net, budget):
 
 
 def test_budgets_on_a_benchmark_graph():
-    # fused dimension 60: batches of 9; the gain converges at iterate 12
+    # fused dimension 60; the gain converges at iterate 12
     w, a, net = small_cases(1)[0]
     for budget in (1, 2, 9, 10, 11, 12):
         assert_same_schedule(gain_search(w, a, net, budget=budget, seed=0),
@@ -143,23 +137,10 @@ def test_simulate_horizons_across_step_blocks(six_state, six_state_net, horizon)
         np.testing.assert_allclose(got.mse, ref.mse, rtol=1e-9)
 
 
-def test_batched_radii_equal_one_call_per_matrix():
-    # a batch that mixes real and complex spectra returns complex
-    # eigenvalues for every matrix; |x + 0j| must still be |x| exactly
-    rng = np.random.default_rng(3)
-    stack = np.stack([rng.standard_normal((12, 12)), np.triu(rng.standard_normal((12, 12))),
-                      np.diag(rng.standard_normal(12)), np.zeros((12, 12)),
-                      rng.standard_normal((12, 12)) * 1e-150])
-    expected = [float(np.max(np.abs(np.linalg.eigvals(f)))) for f in stack]
-    assert _spectral_radii(stack) == expected
-    assert [_spectral_radii(f[None])[0] for f in stack] == expected
-
-
 @pytest.mark.parametrize("scale", [1e200, 1e20])
 def test_overflowing_recursion_raises_as_frozen(six_state, six_state_net, scale):
-    # the covariance recursion overflows to inf and nan; the batched search
-    # runs on to the end of its batch before it takes any rho, and must
-    # still fail as the per-iterate search does
+    # the covariance recursion overflows to inf and nan; the search must
+    # fail as the frozen search does
     case = scaled_plant(six_state, six_state_net, scale=scale)
     with np.errstate(all="ignore"):
         with pytest.raises(Exception) as frozen:
@@ -232,8 +213,8 @@ def test_search_stops_at_the_first_converged_iterate(monkeypatch, seed, index, t
     ties = 0
     for digits in (None, 2):
         if digits:
-            monkeypatch.setattr(estimator, "_spectral_radii",
-                                lambda f: [round(r, digits) for r in _spectral_radii(f)])
+            monkeypatch.setattr(estimator, "_spectral_radius",
+                                lambda f: round(_spectral_radius(f), digits))
         rhos = [round(rho, digits) if digits else rho for _, rho in evaluated]
         for budget in (stop - 1, stop, stop + 1, stop + 2, 201, 10_000):
             ran = min(stop, max(1, budget - 1))

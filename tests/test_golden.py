@@ -173,7 +173,7 @@ GF_GOLDEN = {
 
 
 def test_gf_realizations_match_recorded_digests():
-    assert {name: hashlib.sha256(r.matrix.tobytes()).hexdigest()
+    assert {name: hashlib.sha256(r.tobytes()).hexdigest()
             for name, r in _gf_realizations()} == GF_GOLDEN
 
 

@@ -6,7 +6,6 @@ from netobserve.numeric import (
     GF,
     PRIME,
     REAL,
-    Realization,
     kron_numeric,
     observability_rank,
     random_realization,
@@ -34,42 +33,42 @@ def identity_structure(n):
 class TestRandomRealization:
     def test_empty_support_zero_matrix(self):
         r = random_realization(Digraph(2), REAL, seed=0)
-        assert not r.matrix.any()
+        assert not r.any()
 
     def test_identity_support_diagonal(self):
         r = random_realization(identity_structure(3), GF, seed=0)
-        off = r.matrix * (1 - np.eye(3, dtype=r.matrix.dtype))
+        off = r * (1 - np.eye(3, dtype=r.dtype))
         assert not off.any()
-        assert all(r.matrix[i, i] != 0 for i in range(3))
+        assert all(r[i, i] != 0 for i in range(3))
 
     def test_seed_reproducible(self):
         s = Digraph(4, frozenset({(1, 0), (3, 2), (0, 3)}))
         for field in (GF, REAL):
             a = random_realization(s, field, seed=7)
             b = random_realization(s, field, seed=7)
-            assert (a.matrix == b.matrix).all()
+            assert (a == b).all()
 
     def test_support_respected(self):
         s = Digraph(3, frozenset({(1, 0), (2, 1)}))
         r = random_realization(s, GF, seed=1)
-        nonzero = {(i, j) for i in range(3) for j in range(3) if r.matrix[i, j]}
+        nonzero = {(i, j) for i in range(3) for j in range(3) if r[i, j]}
         assert nonzero == {(i, j) for j, i in s.edges}
 
 
 class TestStochasticRealization:
     def test_identity_support_gives_identity(self):
         r = stochastic_realization(identity_structure(3), seed=0)
-        assert np.allclose(r.matrix, np.eye(3))
+        assert np.allclose(r, np.eye(3))
 
     def test_rows_sum_to_one(self):
         edges = frozenset({(i, i) for i in range(4)} | {((i + 1) % 4, i) for i in range(4)})
         r = stochastic_realization(Digraph(4, edges), seed=3)
-        assert np.allclose(r.matrix.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gf_rows_sum_to_one_mod_p(self):
         edges = frozenset({(i, i) for i in range(4)} | {((i + 1) % 4, i) for i in range(4)})
         r = stochastic_realization_gf(Digraph(4, edges), seed=3)
-        sums = np.array([int(sum(int(v) for v in row)) % PRIME for row in r.matrix])
+        sums = np.array([int(sum(int(v) for v in row)) % PRIME for row in r])
         assert (sums == 1).all()
 
     def test_requires_nonempty_rows(self):
@@ -82,9 +81,9 @@ class TestRanks:
     """With an identity A the observability rank is the rank of H."""
 
     @staticmethod
-    def rank_of(h, field=GF):
+    def rank_of(h):
         eye = np.eye(h.shape[1], dtype=h.dtype)
-        return observability_rank(Realization(eye, field, 0), Realization(h, field, 0))
+        return observability_rank(eye, h)
 
     def test_gf_identity(self):
         assert self.rank_of(np.eye(5, dtype=np.int64)) == 5
@@ -101,7 +100,7 @@ class TestRanks:
     def test_real_matches_numpy(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((6, 4))
-        assert self.rank_of(m, REAL) == np.linalg.matrix_rank(m)
+        assert self.rank_of(m) == np.linalg.matrix_rank(m)
 
 
 class TestObservability:
@@ -112,7 +111,7 @@ class TestObservability:
 
     def test_zero_observation(self):
         a = random_realization(identity_structure(4), GF, seed=0)
-        h = Realization(np.zeros((1, 4), dtype=np.int64), GF, 1)
+        h = np.zeros((1, 4), dtype=np.int64)
         assert observability_rank(a, h) == 0
 
     def test_matches_gf_reference(self):
@@ -127,7 +126,7 @@ class TestObservability:
                 cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
                 row[cols] = rng.integers(1, PRIME, size=cols.size)
             seed = int(rng.integers(1 << 30))
-            pairs.append((random_realization(g, GF, seed), Realization(h, GF, seed + 1)))
+            pairs.append((random_realization(g, GF, seed), h))
         while len(pairs) < 280:  # fused pairs of canonical designs, whole and crippled
             g = random_digraph(rng, int(rng.integers(3, 8)), 0.35)
             net = design_canonical(place_agents(decompose(g)))
@@ -145,14 +144,12 @@ class TestObservability:
         low = np.mod(rng.integers(0, PRIME, (64, 40)).astype(object)
                      @ rng.integers(0, PRIME, (40, 64)).astype(object), PRIME)
         h = rng.integers(0, PRIME, (2, 64))
-        pairs += [(Realization(a, GF, 0), Realization(h, GF, 0)),
-                  (Realization(low.astype(np.int64), GF, 0), Realization(h[:1], GF, 0))]
+        pairs += [(a, h), (low.astype(np.int64), h[:1])]
 
         ranks = [observability_rank(a, h) for a, h in pairs]
-        assert ranks == [gf_observability_rank(a.matrix, h.matrix, PRIME)
-                         for a, h in pairs]
+        assert ranks == [gf_observability_rank(a, h, PRIME) for a, h in pairs]
         assert ranks[-2:] == [64, 41]
-        assert any(r < a.matrix.shape[0] for r, (a, _) in zip(ranks, pairs))
+        assert any(r < a.shape[0] for r, (a, _) in zip(ranks, pairs))
 
     def test_gf_matches_oracle_on_full_and_deficient_pairs(self):
         """The GF(p) frontier basis agrees with the floating-point oracle on
@@ -170,7 +167,7 @@ class TestObservability:
             else:
                 h = rng.integers(-1, 2, (int(rng.integers(1, 4)), n))
                 h[-1] = h[0] * (trial % 2)  # a repeated or a zero row
-            rank = observability_rank(Realization(a, GF, 0), Realization(h, GF, 0))
+            rank = observability_rank(a, h)
             assert rank == brute_observability_rank(a.astype(float), h.astype(float))
             ranks.append(rank == n)
         assert 10 <= sum(ranks) <= 50
@@ -179,7 +176,7 @@ class TestObservability:
         # A times 10 makes the blocks H A^k span many orders of magnitude;
         # eliminating them stacked loses all but 6 of the 18 directions
         base = random_realization(six_state, REAL, seed=0)
-        a = Realization(base.matrix * 10, REAL, 0)
+        a = base * 10
         w = stochastic_realization(six_state_net.fusion, seed=0)
         d = random_realization(fused_observation_structure(six_state_net, 6), REAL, seed=1)
         assert observability_rank(kron_numeric(w, a), d) == 18
@@ -191,9 +188,7 @@ class TestObservability:
             a = random_realization(g, REAL, seed=int(rng.integers(1 << 30)))
             h = np.zeros((2, 5))
             h[0, 0], h[1, 3] = 0.7, -0.4
-            h = Realization(h, REAL, 9)
-            assert observability_rank(a, h) == brute_observability_rank(
-                a.matrix, h.matrix)
+            assert observability_rank(a, h) == brute_observability_rank(a, h)
 
     def test_structural_verdict_generic(self):
         # structurally observable pairs achieve full numeric rank for almost
@@ -208,9 +203,64 @@ class TestObservability:
             checked += 1
             seed = int(rng.integers(1 << 30))
             a = random_realization(g, GF, seed=seed)
-            h = Realization(np.eye(8, dtype=np.int64)[states], GF, seed + 1)
+            h = np.eye(8, dtype=np.int64)[states]
             agreeing += int(observability_rank(a, h) == 8)
         assert agreeing >= 19  # >= 95%
+
+
+class TestFieldRule:
+    """A realization's dtype names its field: integer arrays are GF(p)
+    residues, float arrays are reals, and nothing else is accepted."""
+
+    @staticmethod
+    def pair(seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(-3, 4, (5, 5)), rng.integers(-1, 2, (2, 5))
+
+    def test_integer_dtypes_give_the_exact_gf_rank(self):
+        # negative entries are residues too; narrow dtypes are widened to
+        # int64 before any modular product
+        for seed in range(10):
+            a, h = self.pair(seed)
+            expected = gf_observability_rank(a, h, PRIME)
+            assert expected == brute_observability_rank(a.astype(float), h.astype(float))
+            for dtype in (np.int8, np.int16, np.int32, np.int64):
+                assert observability_rank(a.astype(dtype), h.astype(dtype)) == expected
+            residues = np.mod(a, PRIME).astype(np.uint32), np.mod(h, PRIME).astype(np.uint32)
+            assert observability_rank(*residues) == expected
+
+    def test_integer_kron_is_reduced_mod_p(self):
+        a, _ = self.pair()
+        w = np.array([[2, -1], [0, 1]], dtype=np.int32)
+        assert np.array_equal(kron_numeric(w, a.astype(np.int16)),
+                              np.mod(np.kron(w.astype(np.int64), a), PRIME))
+
+    def test_float_residues_are_reals(self):
+        # the same entries as floats are ranked over the reals, not mod p
+        a = np.diag([1.0, float(PRIME + 1)])
+        h = np.array([[1.0, 1.0]])
+        assert observability_rank(a, h) == 2
+        assert observability_rank(a.astype(np.int64), h.astype(np.int64)) == 1
+
+    @pytest.mark.parametrize("mixed", ["a-float", "h-float"])
+    def test_mixed_fields_raise(self, mixed):
+        a, h = self.pair()
+        if mixed == "a-float":
+            a = a.astype(float)
+        else:
+            h = h.astype(float)
+        with pytest.raises(ValueError, match="all integer"):
+            observability_rank(a, h)
+        with pytest.raises(ValueError, match="all integer"):
+            kron_numeric(a, h)
+
+    @pytest.mark.parametrize("dtype", [bool, np.complex128, object, np.uint64])
+    def test_other_dtypes_raise(self, dtype):
+        a = np.eye(3).astype(dtype)
+        with pytest.raises(ValueError, match="all integer"):
+            observability_rank(a, a)
+        with pytest.raises(ValueError, match="all integer"):
+            kron_numeric(a, a)
 
 
 class TestKroneckerTiedGenericity:
@@ -254,14 +304,14 @@ class TestKronAndBlocks:
     def test_scalar_w(self):
         a = random_realization(identity_structure(3), REAL, seed=0)
         w = stochastic_realization(identity_structure(1), seed=0)
-        assert np.allclose(kron_numeric(w, a).matrix, a.matrix)
+        assert np.allclose(kron_numeric(w, a), a)
 
     def test_identity_w_block_diag(self):
         a = random_realization(identity_structure(2), REAL, seed=0)
         w = stochastic_realization(identity_structure(2), seed=0)
-        k = kron_numeric(w, a).matrix
-        assert np.allclose(k[:2, :2], a.matrix)
-        assert np.allclose(k[2:, 2:], a.matrix)
+        k = kron_numeric(w, a)
+        assert np.allclose(k[:2, :2], a)
+        assert np.allclose(k[2:, 2:], a)
         assert not k[:2, 2:].any()
 
     def test_consensus_identity_for_stochastic_w(self):
@@ -273,6 +323,6 @@ class TestKronAndBlocks:
         a = random_realization(identity_structure(4), REAL, seed=2)
         x = rng.standard_normal(4)
         stacked = np.tile(x, 3)
-        lhs = kron_numeric(w, a).matrix @ stacked
-        rhs = np.tile(a.matrix @ x, 3)
+        lhs = kron_numeric(w, a) @ stacked
+        rhs = np.tile(a @ x, 3)
         assert np.allclose(lhs, rhs, atol=1e-12)
