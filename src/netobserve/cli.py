@@ -23,10 +23,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classify as classify_mod
-from . import estimator as estimator_mod
 from . import ingest
 from .datasets import REGISTRY, load_dataset
 from .netdesign import (
@@ -36,17 +33,6 @@ from .netdesign import (
     network_to_dot,
     network_to_json,
     verify_topology,
-)
-from .numeric import (
-    GF,
-    MAX_FUSED_DIM,
-    MAX_TRACE_ENTRIES,
-    REAL,
-    kron_numeric,
-    observability_rank,
-    random_realization,
-    stochastic_realization,
-    stochastic_realization_gf,
 )
 from .structural_check import check_distributed, fused_observation_structure
 
@@ -102,6 +88,8 @@ def _plan_and_dec(lg: ingest.LabeledGraph):
 
 def _too_large(net: AgentNetwork, n: int) -> bool:
     """Refuse a dense realization of W kron A above ``MAX_FUSED_DIM``."""
+    from .numeric import MAX_FUSED_DIM
+
     dim = net.agent_count * n
     if dim <= MAX_FUSED_DIM:
         return False
@@ -198,6 +186,9 @@ def cmd_verify(args) -> int:
         return EXIT_DESIGN
     verdict, structural, report = _checks(net, classify_mod.decompose(lg.digraph))
     if args.numeric:
+        from .numeric import (GF, kron_numeric, observability_rank, random_realization,
+                              stochastic_realization, stochastic_realization_gf)
+
         d = fused_observation_structure(net, n)
         realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
         full = net.agent_count * n
@@ -217,32 +208,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.ok and structural.observable else EXIT_VERIFY
 
 
-# trace.csv rows formatted, and written, per block: bounds the argument
-# tuples that the one ``%`` call per block holds alive, and the text held.
-_CSV_BLOCK_ENTRIES = 1 << 16
-
-
-def _write_trace_csv(out_dir: Path, mse: np.ndarray) -> Path:
-    """Write ``k,agent,mse`` rows of the (horizon, agents) ``mse`` to
-    ``trace.csv``, one ``%`` formatting call and one write per block of
-    steps, so no more than one block's text is held at a time."""
-    horizon, agents = mse.shape
-    block = max(1, _CSV_BLOCK_ENTRIES // agents)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "trace.csv"
-    with path.open("w") as f:
-        f.write("k,agent,mse\n")
-        for start in range(0, horizon, block):
-            chunk = mse[start:start + block]
-            rows = np.empty(chunk.shape + (3,), dtype=object)
-            rows[..., 0] = np.arange(start, start + len(chunk))[:, None]
-            rows[..., 1] = np.arange(agents)
-            rows[..., 2] = chunk
-            f.write("%d,%d,%.6e\n" * chunk.size % tuple(rows.ravel().tolist()))
-    return path
-
-
 def cmd_simulate(args) -> int:
+    from . import estimator
+    from .numeric import MAX_TRACE_ENTRIES, REAL, random_realization, stochastic_realization
+
     lg = _load_graph(args)
     dec, plan = _plan_and_dec(lg)
     net = design_canonical(plan, args.agents)
@@ -257,20 +226,19 @@ def cmd_simulate(args) -> int:
     a_real = random_realization(lg.digraph, REAL, args.seed)
     w_real = stochastic_realization(net.fusion, args.seed)
     try:
-        gains = estimator_mod.gain_search(w_real, a_real, net,
-                                          budget=args.budget, seed=args.seed)
-    except estimator_mod.UnobservableSystemError as exc:
+        gains = estimator.gain_search(w_real, a_real, net, budget=args.budget, seed=args.seed)
+    except estimator.UnobservableSystemError as exc:
         print(f"gain search refused: {exc}", file=sys.stderr)
         return EXIT_DESIGN
     if not gains.found:
         print(f"gain search failed (best rho={gains.spectral_radius:.3f})",
               file=sys.stderr)
         return EXIT_DESIGN
-    trace = estimator_mod.simulate(
+    trace = estimator.simulate(
         w_real, a_real, net, gains, horizon=args.horizon,
         process_noise=args.noise, observation_noise=args.noise, seed=args.seed)
     out = Path(args.out)
-    path = _write_trace_csv(out, trace.mse)
+    path = estimator._write_trace_csv(out, trace.mse)
     digest = hashlib.sha256(
         b"".join(block.tobytes() for block in gains.blocks)).hexdigest()[:16]
     _write(out, "manifest.json", _manifest(args, {
@@ -336,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=[GF, REAL], default=GF)
+    p.add_argument("--field", choices=("gf", "real"), default="gf")
 
     p = sub.add_parser("simulate", help="distributed estimator simulation")
     _add_common(p)

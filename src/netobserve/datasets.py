@@ -9,7 +9,8 @@ downloads them on a machine with internet access.
 
 Preprocessing notes (the published node counts assume it):
 
-* ``books`` and ``coauthorship`` are undirected and get symmetrized;
+* ``books`` and ``coauthorship`` are undirected (their GML says
+  ``directed 0``) and get symmetrized;
 * ``blogs`` and ``coauthorship`` are distributed with isolated nodes
   (1490 and 1589 raw) that must be dropped to match the published
   1224/1461-node figures.
@@ -21,15 +22,13 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ingest import LabeledGraph, drop_isolates, parse_edge_list, parse_gml
+from .ingest import LabeledGraph, drop_isolates, parse_gml
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
-    filenames: tuple[str, ...]  # accepted file names, first found wins
-    fmt: str  # "gml" or "edgelist"
-    directed: bool
+    filenames: tuple[str, ...]  # accepted GML file names, first found wins
     drop_isolated_nodes: bool
     expected: dict  # published summary row
     source_url: str
@@ -39,8 +38,6 @@ REGISTRY: dict[str, DatasetSpec] = {
     "monks": DatasetSpec(
         name="monks",
         filenames=("monks.gml", "sampson.gml", "monks.txt"),
-        fmt="gml",
-        directed=True,
         drop_isolated_nodes=False,
         expected={"n": 18, "edges": 88, "n_alpha": 0, "n_beta_min": 1},
         source_url="http://vlado.fmf.uni-lj.si/pub/networks/data/esna/sampson.htm",
@@ -48,8 +45,6 @@ REGISTRY: dict[str, DatasetSpec] = {
     "blogs": DatasetSpec(
         name="blogs",
         filenames=("polblogs.gml", "blogs.gml"),
-        fmt="gml",
-        directed=True,
         drop_isolated_nodes=True,
         expected={"n": 1224, "edges": 19025, "n_alpha": 436, "n_beta_min": 0},
         source_url="http://www-personal.umich.edu/~mejn/netdata/polblogs.zip",
@@ -57,8 +52,6 @@ REGISTRY: dict[str, DatasetSpec] = {
     "books": DatasetSpec(
         name="books",
         filenames=("polbooks.gml", "books.gml"),
-        fmt="gml",
-        directed=False,
         drop_isolated_nodes=False,
         expected={"n": 105, "edges": 882, "n_alpha": 0, "n_beta_min": 1},
         source_url="http://www-personal.umich.edu/~mejn/netdata/polbooks.zip",
@@ -66,8 +59,6 @@ REGISTRY: dict[str, DatasetSpec] = {
     "coauthorship": DatasetSpec(
         name="coauthorship",
         filenames=("netscience.gml", "coauthorship.gml"),
-        fmt="gml",
-        directed=False,
         drop_isolated_nodes=True,
         expected={"n": 1461, "edges": 5484, "n_alpha": 37, "n_beta_min": 248,
                   "n_components": 268, "n_matched_components": 248},
@@ -102,11 +93,7 @@ def load_dataset(name: str, data_dir: str | os.PathLike | None = None) -> Labele
             f"dataset {name!r} not found under {data_directory(data_dir)}; "
             f"expected one of {spec.filenames} "
             f"(see scripts/fetch_datasets.py; source: {spec.source_url})")
-    raw = path.read_bytes()
-    if spec.fmt == "gml":
-        lg = parse_gml(raw, source=str(path))
-    else:
-        lg = parse_edge_list(raw, directed=spec.directed, source=str(path))
+    lg = parse_gml(path.read_bytes(), source=str(path))
     if spec.drop_isolated_nodes:
         lg = drop_isolates(lg)
     return lg

@@ -49,6 +49,7 @@ matrix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -237,3 +238,28 @@ def simulate(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
             x = row
         np.mean(errors[:steps] ** 2, axis=2, out=mse[start:start + steps])
     return ErrorTrace(mse, process_noise, observation_noise)
+
+
+# trace.csv rows formatted, and written, per block: bounds the argument
+# tuples that the one ``%`` call per block holds alive, and the text held.
+_CSV_BLOCK_ENTRIES = 1 << 16
+
+
+def _write_trace_csv(out_dir: Path, mse: np.ndarray) -> Path:
+    """Write ``k,agent,mse`` rows of the (horizon, agents) ``mse`` to
+    ``trace.csv``, one ``%`` formatting call and one write per block of
+    steps, so no more than one block's text is held at a time."""
+    horizon, agents = mse.shape
+    block = max(1, _CSV_BLOCK_ENTRIES // agents)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "trace.csv"
+    with path.open("w") as f:
+        f.write("k,agent,mse\n")
+        for start in range(0, horizon, block):
+            chunk = mse[start:start + block]
+            rows = np.empty(chunk.shape + (3,), dtype=object)
+            rows[..., 0] = np.arange(start, start + len(chunk))[:, None]
+            rows[..., 1] = np.arange(agents)
+            rows[..., 2] = chunk
+            f.write("%d,%d,%.6e\n" * chunk.size % tuple(rows.ravel().tolist()))
+    return path

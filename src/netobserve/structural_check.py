@@ -34,6 +34,8 @@ entries of the product:
   t to s is at least as long as the distance over W's rows from i to j.
   The longest walks from each distinct observed set take one pass over
   A's condensation; they are unbounded once they enter a cyclic component.
+  The comparison is held in bit sets of agents (Python ints): a state
+  gains the agents within its longest walk of an observer.
 
 Both reductions read A from the command's ``classify.Decomposition``: C_K
 is the union of its contraction family and the condensation is its SCC
@@ -56,9 +58,8 @@ agent x broadcaster:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .classify import Decomposition
 from .graph_core import Digraph, reachable
@@ -166,26 +167,29 @@ def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],
     return longest
 
 
-def _distances(w_rows: Sequence[Sequence[int]], sources: Sequence[int],
-               limit: int) -> np.ndarray:
-    """BFS distance over W's rows from the nearest source, up to ``limit``
-    steps; agents farther away or unreachable get ``len(w_rows) + 1``,
-    beyond every capped walk length."""
-    far = len(w_rows) + 1
-    dist = np.full(len(w_rows), far)
-    dist[sources] = 0
-    frontier = sources
-    for depth in range(1, limit + 1):
-        step = []
-        for i in frontier:
-            for j in w_rows[i]:
-                if dist[j] == far:
-                    dist[j] = depth
-                    step.append(j)
-        if not step:
-            break
-        frontier = step
-    return dist
+def _within(w_rows: Sequence[Sequence[int]], sources: Sequence[int],
+            depths: Iterable[int]) -> dict[int, int]:
+    """For each of the increasing ``depths``, the agents within that many
+    steps over W's rows of a source, as a bit set."""
+    found = set(sources)
+    frontier = found
+    digits = bytearray(b"0" * len(w_rows))  # the bit set in binary, agent 0 first
+    within = {}
+    depth = 0
+    for target in depths:
+        while depth < target and frontier:
+            frontier = {j for i in frontier for j in w_rows[i]} - found
+            found |= frontier
+            depth += 1
+        for j in found:
+            digits[j] = ord("1")
+        within[target] = int(digits[::-1], 2)
+    return within
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, in increasing order."""
+    return list(compress(count(), map("1".__eq__, reversed(bin(bits)[2:]))))
 
 
 def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
@@ -197,8 +201,10 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     Every agent observes ``base`` itself, at W-distance 0, so a state with
     a path into ``base`` is accessible in every block.  Only the other
     (*open*) states are compared, per group of agents observing the same
-    further states, over the region those states reach.  When W is
-    irreducible, a walk that can grow without bound meets every agent.
+    further states, over the region those states reach: each open state
+    gathers, as a bit set, the agents its longest walk outlasts the
+    distance to.  When W is irreducible, a walk that can grow without
+    bound meets every agent.
     """
     agents = len(w_rows)
     n = dec.digraph.node_count
@@ -210,29 +216,30 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     closed = [False] * len(sccs.components)
     for c in _longest_walks(sccs, cyclic, into, {comp[t] for t in base}, closed, agents):
         closed[c] = True
-    open_states = [s for s in range(n) if not closed[comp[s]]]
-    if not open_states:
-        return ()
-    position = {s: k for k, s in enumerate(open_states)}
-    accessible = np.zeros((len(open_states), agents), dtype=bool)  # open state x agent
-    far = agents + 1
+    reached = {s: 0 for s in range(n) if not closed[comp[s]]}  # open state -> its agents
+    everyone = (1 << agents) - 1
+    # a walk of ``agents`` steps or more (the cap) meets every agent when W
+    # is irreducible; otherwise only the agents that W reaches
+    unbounded = agents if w_connected else agents + 1
     for extra, observers in groups.items():
         start = {comp[t] for t in extra if not closed[comp[t]]}
         if not start:
             continue
         longest = _longest_walks(sccs, cyclic, into, start, closed, agents)
-        region = [s for c in longest for s in sccs.components[c]]
-        walk = np.array([longest[comp[s]] for s in region])
-        if w_connected:  # an unbounded walk outlasts every finite distance
-            walk[walk == agents] = far
-            limit = int(walk[walk < far].max(initial=0))
-        else:
-            limit = agents
-        dist = _distances(w_rows, observers, limit)
-        accessible[[position[s] for s in region]] |= walk[:, None] >= dist[None, :]
-    blocked = np.flatnonzero(~accessible.T)
-    states = np.array(open_states)[blocked % len(open_states)]
-    return tuple((blocked // len(open_states) * n + states).tolist())
+        within = _within(w_rows, observers,
+                         sorted({walk for walk in longest.values() if walk < unbounded}))
+        for c, walk in longest.items():
+            bits = everyone if walk >= unbounded else within[walk]
+            for s in sccs.components[c]:
+                reached[s] |= bits
+    states_of: dict[int, list[int]] = {}  # agents reached -> the open states, increasing
+    for s, bits in reached.items():
+        states_of.setdefault(bits, []).append(s)
+    blocked: list[list[list[int]]] = [[] for _ in range(agents)]  # per agent, runs of states
+    for bits, states in states_of.items():
+        for j in _members(everyone ^ bits):
+            blocked[j].append(states)
+    return tuple(j * n + s for j, runs in enumerate(blocked) for s in sorted(chain(*runs)))
 
 
 def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import netobserve
-from netobserve import cli
+from netobserve import cli, estimator
 from netobserve.classify import PlanError
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
@@ -386,15 +386,56 @@ def test_numeric_artifacts_are_identical_across_processes(tmp_path):
 
 
 def test_structural_layers_import_without_numpy():
-    """The package and its structural layers load no numpy: only the numeric
-    certificates (``structural_check``, ``numeric``, ``estimator``) need it."""
+    """The package, its structural layers and the command-line front end load
+    no numpy: only ``numeric`` and ``estimator`` need it, and ``cli`` imports
+    them inside ``verify --numeric`` and ``simulate``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(netobserve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, netobserve, netobserve.classify, netobserve.netdesign; "
+    code = ("import sys, netobserve, netobserve.classify, netobserve.netdesign, "
+            "netobserve.structural_check, netobserve.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
     run = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True)
     assert run.stdout == "[]\n"
+
+
+def test_structural_commands_run_without_numpy(fixture_gml, tmp_path, monkeypatch):
+    """With numpy unimportable, ``analyze``, ``classify``, ``design`` and
+    ``verify`` exit 0 and write the same bytes as a run with numpy, on the
+    fixture and on a design-mixed graph; the README library snippet runs."""
+    from perfbench.workloads import design_mixed, to_gml
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(netobserve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    (tmp_path / "mixed.gml").write_text(to_gml(design_mixed(np.random.default_rng(1))[0]))
+    commands = []
+    for name, gml in (("fixture", str(fixture_gml)), ("mixed", "../mixed.gml")):
+        design = f"{name}-design"
+        commands += [["analyze", gml, "--out", f"{name}-analyze"],
+                     ["classify", gml, "--out", f"{name}-classify"],
+                     ["design", gml, "--out", design],
+                     ["verify", gml, "--plan", f"{design}/plan.json",
+                      "--network", f"{design}/network.json", "--out", f"{name}-verify"]]
+    without = ("import json, sys; sys.modules['numpy'] = None; "
+               "from netobserve.cli import main; "
+               "print([main(argv) for argv in json.loads(sys.argv[1])])")
+    for side in ("with", "without"):
+        (tmp_path / side).mkdir()
+    run = subprocess.run([sys.executable, "-c", without, json.dumps(commands)],
+                         cwd=tmp_path / "without", env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == str([EXIT_OK] * len(commands))
+    monkeypatch.chdir(tmp_path / "with")
+    assert [main(argv) for argv in commands] == [EXIT_OK] * len(commands)
+    written = {path.relative_to(tmp_path / "with"): path.read_bytes()
+               for path in (tmp_path / "with").rglob("*") if path.is_file()}
+    assert len(written) == 2 * (2 + 2 + 5 + 2)
+    assert written == {path.relative_to(tmp_path / "without"): path.read_bytes()
+                       for path in (tmp_path / "without").rglob("*") if path.is_file()}
+    readme = (Path(netobserve.__file__).parents[2] / "README.md").read_text()
+    snippet = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    subprocess.run([sys.executable, "-c", "import sys; sys.modules['numpy'] = None\n" + snippet],
+                   check=True, env=env, capture_output=True)
 
 
 def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):
@@ -479,9 +520,9 @@ class TestSimulate:
     def test_unobservable_pair_refused(self, fixture_gml, tmp_path, capsys, monkeypatch):
         # the refusal keeps its exit code and the prefix the benchmark matches
         def refuse(*args, **kwargs):
-            raise cli.estimator_mod.UnobservableSystemError(17, 18)
+            raise estimator.UnobservableSystemError(17, 18)
 
-        monkeypatch.setattr(cli.estimator_mod, "gain_search", refuse)
+        monkeypatch.setattr(estimator, "gain_search", refuse)
         code = main(["simulate", str(fixture_gml), "--out", str(tmp_path / "s")])
         assert code == EXIT_DESIGN
         assert capsys.readouterr().err.startswith(

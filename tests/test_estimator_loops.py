@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from netobserve.classify import decompose, place_agents
-from netobserve.cli import _CSV_BLOCK_ENTRIES, _write_trace_csv
 from netobserve.estimator import (
+    _CSV_BLOCK_ENTRIES,
     _GAIN_TOLERANCE,
     _STEP_BLOCK,
     _spectral_radius,
+    _write_trace_csv,
     gain_search,
     simulate,
 )
