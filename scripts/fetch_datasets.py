@@ -63,7 +63,7 @@ def install(name: str, data_dir: Path) -> bool:
 def verify(name: str, data_dir: Path) -> bool:
     spec = REGISTRY[name]
     lg = load_dataset(name, data_dir=data_dir)
-    got = {"n": lg.digraph.node_count, "edges": len(lg.digraph.edges)}
+    got = {"n": lg.digraph.node_count, "edges": lg.digraph.edge_count}
     want = {k: spec.expected[k] for k in got}
     status = "ok" if got == want else f"MISMATCH (expected {want})"
     print(f"[{name}] n={got['n']} edges={got['edges']} {status}")

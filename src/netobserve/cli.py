@@ -117,7 +117,8 @@ def cmd_analyze(args) -> int:
                 {"nodes": sorted(comp), "parent": lab.is_parent, "matched": lab.is_matched}
                 for comp, lab in zip(dec.sccs.components, dec.labels)
             ],
-            "condensation_edges": sorted(map(list, dec.sccs.condensation.edges)),
+            "condensation_edges": [[s, t] for s, targets in enumerate(
+                dec.sccs.condensation.successors()) for t in targets],
         },
     }
     out = Path(args.out)

@@ -11,75 +11,110 @@ Conventions used throughout the package:
 * Node ids are dense integers ``0..n-1``; external labels are kept in a
   side table by :mod:`netobserve.ingest`.
 
-All types are immutable after construction and safe to share across
-threads; all operations are pure functions.
+A :class:`Digraph` stores one form, per node its sorted successor tuple;
+predecessor lists and the edge set are views derived from it.  All types
+are immutable after construction and safe to share across threads; all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
 class Digraph:
     """A directed graph on nodes ``0..node_count-1``.
 
-    Self-loops are permitted; duplicate edges are collapsed by the
-    frozenset representation.
+    It stores one form: per node, its successors as a sorted tuple without
+    repeats, built once in the constructor.  ``Digraph(n, pairs)`` takes any
+    iterable of ``(source, target)`` pairs, checks that both ends lie in
+    ``0..n-1``, collapses duplicates and keeps self-loops.  The predecessor
+    lists and the ``edges`` set are views derived from the successor tuples
+    on first use and kept.  Two digraphs are equal when their node counts
+    and successor tuples are.
     """
 
-    node_count: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ("node_count", "_successors", "_predecessors", "_edges")
 
-    def __post_init__(self):
-        if self.node_count < 0:
-            raise ValueError(f"negative node count: {self.node_count}")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        for s, t in self.edges:
-            if not (0 <= s < self.node_count and 0 <= t < self.node_count):
-                raise ValueError(f"edge ({s}, {t}) out of range [0, {self.node_count})")
+    def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
+        if node_count < 0:
+            raise ValueError(f"negative node count: {node_count}")
+        buckets: list[list[int]] = [[] for _ in range(node_count)]
+        for s, t in edges:
+            if not (0 <= s < node_count and 0 <= t < node_count):
+                raise ValueError(f"edge ({s}, {t}) out of range [0, {node_count})")
+            buckets[s].append(t)
+        self._fill(node_count, buckets)
+
+    @classmethod
+    def _from_buckets(cls, node_count: int,
+                      buckets: Sequence[Sequence[int]]) -> Digraph:
+        """The digraph in which ``buckets[s]`` lists the targets of ``s``, in
+        any order and with repeats.  No endpoint is checked: the caller
+        vouches that all lie in ``0..node_count-1``."""
+        g = cls.__new__(cls)
+        g._fill(node_count, buckets)
+        return g
+
+    def _fill(self, node_count: int, buckets: Sequence[Sequence[int]]) -> None:
+        """Store each bucket sorted and without repeats."""
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "_successors", tuple(
+            [tuple(sorted(set(b))) if len(b) > 1 else tuple(b) for b in buckets]))
+        object.__setattr__(self, "_predecessors", None)
+        object.__setattr__(self, "_edges", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Digraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Digraph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle cannot set attributes one by one
+        return Digraph._from_buckets, (self.node_count, self._successors)
+
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (self.node_count, self._successors) == (other.node_count, other._successors)
+
+    def __hash__(self):
+        return hash((self.node_count, self._successors))
+
+    def __repr__(self):
+        return f"Digraph({self.node_count}, {sorted(self.edges)!r})"
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._successors))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The ``(source, target)`` pairs, a view built from the successor
+        tuples on first use and kept."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(
+                (s, t) for s, targets in enumerate(self._successors) for t in targets))
+        return self._edges
 
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists, each in increasing order (deterministic).
-
-        Built on first use and kept: the graph is immutable, so matching,
-        SCC and reachability passes over one graph share one build.  The
-        build buckets the edges by source and sorts each bucket, which
-        costs less than sorting all edge tuples.
-        """
+        """Adjacency lists, each in increasing order: the stored form, which
+        matching, SCC and reachability passes over one graph share."""
         return self._successors
-
-    @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
-        return _buckets(self.node_count, self.edges)
 
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """In-neighbour lists, each in increasing order: entry ``i`` lists
         the ``j`` with an edge ``j -> i``, i.e. row ``i`` of the structure.
-        Built on first use and kept, like :meth:`successors`."""
+        Built on first use and kept, by one pass over the successors in
+        source order, which leaves every list sorted."""
+        if self._predecessors is None:
+            into: list[list[int]] = [[] for _ in range(self.node_count)]
+            for s, targets in enumerate(self._successors):
+                for t in targets:
+                    into[t].append(s)
+            object.__setattr__(self, "_predecessors", tuple(map(tuple, into)))
         return self._predecessors
-
-    @cached_property
-    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
-        return _buckets(self.node_count, ((t, s) for s, t in self.edges))
-
-
-def _buckets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Per key ``0..n-1``, the sorted values of the ``(key, value)`` pairs."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for k, v in pairs:
-        adj[k].append(v)
-    for values in adj:
-        values.sort()
-    return tuple(map(tuple, adj))
 
 
 def reachable(successors: Sequence[Sequence[int]], sources: Iterable[int]) -> frozenset[int]:

@@ -23,7 +23,12 @@ words a refusal and names its line, and both readers give the same graph.
 Undirected files are symmetrized into bidirectional arcs (the analysis
 needs a digraph), multi-edges collapse to one structural edge, and
 self-loops survive.  Node ids are remapped to dense integers; original
-labels are kept in a side table.
+labels are kept in a side table.  Every reader ends in ``_relabel``, which
+puts each arc straight into its source's bucket of successors and builds
+the :class:`~netobserve.graph_core.Digraph` from the buckets once; no set
+of edge tuples is made.  That fill also finds an edge naming an undeclared
+node, so the scan hands such a file to the token reader without a pass of
+its own.
 """
 
 from __future__ import annotations
@@ -81,19 +86,33 @@ def _dedup_labels(labels: list[str]) -> tuple[str, ...]:
 
 def _relabel(ids: Iterable[int], label_of: Callable[[int], str],
              arcs: Iterable[tuple[int, int]], directed: bool, meta: dict) -> LabeledGraph:
-    """Number ``ids`` 0..n-1 in sorted order, remap ``arcs`` onto those
-    numbers (in both directions when undirected) and dedup the labels.
-    Ids that already are 0..n-1 keep their arcs as they are."""
+    """Number ``ids`` 0..n-1 in sorted order, put each arc of ``arcs`` (in
+    both directions when undirected) into its source's bucket of
+    successors, renumbered, and dedup the labels.  Ids that already are
+    0..n-1 keep their numbers.  An arc with an end outside ``ids`` raises
+    ``KeyError``."""
     order = sorted(ids)
-    if order and order[0] == 0 and order[-1] == len(order) - 1:
-        edges = set(arcs)
+    n = len(order)
+    if not directed:
+        arcs = list(arcs)
+        arcs += [(t, s) for s, t in arcs]
+    if order and order[0] == 0 and order[-1] == n - 1:
+        buckets = [[] for _ in order]
+        for s, t in arcs:
+            if not 0 <= s < n:  # a negative source would count from the end
+                raise KeyError(s)
+            buckets[s].append(t)
+        g = Digraph._from_buckets(n, buckets)
+        for targets in g.successors():  # sorted: the ends are the extremes
+            if targets and (targets[0] < 0 or targets[-1] >= n):
+                raise KeyError(targets[0] if targets[0] < 0 else targets[-1])
     else:
         index = {v: k for k, v in enumerate(order)}
-        edges = {(index[s], index[t]) for s, t in arcs}
-    if not directed:
-        edges |= {(t, s) for s, t in edges}
-    return LabeledGraph(Digraph(len(order), frozenset(edges)),
-                        _dedup_labels([label_of(v) for v in order]), directed, meta)
+        buckets = [[] for _ in order]
+        for s, t in arcs:
+            buckets[index[s]].append(index[t])
+        g = Digraph._from_buckets(n, buckets)
+    return LabeledGraph(g, _dedup_labels([label_of(v) for v in order]), directed, meta)
 
 
 _TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
@@ -218,10 +237,11 @@ def _scan_gml(text: str, source: str) -> LabeledGraph | None:
         return None
     if any(any(item) for item in items) or not labels:  # only comment lines may follow
         return None
-    if any(s not in labels or t not in labels for s, t in edges):
-        return None
     meta = {"source": source, "raw_nodes": len(labels), "raw_edges": len(edges)}
-    return _relabel(labels, labels.__getitem__, edges, directed, meta)
+    try:
+        return _relabel(labels, labels.__getitem__, edges, directed, meta)
+    except KeyError:  # an edge names an undeclared node; the token reader says where
+        return None
 
 
 def _text(data: bytes | str) -> str:
@@ -342,19 +362,24 @@ def parse_edge_list(data: bytes | str, directed: bool = True,
 
 def drop_isolates(lg: LabeledGraph) -> LabeledGraph:
     """Remove nodes that touch no edge (common dataset preprocessing)."""
-    touched = {v for e in lg.digraph.edges for v in e}
-    meta = {**lg.meta, "dropped_isolates": lg.digraph.node_count - len(touched)}
-    return _relabel(touched, lg.labels.__getitem__, lg.digraph.edges, lg.directed, meta)
+    g = lg.digraph
+    touched = [v for v, (out, into) in enumerate(zip(g.successors(), g.predecessors()))
+               if out or into]
+    meta = {**lg.meta, "dropped_isolates": g.node_count - len(touched)}
+    arcs = ((s, t) for s, targets in enumerate(g.successors()) for t in targets)
+    return _relabel(touched, lg.labels.__getitem__, arcs, lg.directed, meta)
 
 
 def largest_component(lg: LabeledGraph) -> LabeledGraph:
     """Restrict to the largest weakly connected component."""
     from .scc import tarjan_scc  # weak components = SCCs of the symmetrized graph
 
-    sym = Digraph(lg.digraph.node_count,
-                  lg.digraph.edges | frozenset((t, s) for s, t in lg.digraph.edges))
+    g = lg.digraph
+    sym = Digraph._from_buckets(g.node_count, [
+        out + into for out, into in zip(g.successors(), g.predecessors())])
     comps = tarjan_scc(sym).components
     keep = max(comps, key=lambda c: (len(c), -min(c) if c else 0))
     meta = {**lg.meta, "component_nodes": len(keep)}
-    arcs = ((s, t) for s, t in lg.digraph.edges if s in keep)  # t is in s's component
+    succ = g.successors()
+    arcs = ((s, t) for s in keep for t in succ[s])  # t is in s's component
     return _relabel(keep, lg.labels.__getitem__, arcs, lg.directed, meta)

@@ -129,8 +129,10 @@ class AgentNetwork:
     def fusion(self) -> Digraph:
         """Prediction-fusion structure W: the beta edges plus a self-loop per
         agent, so row ``i`` holds ``i`` and its beta in-neighbors."""
-        return Digraph(self.agent_count,
-                       self.beta_edges.union((i, i) for i in range(self.agent_count)))
+        out = [[i] for i in range(self.agent_count)]
+        for u, v in self.beta_edges:  # in range: checked on construction
+            out[u].append(v)
+        return Digraph._from_buckets(self.agent_count, out)
 
     @cached_property
     def beta_connected(self) -> bool:

@@ -83,16 +83,17 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
                     if lowlink[v] < lowlink[u]:
                         lowlink[u] = lowlink[v]
 
-    cond_edges = set()
+    cond: list[list[int]] = [[] for _ in components]
     for s, succ in enumerate(adj):
         cs = component_of[s]
         for t in succ:
-            if component_of[t] != cs:
-                cond_edges.add((cs, component_of[t]))
+            ct = component_of[t]
+            if ct != cs:
+                cond[cs].append(ct)
     return SccDecomposition(
         components=tuple(components),
         component_of=tuple(component_of),
-        condensation=Digraph(len(components), frozenset(cond_edges)),
+        condensation=Digraph._from_buckets(len(components), cond),
     )
 
 
@@ -104,9 +105,6 @@ def classify_sccs(g: Digraph, d: SccDecomposition,
     ``contractions(g).matching``, seeds the taxonomy matching with its
     pairs inside cyclic components; the labels do not depend on it.
     """
-    out_degree = [0] * len(d.components)
-    for s, _ in d.condensation.edges:
-        out_degree[s] += 1
     comp = d.component_of
     adj = g.successors()
     size = [len(c) for c in d.components]
@@ -124,8 +122,8 @@ def classify_sccs(g: Digraph, d: SccDecomposition,
         if size[c] > 1 and v not in matched:
             covered[c] = False
     return tuple(
-        SccLabel(is_parent=(out_degree[i] == 0), is_matched=covered[i])
-        for i in range(len(d.components))
+        SccLabel(is_parent=not downstream, is_matched=covered[i])
+        for i, downstream in enumerate(d.condensation.successors())
     )
 
 

@@ -133,9 +133,13 @@ def fused_observation_structure(net: AgentNetwork, n: int) -> Digraph:
     """Block-diagonal D_H: block ``i`` is the union of H_j^T H_j over agent
     ``i``'s alpha sources, a self-loop per fused state it observes."""
     base, groups = _observed_states(net)
-    return Digraph(net.agent_count * n, frozenset(
-        (i * n + s, i * n + s)
-        for extra, agents in groups.items() for i in agents for s in base | extra))
+    loops: list[tuple[int, ...]] = [()] * (net.agent_count * n)
+    for extra, agents in groups.items():
+        states = base | extra
+        for i in agents:
+            for s in states:
+                loops[i * n + s] = (i * n + s,)
+    return Digraph._from_buckets(net.agent_count * n, loops)
 
 
 def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],

@@ -10,7 +10,8 @@ import math
 import random
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -380,6 +381,52 @@ def corpus_graphs():
 # of the library's kernels.
 
 _INF = -1
+
+
+@dataclass(frozen=True)
+class FrozenDigraph:
+    """``Digraph`` as it was when it stored a frozenset of edge tuples and
+    bucketed them by source, or by target, on first use."""
+
+    node_count: int
+    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        if self.node_count < 0:
+            raise ValueError(f"negative node count: {self.node_count}")
+        if not isinstance(self.edges, frozenset):
+            object.__setattr__(self, "edges", frozenset(self.edges))
+        for s, t in self.edges:
+            if not (0 <= s < self.node_count and 0 <= t < self.node_count):
+                raise ValueError(f"edge ({s}, {t}) out of range [0, {self.node_count})")
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        return self._successors
+
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        return _frozen_buckets(self.node_count, self.edges)
+
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        return self._predecessors
+
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        return _frozen_buckets(self.node_count, ((t, s) for s, t in self.edges))
+
+
+def _frozen_buckets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Per key ``0..n-1``, the sorted values of the ``(key, value)`` pairs."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for k, v in pairs:
+        adj[k].append(v)
+    for values in adj:
+        values.sort()
+    return tuple(map(tuple, adj))
 
 
 def frozen_successors(g: Digraph) -> tuple[tuple[int, ...], ...]:

@@ -20,7 +20,7 @@ from netobserve.matching import contractions
 from netobserve.netdesign import MAX_AGENTS
 from netobserve.scc import tarjan_scc
 
-from .oracles import emit_gml
+from .oracles import blogs_shaped, emit_gml
 
 
 @pytest.fixture()
@@ -383,6 +383,27 @@ def test_numeric_artifacts_are_identical_across_processes(tmp_path):
                                    capture_output=True)
                 artifacts.setdefault((k, name), set()).add((out / name).read_bytes())
     assert [len(found) for found in artifacts.values()] == [1, 1, 1, 1]
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """``analyze`` and ``classify`` on a blogs-sized graph write the same
+    bytes under two string-hash seeds: adjacency comes from sorted
+    successor lists, never from the iteration order of a set."""
+    g = blogs_shaped(1)
+    gml = tmp_path / "blogs.gml"
+    gml.write_text(emit_gml(LabeledGraph(g, tuple(f"v{i}" for i in range(g.node_count)),
+                                         True, {})))
+    written = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(Path(netobserve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for command, name in (("analyze", "analysis.json"), ("classify", "plan.json")):
+            out = tmp_path / seed / command
+            subprocess.run([sys.executable, "-m", "netobserve.cli", command, gml.name,
+                            "--out", str(out)], check=True, env=env, cwd=tmp_path,
+                           capture_output=True)
+            written.setdefault(name, set()).add((out / name).read_bytes())
+    assert [len(found) for found in written.values()] == [1, 1]
 
 
 def test_structural_layers_import_without_numpy():

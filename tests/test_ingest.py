@@ -94,6 +94,19 @@ class TestParseGml:
             parse_gml(text)
         assert e.value.line is not None
 
+    @pytest.mark.parametrize("directed", [0, 1])
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (-4, 0), (0, -4), (3, 0), (0, 3)])
+    def test_undeclared_end_beside_dense_ids(self, directed, edge):
+        # ids 0..2 keep their numbers, and a negative end must not count
+        # from the end of the successor buckets
+        text = (f"graph [ directed {directed}\n"
+                "node [ id 0 ] node [ id 1 ] node [ id 2 ]\n"
+                f"edge [ source {edge[0]} target {edge[1]} ]\n]")
+        assert ingest._scan_gml(text, "<gml>") is None
+        with pytest.raises(UnknownNodeError) as e:
+            parse_gml(text)
+        assert e.value.line == 3
+
     def test_no_graph_block(self):
         with pytest.raises(MalformedInput):
             parse_gml('Creator "x"')
