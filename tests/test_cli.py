@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -481,6 +482,75 @@ def test_design_and_verify_decompose_once(fixture_gml, tmp_path, monkeypatch):
         calls.update(tarjan_scc=0, contractions=0)
         assert main(argv) == EXIT_OK
         assert calls == {"tarjan_scc": 1, "contractions": 1}, argv[0]
+
+
+def test_commands_leave_no_reference_cycles(fixture_gml, tmp_path, monkeypatch):
+    """``main`` pauses the cyclic collector, which costs no memory only while
+    every command frees what it builds by reference counting: each command,
+    an input refusal (exit 2) and an internal error (exit 1) leave nothing
+    for ``gc.collect`` to find.  Each runs once as a warm-up first, because
+    the first ``verify --numeric`` or ``simulate`` imports numpy, and that
+    import leaves cycles once per process."""
+    graph = str(fixture_gml)
+    design = tmp_path / "design"
+    verify = ["verify", graph, "--plan", str(design / "plan.json"),
+              "--network", str(design / "network.json")]
+    cases = [
+        (["analyze", graph], EXIT_OK),
+        (["classify", graph], EXIT_OK),
+        (["design", graph], EXIT_OK),
+        (verify, EXIT_OK),
+        ([*verify, "--numeric", "--seeds", "1"], EXIT_OK),
+        (["simulate", graph, "--horizon", "50"], EXIT_OK),
+        (["analyze", str(tmp_path / "missing.gml")], EXIT_INPUT),
+        (["design", graph], EXIT_INTERNAL),
+    ]
+
+    def contradict(net, dec):
+        raise PlanError("contradiction")
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for argv, code in cases:
+            argv = [*argv, "--out", str(tmp_path / argv[0])]  # design writes to `design`
+            if code == EXIT_INTERNAL:
+                monkeypatch.setattr(cli, "check_distributed", contradict)
+            for _ in range(2):  # a warm-up run, then the checked one
+                gc.collect()
+                assert main(argv) == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(fixture_gml, tmp_path, monkeypatch, enabled):
+    """The command runs with the collector paused, and the caller's state
+    comes back after exit 0, 2 and 1: the benchmark child and library
+    callers run ``main`` in-process."""
+    paused = []
+
+    def contradict(net, dec):
+        paused.append(not gc.isenabled())
+        raise PlanError("contradiction")
+
+    graph = str(fixture_gml)
+    cases = [(["analyze", graph], EXIT_OK),
+             (["analyze", str(tmp_path / "missing.gml")], EXIT_INPUT),
+             (["design", graph], EXIT_INTERNAL)]
+    collecting = gc.isenabled()
+    try:
+        for argv, code in cases:
+            if code == EXIT_INTERNAL:
+                monkeypatch.setattr(cli, "check_distributed", contradict)
+            gc.enable() if enabled else gc.disable()
+            assert main([*argv, "--out", str(tmp_path / "out")]) == code
+            assert gc.isenabled() is enabled, argv
+        assert paused == [True]
+    finally:
+        gc.enable() if collecting else gc.disable()
 
 
 class TestSimulate:
