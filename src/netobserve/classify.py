@@ -92,7 +92,11 @@ def is_int(value) -> bool:
 
 
 def plan_from_json(data: dict, n: int) -> ObservationPlan:
-    """Rebuild a plan for an ``n``-state graph from its JSON dump."""
+    """Rebuild a plan for an ``n``-state graph from its JSON dump: the plan
+    object ``design`` writes, or ``classify``'s, which nests it under
+    ``"plan"``."""
+    if isinstance(data, dict) and "plan" in data:
+        data = data["plan"]
     if not isinstance(data, dict):
         raise ValueError(f"plan JSON must be an object, not {type(data).__name__}")
     items = data.get("placements")
@@ -157,17 +161,12 @@ def decompose(g: Digraph) -> Decomposition:
 
 def _overlap_matching(dec: Decomposition) -> dict[int, int]:
     """Max matching contraction-index -> matched-parent position (both 0-based)."""
-    parents = dec.matched_parents
-    position = {j: pj for pj, j in enumerate(parents)}
+    position = {j: pj for pj, j in enumerate(dec.matched_parents)}
     component_of = dec.sccs.component_of
-    size = max(len(dec.family.sets), len(parents), 1)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for ci, c in enumerate(dec.family.sets):
-        # Ties broken by lowest SCC index: adjacency kept in parent order.
-        adj[ci] = sorted({position[j] for s in c.members
-                          if (j := component_of[s]) in position})
-    pair = hopcroft_karp(size, adj)
-    return {ci: pj for ci, pj in pair.items() if ci < len(dec.family.sets)}
+    # Ties broken by lowest SCC index: adjacency kept in parent order.
+    adj = [sorted({position[j] for s in c.members if (j := component_of[s]) in position})
+           for c in dec.family.sets]
+    return hopcroft_karp(len(dec.family.sets), adj)
 
 
 def necessary_counts(dec: Decomposition) -> dict:

@@ -78,8 +78,6 @@ class GainSchedule:
 @dataclass(frozen=True)
 class ErrorTrace:
     mse: np.ndarray  # (horizon, agents)
-    process_noise: float
-    observation_noise: float
 
     def steady_state(self) -> float:
         tail = self.mse[int(0.8 * len(self.mse)):]
@@ -237,7 +235,7 @@ def simulate(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
             row += c_step
             x = row
         np.mean(errors[:steps] ** 2, axis=2, out=mse[start:start + steps])
-    return ErrorTrace(mse, process_noise, observation_noise)
+    return ErrorTrace(mse)
 
 
 # trace.csv rows formatted, and written, per block: bounds the argument

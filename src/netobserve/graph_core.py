@@ -20,9 +20,12 @@ operations are pure functions.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
+@dataclass(frozen=True, init=False)
 class Digraph:
     """A directed graph on nodes ``0..node_count-1``.
 
@@ -35,7 +38,8 @@ class Digraph:
     and successor tuples are.
     """
 
-    __slots__ = ("node_count", "_successors", "_predecessors", "_edges")
+    node_count: int
+    _successors: tuple[tuple[int, ...], ...]
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]] = ()):
         if node_count < 0:
@@ -62,25 +66,6 @@ class Digraph:
         object.__setattr__(self, "node_count", node_count)
         object.__setattr__(self, "_successors", tuple(
             [tuple(sorted(set(b))) if len(b) > 1 else tuple(b) for b in buckets]))
-        object.__setattr__(self, "_predecessors", None)
-        object.__setattr__(self, "_edges", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Digraph is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Digraph is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):  # copy and pickle cannot set attributes one by one
-        return Digraph._from_buckets, (self.node_count, self._successors)
-
-    def __eq__(self, other):
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return (self.node_count, self._successors) == (other.node_count, other._successors)
-
-    def __hash__(self):
-        return hash((self.node_count, self._successors))
 
     def __repr__(self):
         return f"Digraph({self.node_count}, {sorted(self.edges)!r})"
@@ -89,14 +74,12 @@ class Digraph:
     def edge_count(self) -> int:
         return sum(map(len, self._successors))
 
-    @property
+    @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The ``(source, target)`` pairs, a view built from the successor
         tuples on first use and kept."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", frozenset(
-                (s, t) for s, targets in enumerate(self._successors) for t in targets))
-        return self._edges
+        return frozenset(
+            (s, t) for s, targets in enumerate(self._successors) for t in targets)
 
     def successors(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency lists, each in increasing order: the stored form, which
@@ -105,16 +88,18 @@ class Digraph:
 
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """In-neighbour lists, each in increasing order: entry ``i`` lists
-        the ``j`` with an edge ``j -> i``, i.e. row ``i`` of the structure.
-        Built on first use and kept, by one pass over the successors in
-        source order, which leaves every list sorted."""
-        if self._predecessors is None:
-            into: list[list[int]] = [[] for _ in range(self.node_count)]
-            for s, targets in enumerate(self._successors):
-                for t in targets:
-                    into[t].append(s)
-            object.__setattr__(self, "_predecessors", tuple(map(tuple, into)))
+        the ``j`` with an edge ``j -> i``, i.e. row ``i`` of the structure."""
         return self._predecessors
+
+    @cached_property
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Built on first use and kept, by one pass over the successors in
+        source order, which leaves every list sorted."""
+        into: list[list[int]] = [[] for _ in range(self.node_count)]
+        for s, targets in enumerate(self._successors):
+            for t in targets:
+                into[t].append(s)
+        return tuple(map(tuple, into))
 
 
 def reachable(successors: Sequence[Sequence[int]], sources: Iterable[int]) -> frozenset[int]:

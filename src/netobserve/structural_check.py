@@ -8,18 +8,19 @@ A pair is structurally observable iff
   size of its maximum matching rather than by enumerating cycle/path
   covers (the two are equivalent and matching is polynomial).
 
-Both questions are answered from :meth:`Digraph.predecessors`: row ``i``
-of A lists the states that drive state ``i``, so read as successor lists
-the rows are the reversed state digraph, and the accessible states are
-those reachable from the observed states.  H is one unit row per observed
-state, as in the paper, so it is given as those states.
+H is one unit row per observed state, as in the paper, so it is given as
+those states.
 
-The distributed test asks the same of the pair ``(W (x) A, D_H)``: the
-Kronecker support of the fusion structure with the system structure,
-observed through the block-diagonal of the per-agent accumulated
-observation structures.  W always holds its full diagonal, and two exact
-reductions answer both questions without listing the nnz(W) * nnz(A)
-entries of the product:
+One engine answers both checks.  The distributed test asks the question of
+the pair ``(W (x) A, D_H)``: the Kronecker support of the fusion structure
+with the system structure, observed through the block-diagonal of the
+per-agent accumulated observation structures.  The centralized pair (A, H)
+is that pair for one agent: W = [1], so W (x) A = A and D_H = H, and
+``check_centralized`` runs the same reductions with W's one row, no
+broadcasters and the one agent observing H's states.
+
+W always holds its full diagonal, and two exact reductions answer both
+questions without listing the nnz(W) * nnz(A) entries of the product:
 
 * *Rank from the surplus block.*  Let C_K be the states that some maximum
   matching of A leaves unmatched (the union of the contraction sets) and
@@ -62,7 +63,7 @@ from itertools import chain, compress, count
 from typing import Iterable, Sequence
 
 from .classify import Decomposition
-from .graph_core import Digraph, reachable
+from .graph_core import Digraph
 from .matching import hopcroft_karp
 from .netdesign import AgentNetwork
 from .scc import SccDecomposition
@@ -87,30 +88,6 @@ class ObservabilityVerdict:
             "s_rank_ok": self.s_rank_ok,
             "s_rank_deficiency": self.deficiency,
         }
-
-
-def _verdict(rows: Sequence[Sequence[int]], observed: Iterable[int]) -> ObservabilityVerdict:
-    """Accessibility and structural rank of [A; H] from the row lists of a
-    square A and the observed states, one unit row of H each."""
-    n = len(rows)
-    observed = list(observed)
-    accessible = reachable(rows, observed)
-    inaccessible = tuple(v for v in range(n) if v not in accessible)
-    rank = len(hopcroft_karp(n + len(observed), [*rows, *([s] for s in observed)]))
-    return ObservabilityVerdict(
-        accessible=not inaccessible,
-        inaccessible_states=inaccessible,
-        s_rank_ok=(rank == n),
-        deficiency=n - rank,
-    )
-
-
-def check_centralized(g: Digraph, observed: Iterable[int]) -> ObservabilityVerdict:
-    """Two-part structural test on the pair (A, H), A the structure of
-    ``g`` and H a unit row per ``observed`` state: every state must reach an
-    observed state, and [A; H] must have full structural rank.  An observed
-    state outside ``g`` raises ``ValueError``."""
-    return _verdict(g.predecessors(), observed)
 
 
 def _observed_states(net: AgentNetwork) -> tuple[frozenset[int], dict[frozenset[int], list[int]]]:
@@ -275,6 +252,21 @@ def _surplus_deficiency(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     return len(w_rows) * width - len(hopcroft_karp(len(rows), rows))
 
 
+def _fused_verdict(dec: Decomposition, w_rows: Sequence[Sequence[int]],
+                   base: frozenset[int], groups: dict[frozenset[int], list[int]],
+                   w_connected: bool) -> ObservabilityVerdict:
+    """Both reductions on the fused pair whose W has rows ``w_rows`` and
+    whose agents observe ``base`` plus the states they are grouped under."""
+    inaccessible = _inaccessible(dec, w_rows, base, groups, w_connected)
+    deficiency = _surplus_deficiency(dec, w_rows, base, groups)
+    return ObservabilityVerdict(
+        accessible=not inaccessible,
+        inaccessible_states=inaccessible,
+        s_rank_ok=(deficiency == 0),
+        deficiency=deficiency,
+    )
+
+
 def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVerdict:
     """Observability of the fused pair (W (x) A, D_H) for the given network,
     where A is the structure of ``dec.digraph``.
@@ -291,13 +283,20 @@ def check_distributed(net: AgentNetwork, dec: Decomposition) -> ObservabilityVer
     Pair it with the topology conditions (``verify_topology``) and the
     numeric rank suite for a sufficient certificate.
     """
-    w_rows = net.fusion.predecessors()
     base, groups = _observed_states(net)
-    inaccessible = _inaccessible(dec, w_rows, base, groups, net.beta_connected)
-    deficiency = _surplus_deficiency(dec, w_rows, base, groups)
-    return ObservabilityVerdict(
-        accessible=not inaccessible,
-        inaccessible_states=inaccessible,
-        s_rank_ok=(deficiency == 0),
-        deficiency=deficiency,
-    )
+    return _fused_verdict(dec, net.fusion.predecessors(), base, groups, net.beta_connected)
+
+
+def check_centralized(dec: Decomposition, observed: Iterable[int]) -> ObservabilityVerdict:
+    """Two-part structural test on the pair (A, H), A the structure of
+    ``dec.digraph`` and H a unit row per ``observed`` state: every state must
+    reach an observed state, and [A; H] must have full structural rank.  It
+    is the fused pair of one agent, W = [1], so the two reductions answer it
+    with a single group observing the states.  An observed state outside the
+    graph raises ``ValueError``."""
+    states = frozenset(observed)
+    n = dec.digraph.node_count
+    for s in states:
+        if not 0 <= s < n:
+            raise ValueError(f"observed state {s} out of range [0, {n})")
+    return _fused_verdict(dec, [[0]], frozenset(), {states: [0]}, True)

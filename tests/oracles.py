@@ -25,6 +25,7 @@ from netobserve.estimator import (
 )
 from netobserve.graph_core import Digraph, reachable
 from netobserve.ingest import LabeledGraph
+from netobserve.matching import hopcroft_karp
 from netobserve.netdesign import (
     AgentNetwork,
     AlphaEdges,
@@ -33,11 +34,7 @@ from netobserve.netdesign import (
 )
 from netobserve.numeric import kron_numeric, observability_rank
 from netobserve.scc import SccDecomposition, SccLabel
-from netobserve.structural_check import (
-    ObservabilityVerdict,
-    _verdict,
-    fused_observation_structure,
-)
+from netobserve.structural_check import ObservabilityVerdict, fused_observation_structure
 
 
 def brute_max_matching_size(n_plus: int, adjacency: dict[int, frozenset[int]]) -> int:
@@ -78,6 +75,24 @@ def kron_structure(w: Digraph, a: Digraph) -> Digraph:
         (jw * n + ja, iw * n + ia) for jw, iw in w.edges for ja, ia in a.edges))
 
 
+def row_list_verdict(rows: Sequence[Sequence[int]], observed: Iterable[int]) -> ObservabilityVerdict:
+    """Accessibility and structural rank of [A; H] from the row lists of a
+    square A and the observed states, one unit row of H each: a BFS and one
+    matching over all n + |H| rows, the reference for ``check_centralized``
+    (rows ``g.predecessors()``) and ``check_distributed``."""
+    n = len(rows)
+    observed = list(observed)
+    accessible = reachable(rows, observed)
+    inaccessible = tuple(v for v in range(n) if v not in accessible)
+    rank = len(hopcroft_karp(n + len(observed), [*rows, *([s] for s in observed)]))
+    return ObservabilityVerdict(
+        accessible=not inaccessible,
+        inaccessible_states=inaccessible,
+        s_rank_ok=(rank == n),
+        deficiency=n - rank,
+    )
+
+
 def row_list_distributed(net: AgentNetwork, a: Digraph) -> ObservabilityVerdict:
     """The fused pair (W kron A, D_H) checked from its listed rows: row
     ``iw * n + ia`` holds ``jw * n + ja`` for every ``jw`` in row ``iw`` of W
@@ -87,7 +102,7 @@ def row_list_distributed(net: AgentNetwork, a: Digraph) -> ObservabilityVerdict:
     fused = [[jw * n + ja for jw in w_row for ja in a_row]
              for w_row in net.fusion.predecessors() for a_row in a.predecessors()]
     observed = sorted(s for s, _ in fused_observation_structure(net, n).edges)
-    return _verdict(fused, observed)
+    return row_list_verdict(fused, observed)
 
 
 def emit_gml(lg: LabeledGraph) -> str:
@@ -685,4 +700,4 @@ def frozen_simulate(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
         nu = observation_noise * rng.standard_normal(len(h))
         e = e - np.einsum("inm,im->in", k, d * e - (r * nu) @ h)
         mse[step] = np.mean(e ** 2, axis=1)
-    return ErrorTrace(mse, process_noise, observation_noise)
+    return ErrorTrace(mse)

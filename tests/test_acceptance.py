@@ -186,11 +186,12 @@ def test_criterion_5_necessity_ablations():
     for _ in range(100):
         n = int(rng.integers(4, 11))
         g = random_digraph(rng, n, 1.8 / n)
-        plan = place_agents(decompose(g))
-        assert check_centralized(g, plan.states).observable
+        dec = decompose(g)
+        plan = place_agents(dec)
+        assert check_centralized(dec, plan.states).observable
         for k, p in enumerate(plan.placements):
             kept = tuple(q.state for j, q in enumerate(plan.placements) if j != k)
-            verdict = check_centralized(g, kept)
+            verdict = check_centralized(dec, kept)
             total += 1
             if verdict.observable:
                 non_flipping += 1
@@ -213,7 +214,7 @@ def test_criterion_6_structural_numeric_agreement():
         g = random_digraph(rng, n, 1.8 / n)
         k = int(rng.integers(1, min(4, n) + 1))
         states = [int(v) for v in rng.choice(n, size=k, replace=False)]
-        verdict = check_centralized(g, states).observable
+        verdict = check_centralized(decompose(g), states).observable
         h = np.eye(n, dtype=np.int64)[states]  # one unit row per state
         for seed in range(20):
             a = random_realization(g, GF, seed=seed)

@@ -116,8 +116,8 @@ class TestPlaceAgents:
         rng = np.random.default_rng(12)
         for _ in range(80):
             g = random_digraph(rng, 9, 0.2)
-            plan = place_agents(decompose(g))
-            assert check_centralized(g, plan.states).observable
+            dec = decompose(g)
+            assert check_centralized(dec, place_agents(dec).states).observable
 
     def test_plan_restores_accessibility(self):
         rng = np.random.default_rng(13)
@@ -140,12 +140,12 @@ class TestPlaceAgents:
         plan = place_agents(dec)
         assert [(p.state, p.kind) for p in plan.placements] == [
             (4, ALPHA), (2, ALPHA), (3, ALPHA), (5, BETA)]
-        assert check_centralized(g, plan.states).observable
-        pinned = check_centralized(g, (3, 4, 5))
+        assert check_centralized(dec, plan.states).observable
+        pinned = check_centralized(dec, (3, 4, 5))
         assert pinned.accessible and pinned.deficiency == 1
         # min_total is a lower bound the plan exceeds, and 4 is optimal here
         assert necessary_counts(dec)["min_total"] == 3
-        assert not any(check_centralized(g, h).observable
+        assert not any(check_centralized(dec, h).observable
                        for h in combinations(range(6), 3))
 
     def test_repairs_cover_each_unobserved_parent_once(self):

@@ -241,6 +241,21 @@ class TestVerify:
                 written.append((out / "verify.json").read_bytes())
             assert written[0] == written[1]
 
+    def test_classify_plan_verifies_the_same(self, fixture_gml, tmp_path):
+        """``classify`` nests the plan under ``"plan"``; ``verify`` reads that
+        ``plan.json`` as it reads ``design``'s flat one, byte for byte."""
+        plan, network = self._design(fixture_gml, tmp_path)
+        classified = tmp_path / "classify"
+        assert main(["classify", str(fixture_gml), "--out", str(classified)]) == EXIT_OK
+        written = []
+        for k, path in enumerate((plan, classified / "plan.json")):
+            out = tmp_path / f"v-{k}"
+            code = main(["verify", str(fixture_gml), "--plan", str(path),
+                         "--network", str(network), "--out", str(out)])
+            assert code == EXIT_OK
+            written.append((out / "verify.json").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("name, key", [("plan", "agent"), ("network", "beta_edges")])
     def test_missing_key_is_input_error(self, fixture_gml, tmp_path, capsys, name, key):
         files = dict(zip(("plan", "network"), self._design(fixture_gml, tmp_path)))

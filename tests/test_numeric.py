@@ -198,7 +198,7 @@ class TestObservability:
         while checked < 20:
             g = random_digraph(rng, 8, 0.25)
             states = [int(v) for v in rng.choice(8, size=3, replace=False)]
-            if not check_centralized(g, states).observable:
+            if not check_centralized(decompose(g), states).observable:
                 continue
             checked += 1
             seed = int(rng.integers(1 << 30))

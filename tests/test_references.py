@@ -130,7 +130,7 @@ def test_plan_observes_against_scipy_and_networkx(planned):
     reach.add_edges_from((s, "observed") for s in plan.states)
     assert nx.ancestors(reach, "observed") == set(range(n))
 
-    verdict = check_centralized(g, plan.states)
+    verdict = check_centralized(dec, plan.states)
     assert verdict.observable and verdict.deficiency == 0
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netobserve.classify import ALPHA, Placement, decompose, place_agents
 from netobserve.graph_core import Digraph
@@ -21,6 +23,7 @@ from .oracles import (
     kron_structure,
     random_digraph,
     row_list_distributed,
+    row_list_verdict,
     with_alpha_edges,
 )
 
@@ -52,22 +55,33 @@ def _arbitrary_network(rng, n):
     return AgentNetwork(agents, AlphaEdges(agents, (), alpha), beta, observations)
 
 
+def digraphs_and_observed():
+    """A digraph on 0-30 nodes and an observed list, possibly empty and
+    with repeats."""
+    def case(n):
+        node = st.integers(0, max(n - 1, 0))  # never drawn when n == 0
+        return st.tuples(
+            st.lists(st.tuples(node, node), max_size=3 * n).map(lambda e: Digraph(n, e)),
+            st.lists(node, max_size=6 if n else 0))
+    return st.integers(0, 30).flatmap(case)
+
+
 class TestCheckCentralized:
     def test_single_self_loop_observed(self):
-        assert check_centralized(Digraph(1, frozenset({(0, 0)})), [0]).observable
+        assert check_centralized(decompose(Digraph(1, frozenset({(0, 0)}))), [0]).observable
 
     def test_empty_observation(self):
-        verdict = check_centralized(Digraph(2, frozenset({(0, 0), (1, 1)})), [])
+        verdict = check_centralized(decompose(Digraph(2, frozenset({(0, 0), (1, 1)}))), [])
         assert not verdict.observable
         assert set(verdict.inaccessible_states) == {0, 1}
 
-    def test_six_state_plan_observable(self, six_state, six_state_plan):
-        assert check_centralized(six_state, six_state_plan.states).observable
+    def test_six_state_plan_observable(self, six_state_dec, six_state_plan):
+        assert check_centralized(six_state_dec, six_state_plan.states).observable
 
-    def test_dropping_beta_breaks_accessibility_only(self, six_state, six_state_plan):
+    def test_dropping_beta_breaks_accessibility_only(self, six_state_dec, six_state_plan):
         beta_states = {p.state for p in six_state_plan.placements if p.kind == "beta"}
         kept = tuple(s for s in six_state_plan.states if s not in beta_states)
-        verdict = check_centralized(six_state, kept)
+        verdict = check_centralized(six_state_dec, kept)
         assert not verdict.observable
         assert verdict.s_rank_ok  # alpha placements still recover the S-rank
         # exactly the states of the uncovered matched parent SCC are cut off
@@ -79,7 +93,7 @@ class TestCheckCentralized:
             g = random_digraph(rng, 7, 0.2)
             states = tuple(
                 int(s) for s in rng.choice(7, size=2, replace=False))
-            verdict = check_centralized(g, states)
+            verdict = check_centralized(decompose(g), states)
             assert verdict.accessible == brute_accessible(g, frozenset(states))
 
     def test_empty_and_repeated_rows_match_oracles(self):
@@ -89,20 +103,29 @@ class TestCheckCentralized:
             g = random_digraph(rng, n, 0.25)
             observed = rng.integers(n, size=int(rng.integers(0, 4))).tolist()
             observed += observed[:1]  # a repeated unit row, or none at all
-            verdict = check_centralized(g, observed)
+            verdict = check_centralized(decompose(g), observed)
             assert verdict.accessible == brute_accessible(g, frozenset(observed))
             assert verdict.deficiency == n - brute_structural_rank(g, observed)
 
     def test_out_of_range_observed_state_rejected(self):
-        g = Digraph(2, frozenset({(0, 1)}))
+        dec = decompose(Digraph(2, frozenset({(0, 1)})))
         for state in (2, -1):
             with pytest.raises(ValueError):
-                check_centralized(g, [0, state])
+                check_centralized(dec, [0, state])
 
-    def test_verdict_json(self, six_state, six_state_plan):
-        data = check_centralized(six_state, six_state_plan.states).to_json()
+    def test_verdict_json(self, six_state_dec, six_state_plan):
+        data = check_centralized(six_state_dec, six_state_plan.states).to_json()
         assert data["observable"] is True
         assert data["s_rank_deficiency"] == 0
+
+    @given(digraphs_and_observed())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_list_reference(self, case):
+        """Field by field equal to the row-list reference, a BFS and one
+        matching over all n + |H| rows."""
+        g, observed = case
+        assert check_centralized(decompose(g), observed) == row_list_verdict(
+            g.predecessors(), observed)
 
 
 class TestKronStructure:
@@ -174,8 +197,8 @@ class TestCheckDistributed:
         solo = AgentNetwork(1, AlphaEdges(1), frozenset(),
                             (tuple(p for obs in net.observations for p in obs),))
         dist = check_distributed(solo, six_state_dec)
-        cent = check_centralized(six_state, six_state_plan.states)
-        assert dist.observable == cent.observable is True
+        assert dist == row_list_verdict(six_state.predecessors(), six_state_plan.states)
+        assert dist.observable
 
     def test_canonical_design_observable(self, six_state_dec, six_state_net):
         assert check_distributed(six_state_net, six_state_dec).observable
@@ -203,7 +226,7 @@ class TestCheckDistributed:
             assert check_distributed(net, dec).observable
 
     def test_matches_materialised_kronecker_pair(self):
-        """The row-list check equals check_centralized on the materialised
+        """Equal to the row-list reference on the materialised
         (W kron A, D_H) for canonical designs and crippled copies."""
         rng = np.random.default_rng(34)
         seen = set()
@@ -222,7 +245,8 @@ class TestCheckDistributed:
             for candidate in nets:
                 verdict = check_distributed(candidate, dec)
                 observed = sorted(s for s, _ in fused_observation_structure(candidate, n).edges)
-                reference = check_centralized(kron_structure(candidate.fusion, g), observed)
+                fused = kron_structure(candidate.fusion, g)
+                reference = row_list_verdict(fused.predecessors(), observed)
                 assert verdict == reference
                 seen.add(verdict.observable)
         assert seen == {True, False}
