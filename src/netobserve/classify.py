@@ -15,19 +15,19 @@ alpha observation can absorb at most one beta requirement and one
 contraction offers at most one placement, so the matching size bounds the
 saving from above.  The counts are therefore necessary counts, lower
 bounds: a plan exceeds them when the states the overlap pins cannot all be
-left unmatched by one maximum matching (see :func:`place_agents`).
+left unmatched by one maximum matching (see :func:`place_agents`), and the
+plan lists each pin it refused in :attr:`ObservationPlan.refused_pins`.
+The commands certify every plan they build with
+``structural_check.check_centralized`` before writing it.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph_core import Digraph
 from .matching import ContractionFamily, contractions, hopcroft_karp
 from .scc import SccDecomposition, SccLabel, classify_sccs, matched_parent_indices, tarjan_scc
-
-logger = logging.getLogger(__name__)
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -44,12 +44,23 @@ class Placement:
     kind: str  # ALPHA or BETA
     covers_contraction: int | None = None
     covers_scc: int | None = None
-    repair: bool = False
+
+
+@dataclass(frozen=True)
+class RefusedPin:
+    """An overlap pin left out: no state of ``pinned`` could replace the
+    witness of contraction ``contraction`` and stay simultaneously
+    avoidable, so the witness ``kept`` stays and the parent may need a beta."""
+
+    contraction: int
+    pinned: tuple[int, ...]
+    kept: int
 
 
 @dataclass(frozen=True)
 class ObservationPlan:
     placements: tuple[Placement, ...]
+    refused_pins: tuple[RefusedPin, ...] = ()
 
     @property
     def n_alpha(self) -> int:
@@ -61,7 +72,9 @@ class ObservationPlan:
 
     @property
     def repairs(self) -> tuple[Placement, ...]:
-        return tuple(p for p in self.placements if p.repair)
+        """Always empty: a plan is certified, never repaired.  Its only
+        reader is the benchmark tracer's ``classify.repairs`` counter."""
+        return ()
 
     @property
     def states(self) -> tuple[int, ...]:
@@ -82,7 +95,7 @@ class ObservationPlan:
             ],
             "n_alpha": self.n_alpha,
             "n_beta": self.n_beta,
-            "repairs": [p.state for p in self.repairs],
+            "refused_pins": [asdict(r) for r in self.refused_pins],
         }
 
 
@@ -198,8 +211,9 @@ def _avoidable(dec: Decomposition, states: set[int]) -> bool:
 
 def _distinct_representatives(
     dec: Decomposition, pinned: dict[int, list[int]]
-) -> dict[int, int]:
-    """One distinct state per contraction, honoring pinned choices when sound.
+) -> tuple[dict[int, int], list[RefusedPin]]:
+    """One distinct state per contraction, honoring pinned choices when
+    sound, and the pins refused.
 
     The witness system (the canonical matching's unmatched nodes) is always
     a valid choice; each pinned overlap state is then swapped in only if the
@@ -208,6 +222,7 @@ def _distinct_representatives(
     """
     cs = dec.family.sets
     chosen = {ci: c.witness for ci, c in enumerate(cs)}
+    refused = []
     for ci, candidates in sorted(pinned.items()):
         if chosen[ci] in candidates:
             continue
@@ -220,11 +235,8 @@ def _distinct_representatives(
                 chosen = trial
                 break
         else:
-            logger.warning(
-                "no overlap-pinned state for contraction %d is "
-                "simultaneously avoidable; keeping witness %d",
-                ci, chosen[ci])
-    return chosen
+            refused.append(RefusedPin(ci, tuple(candidates), chosen[ci]))
+    return chosen, refused
 
 
 def place_agents(dec: Decomposition) -> ObservationPlan:
@@ -239,16 +251,8 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
     set stays simultaneously avoidable, and the check is needed: on the arcs
     (0,3) (1,3) (2,3) (0,4) (0,5) (4,4) (5,5) the overlap pins 4 and 5, yet
     no maximum matching leaves 3, 4 and 5 all unmatched, as 1 and 2 both
-    reach only 3; one pin is refused and the plan places a beta.
-
-    Every parent SCC ends up holding an observation, so the accessibility
-    repairs never fire on a plan built here.  A parent SCC has no arcs
-    leaving it, so its states match only among themselves, and an unmatched
-    parent SCC keeps one of its states unmatched under every maximum
-    matching.  The alpha states are always the unmatched set of one maximum
-    matching (the witnesses, then only avoidable swaps), so each unmatched
-    parent SCC holds an alpha state, and each matched parent SCC holds an
-    overlapping alpha or a beta.
+    reach only 3; one pin is refused, the plan places a beta and lists the
+    refusal in ``refused_pins``.
     """
     parents = dec.matched_parents
     parent_set = set(parents)
@@ -257,7 +261,7 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
     for ci, pj in sorted(overlap.items()):
         comp = dec.sccs.components[parents[pj]]
         pinned[ci] = sorted(dec.family.sets[ci].members & comp)
-    chosen = _distinct_representatives(dec, pinned)
+    chosen, refused = _distinct_representatives(dec, pinned)
     if len(set(chosen.values())) != len(dec.family.sets):
         raise PlanError("distinct alpha states do not exist; matching theory "
                         "guarantees they do, so this is an internal error")
@@ -280,30 +284,7 @@ def place_agents(dec: Decomposition) -> ObservationPlan:
                                         agent=len(placements), kind=BETA,
                                         covers_scc=j))
 
-    placements.extend(_accessibility_repairs(dec, placements))
-    return ObservationPlan(tuple(placements))
-
-
-def _accessibility_repairs(
-    dec: Decomposition, placements: list[Placement]
-) -> list[Placement]:
-    """One repair per parent SCC that holds no observed state.
-
-    A state that reaches no observation has only such successors, so the
-    inaccessible states are closed downstream and the sinks of their
-    condensation are exactly the unobserved parent SCCs; observing one
-    state of each covers every inaccessible component upstream of it.
-    """
-    observed = {p.state for p in placements}
-    repairs = []
-    for j, (comp, lab) in enumerate(zip(dec.sccs.components, dec.labels)):
-        if not lab.is_parent or not comp.isdisjoint(observed):
-            continue
-        state = min(comp)
-        logger.warning("accessibility repair: extra observation of state %d", state)
-        repairs.append(Placement(state=state, agent=len(placements) + len(repairs),
-                                 kind=BETA, covers_scc=j, repair=True))
-    return repairs
+    return ObservationPlan(tuple(placements), tuple(refused))
 
 
 def structural_counts_report(dec: Decomposition, name: str = "") -> dict:

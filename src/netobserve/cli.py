@@ -6,7 +6,8 @@
     netobserve verify    --graph G --plan P --network N   re-check topology
     netobserve simulate  GRAPH        gain search + estimator error trace (CSV)
 
-Exit codes: 0 ok, 1 internal error, 2 input/parse error, 3 design
+Exit codes: 0 ok, 1 internal error (a plan that fails its structural
+certificate among them), 2 input/parse error or unreadable path, 3 design
 verification or gain search failed or the fused dimension is too large for
 a dense realization, 4 external verification failed.
 Every command writes a manifest so runs are reproducible byte-for-byte
@@ -44,7 +45,7 @@ from .netdesign import (
     network_to_json,
     verify_topology,
 )
-from .structural_check import check_distributed, fused_observation_structure
+from .structural_check import check_centralized, check_distributed, fused_observation_structure
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -92,8 +93,15 @@ def _manifest(args, extra: dict) -> str:
 
 
 def _plan_and_dec(lg: ingest.LabeledGraph):
+    """The decomposition and its plan, certified: (A, H_plan) must be
+    structurally observable, or ``PlanError`` stops the command before it
+    writes anything.  The check lives here because ``structural_check``
+    imports ``classify``."""
     dec = classify_mod.decompose(lg.digraph)
-    return dec, classify_mod.place_agents(dec)
+    plan = classify_mod.place_agents(dec)
+    if not check_centralized(dec, plan.states).observable:
+        raise classify_mod.PlanError("the plan does not make (A, H) structurally observable")
+    return dec, plan
 
 
 def _too_large(net: AgentNetwork, n: int) -> bool:
@@ -337,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # looked up per call: the cached parser must not pin the command functions
         return globals()[f"cmd_{args.command}"](args)
-    except (ingest.ParseError, FileNotFoundError, ValueError) as exc:
+    except (ingest.ParseError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

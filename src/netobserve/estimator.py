@@ -34,8 +34,9 @@ Each iterate's rho(F) comes from one ``eigvals`` call, and the earliest
 iterate of least rho wins.  The recursion stops at the first iterate
 whose projected gain blocks moved by at most ``_GAIN_TOLERANCE`` times
 their largest entry since the iterate before (the zero gain, for the
-first): past that point rho moves only in its last bits.  Blocks that are
-not finite never count as converged.
+first): past that point rho moves only in its last bits.  An iterate
+whose F is not finite (the covariance recursion overflowed) scores
+rho = inf and ends the recursion.
 
 The simulation iterates the certified error matrix F itself: stacked over
 agents, the error obeys ``x <- F x + c`` with the forcing
@@ -119,7 +120,9 @@ def _closed_loop(m: np.ndarray, blocks: np.ndarray, d: np.ndarray
 
 
 def _spectral_radius(f: np.ndarray) -> float:
-    """rho(F), from one ``eigvals`` call."""
+    """rho(F), from one ``eigvals`` call; inf when F is not finite."""
+    if not np.isfinite(f).all():
+        return np.inf
     return float(np.abs(np.linalg.eigvals(f)).max())
 
 
@@ -166,9 +169,8 @@ def gain_search(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
         rho = _spectral_radius(f)
         if rho < best_rho:
             best_rho, best = rho, blocks
-        # NaN compares false, so blocks that are not finite never converge
-        if evaluations >= budget or (np.abs(blocks - previous).max()
-                                     <= _GAIN_TOLERANCE * np.abs(blocks).max()):
+        if rho == np.inf or evaluations >= budget or (
+                np.abs(blocks - previous).max() <= _GAIN_TOLERANCE * np.abs(blocks).max()):
             break
         previous = blocks
         ikd = eye - k * d

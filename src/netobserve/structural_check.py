@@ -16,8 +16,9 @@ the pair ``(W (x) A, D_H)``: the Kronecker support of the fusion structure
 with the system structure, observed through the block-diagonal of the
 per-agent accumulated observation structures.  The centralized pair (A, H)
 is that pair for one agent: W = [1], so W (x) A = A and D_H = H, and
-``check_centralized`` runs the same reductions with W's one row, no
-broadcasters and the one agent observing H's states.
+``check_centralized`` runs the same reductions with W's one row and H's
+states as the broadcasters' states: the one agent observes them at
+W-distance 0, so it is grouped under no further states.
 
 W always holds its full diagonal, and two exact reductions answer both
 questions without listing the nnz(W) * nnz(A) entries of the product:
@@ -292,11 +293,11 @@ def check_centralized(dec: Decomposition, observed: Iterable[int]) -> Observabil
     ``dec.digraph`` and H a unit row per ``observed`` state: every state must
     reach an observed state, and [A; H] must have full structural rank.  It
     is the fused pair of one agent, W = [1], so the two reductions answer it
-    with a single group observing the states.  An observed state outside the
-    graph raises ``ValueError``."""
+    with the states as ``base`` and the agent in one group with nothing
+    further.  An observed state outside the graph raises ``ValueError``."""
     states = frozenset(observed)
     n = dec.digraph.node_count
     for s in states:
         if not 0 <= s < n:
             raise ValueError(f"observed state {s} out of range [0, {n})")
-    return _fused_verdict(dec, [[0]], frozenset(), {states: [0]}, True)
+    return _fused_verdict(dec, [[0]], states, {frozenset(): [0]}, True)

@@ -6,8 +6,7 @@ import numpy as np
 from netobserve.classify import (
     ALPHA,
     BETA,
-    Placement,
-    _accessibility_repairs,
+    RefusedPin,
     _avoidable,
     _overlap_matching,
     decompose,
@@ -18,11 +17,13 @@ from netobserve.classify import (
 )
 from netobserve.cli import EXIT_OK, main
 from netobserve.graph_core import Digraph
+from netobserve.ingest import LabeledGraph
 from netobserve.structural_check import check_centralized
 
 from .oracles import (
     brute_accessible,
     brute_structural_rank,
+    emit_gml,
     frozen_overlap_matching,
     random_digraph,
 )
@@ -80,7 +81,6 @@ class TestPlaceAgents:
     def test_six_state_plan(self, six_state_plan):
         assert six_state_plan.n_alpha == 2
         assert six_state_plan.n_beta == 1
-        assert six_state_plan.repairs == ()
         # one alpha placement sits inside a matched parent SCC (the overlap)
         assert sum(1 for p in six_state_plan.placements
                    if p.kind == ALPHA and p.covers_scc is not None) == 1
@@ -111,8 +111,8 @@ class TestPlaceAgents:
                 assert p.state in dec.family.sets[p.covers_contraction].members
 
     def test_plan_achieves_structural_observability(self):
-        # The necessity conditions plus accessibility repairs must land on a
-        # plan that actually passes the full structural test.
+        # The necessity conditions alone must land on a plan that actually
+        # passes the full structural test.
         rng = np.random.default_rng(12)
         for _ in range(80):
             g = random_digraph(rng, 9, 0.2)
@@ -125,10 +125,6 @@ class TestPlaceAgents:
             g = random_digraph(rng, 8, 0.15)
             plan = place_agents(decompose(g))
             assert brute_accessible(g, frozenset(plan.states))
-            # Full structural rank already puts an observation in every
-            # unmatched parent SCC, and every matched parent gets a beta or
-            # an overlapping alpha, so no repair is ever needed.
-            assert plan.repairs == ()
 
     def test_pinned_state_refused_when_not_simultaneously_avoidable(self):
         g = PINNED_NOT_AVOIDABLE
@@ -140,6 +136,7 @@ class TestPlaceAgents:
         plan = place_agents(dec)
         assert [(p.state, p.kind) for p in plan.placements] == [
             (4, ALPHA), (2, ALPHA), (3, ALPHA), (5, BETA)]
+        assert plan.refused_pins == (RefusedPin(contraction=1, pinned=(5,), kept=2),)
         assert check_centralized(dec, plan.states).observable
         pinned = check_centralized(dec, (3, 4, 5))
         assert pinned.accessible and pinned.deficiency == 1
@@ -148,29 +145,21 @@ class TestPlaceAgents:
         assert not any(check_centralized(dec, h).observable
                        for h in combinations(range(6), 3))
 
-    def test_repairs_cover_each_unobserved_parent_once(self):
-        rng = np.random.default_rng(14)
-        repaired = 0
-        for _ in range(300):
-            n = int(rng.integers(1, 10))
-            g = random_digraph(rng, n, float(rng.uniform(0.05, 0.4)))
-            dec = decompose(g)
-            observed = [int(s) for s in
-                        rng.choice(n, int(rng.integers(0, n + 1)), replace=False)]
-            placements = [Placement(s, k, ALPHA) for k, s in enumerate(observed)]
-            repairs = _accessibility_repairs(dec, placements)
-            states = frozenset(observed) | {p.state for p in repairs}
-            assert brute_accessible(g, states)
-            comps = [dec.sccs.component_of[p.state] for p in repairs]
-            assert len(set(comps)) == len(comps)
-            for k, (p, c) in enumerate(zip(repairs, comps)):
-                assert (p.agent, p.kind, p.covers_scc, p.repair) == \
-                    (len(observed) + k, BETA, c, True)
-                assert dec.labels[c].is_parent
-                assert dec.sccs.components[c].isdisjoint(observed)
-                assert not brute_accessible(g, states - {p.state})  # none is spare
-            repaired += bool(repairs)
-        assert repaired > 100
+    def test_refused_pin_is_written_not_logged(self, tmp_path, capsys):
+        """The counterexample's plan exceeds ``analyze``'s ``min_total`` by
+        the one refused pin, which ``plan.json`` lists; nothing goes to
+        stderr."""
+        path = tmp_path / "pinned.gml"
+        path.write_text(emit_gml(LabeledGraph(PINNED_NOT_AVOIDABLE, tuple(map(str, range(6))),
+                                              True, {})))
+        for command in ("analyze", "classify"):
+            assert main([command, str(path), "--out", str(tmp_path / command)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        analysis = json.loads((tmp_path / "analyze" / "analysis.json").read_text())
+        assert analysis["summary"]["min_total"] == 3
+        plan = json.loads((tmp_path / "classify" / "plan.json").read_text())["plan"]
+        assert plan["refused_pins"] == [{"contraction": 1, "pinned": [5], "kept": 2}]
+        assert len(plan["placements"]) == 4 and "repairs" not in plan
 
 
 class TestPlanSerialization:

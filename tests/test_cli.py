@@ -12,7 +12,8 @@ import pytest
 
 import netobserve
 from netobserve import cli, estimator
-from netobserve.classify import PlanError
+from netobserve import classify as classify_mod
+from netobserve.classify import ObservationPlan, PlanError
 from netobserve.cli import EXIT_DESIGN, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 from netobserve.fixtures import six_state_demo
 from netobserve.graph_core import Digraph
@@ -93,6 +94,22 @@ class TestAnalyze:
     def test_nonexistent_file(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.gml")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("case", ["input-directory", "plan-directory", "out-file"])
+    def test_unreadable_path_exit_2(self, fixture_gml, tmp_path, capsys, case):
+        """A directory where a file is read, or a file where ``--out`` makes a
+        directory, is an input error, not an internal one."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        graph, out = str(fixture_gml), str(tmp_path / "out")
+        argv = {
+            "input-directory": ["analyze", str(tmp_path), "--out", out],
+            "plan-directory": ["verify", graph, "--plan", str(tmp_path),
+                               "--network", str(tmp_path), "--out", out],
+            "out-file": ["classify", graph, "--out", str(taken)],
+        }[case]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: [Errno")
+
     @pytest.mark.parametrize("node", ["node [ id 1.5 ]", 'node [ id "a" ]', "node [ id [ ] ]",
                                       "node [ id 0 ]\n node [ id 0 ]",
                                       'node [ id 1 label "a\n b" ]'],
@@ -163,6 +180,26 @@ class TestClassifyAndDesign:
         code = main(["design", str(fixture_gml), "--out", str(tmp_path / "out")])
         assert code == EXIT_INTERNAL
         assert "internal error: contradiction" in capsys.readouterr().err
+
+    def test_uncertified_plan_is_internal_error(self, fixture_gml, tmp_path, capsys,
+                                                monkeypatch):
+        """A plan that fails the centralized check stops the command with
+        ``PlanError`` before any artifact is written."""
+        place_agents = classify_mod.place_agents
+
+        def without_beta(dec):
+            plan = place_agents(dec)
+            return ObservationPlan(tuple(p for p in plan.placements if p.kind == "alpha"))
+
+        monkeypatch.setattr(classify_mod, "place_agents", without_beta)
+        out = tmp_path / "out"
+        assert main(["classify", str(fixture_gml), "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            "internal error: the plan does not make (A, H) structurally observable\n")
+        assert not out.exists()
+        lg = LabeledGraph(six_state_demo(), tuple(map(str, range(6))), True, {})
+        with pytest.raises(PlanError):
+            cli._plan_and_dec(lg)
 
     def test_design_extra_agents(self, fixture_gml, tmp_path):
         out = tmp_path / "out"

@@ -11,7 +11,10 @@ left out of the digests: it echoes the configuration, not the analysis.
 The ``network.json`` and ``network.dot`` digests were re-recorded when the
 alpha layer came to be written as its broadcaster set, and the
 ``network.json`` ones again when its derived ``w_support`` was dropped
-(see ``docs/formats.md``); every other digest predates those changes.
+(see ``docs/formats.md``).  The ``classify/plan.json`` and
+``design/plan.json`` digests were re-recorded when the plan's always-empty
+``repairs`` list gave way to ``refused_pins``, empty on both graphs; the
+placements kept their content.  Every other digest predates those changes.
 
 ``simulate`` on the six-state fixture is pinned the same way: its
 ``trace.csv`` digest and the manifest's ``rho``, ``gain_digest`` and
@@ -54,13 +57,13 @@ GOLDEN = {
         "analyze/analysis.json":
             "49e544515f4a524915641501011792402a913c2ee8a5e3f96d1d3818f74cfbad",
         "classify/plan.json":
-            "3bfd20dfab4f3e1e12bd87938adf88f504668f4a44875c6aa1a4d5479656b612",
+            "b7cd9e6987768f1fa4637dfeea7bfe4c29c768fd3b7c226d9da618201c0548ea",
         "design/network.dot":
             "6484691e62b97e9aca09f87c31131c8bf1dfc9152d1768de868f40b8671c05de",
         "design/network.json":
             "ca82ced9d01c0c807a6e3332ae72b98dafa736319ff900ae718f9b70974592dd",
         "design/plan.json":
-            "021814cb34e468c5a7ba9e275c5db1a97496a184518e1b317c5a14304550c396",
+            "0f9569dc619de64c7c3865944911381a83e6f76d910d0f404abcd56788375f8f",
         "design/verdict.json":
             "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
         "verify/verify.json":
@@ -70,13 +73,13 @@ GOLDEN = {
         "analyze/analysis.json":
             "27219114906e2c1f9188a82d5e713f52f22c8e7c19f9cb22e1c08020efa7e78e",
         "classify/plan.json":
-            "72cda868277d6eb2187d5f04ee35172f0520e3fdfbda2f8503119524a56e7c9e",
+            "a840f1a63bcf8498d1ca8ff3bf05599ed12f963174b468d540d32b93fad34a9b",
         "design/network.dot":
             "f00c996eedb16528c574b5ba543e530fea7999c5fd197b5dca4fc31ecd9c0a08",
         "design/network.json":
             "a3d6c6ef2db04cffbbae57af52d3d9cac7c331e160b22b0b5710d84ab822f5e5",
         "design/plan.json":
-            "739eab0f8e2a311020a1f93af89c990545e491ee4f175d0569b4e220285c7bd5",
+            "e439e429b411c26843795a852c51bf614b61394bafe2b5efd33f78fea6718837",
         "design/verdict.json":
             "f538a5e682935c126b81a223f5edc166d6bda24d7594ecd872bd42b88ef8f12d",
         "verify/verify.json":
