@@ -45,7 +45,7 @@ from .netdesign import (
     network_to_json,
     verify_topology,
 )
-from .structural_check import check_centralized, check_distributed, fused_observation_structure
+from .structural_check import check_centralized, check_distributed, observed_fused_states
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -205,19 +205,19 @@ def cmd_verify(args) -> int:
         return EXIT_DESIGN
     verdict, structural, report = _checks(net, classify_mod.decompose(lg.digraph))
     if args.numeric:
-        from .numeric import (GF, kron_numeric, observability_rank, random_realization,
-                              stochastic_realization, stochastic_realization_gf)
+        import numpy as np
 
-        d = fused_observation_structure(net, n)
-        realize_w = stochastic_realization_gf if args.field == GF else stochastic_realization
+        from .numeric import (GF, kron_numeric, observability_rank, random_realization,
+                              stochastic_realization_gf)
+
         full = net.agent_count * n
+        d = np.eye(full, dtype=np.int64)[observed_fused_states(net, n)]
         agree = 0
         for s in range(args.seeds):
             seed = args.seed + s
-            w_real = realize_w(net.fusion, seed)
-            a_real = random_realization(lg.digraph, args.field, seed)
-            d_real = random_realization(d, args.field, seed + 1)
-            rank = observability_rank(kron_numeric(w_real, a_real), d_real)
+            w_real = stochastic_realization_gf(net.fusion, seed)
+            a_real = random_realization(lg.digraph, GF, seed)
+            rank = observability_rank(kron_numeric(w_real, a_real), d)
             agree += int((rank == full) == structural.observable)
         report["numeric_agreement"] = {"seeds": args.seeds, "agreeing": agree}
     out = Path(args.out)
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=("gf", "real"), default="gf")
 
     p = sub.add_parser("simulate", help="distributed estimator simulation")
     _add_common(p)

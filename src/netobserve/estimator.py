@@ -8,7 +8,7 @@ Each agent keeps a full-state estimate.  One step of the filter is
   gain:
   ``xhat_i <- xhat_i + K_i sum_{j in {i} u N_alpha(i)} H_j^T (y_j - H_j xhat_i)``,
   where ``N_alpha(i)`` is the network's broadcasters plus ``i``'s explicit
-  alpha in-neighbors (``AgentNetwork.alpha_sources``).
+  alpha in-neighbors (``AgentNetwork.alpha_in``).
 
 Stacked over agents these equal the centralized recursion on
 ``(W (x) A, D_H)`` with a block-diagonal gain, whose error matrix is
@@ -91,10 +91,9 @@ def _observation_rows(net: AgentNetwork, n: int) -> tuple[np.ndarray, np.ndarray
     broadcasters and its explicit alpha in-neighbors."""
     states = [p.state for obs in net.observations for p in obs]
     owner = np.repeat(np.arange(net.agent_count), [len(obs) for obs in net.observations])
-    alpha = net.alpha_sources
     sources = np.eye(net.agent_count)
-    sources[:, list(alpha.broadcast)] = 1.0
-    for i, js in enumerate(alpha.extra):
+    sources[:, list(net.alpha_edges.broadcast)] = 1.0
+    for i, js in enumerate(net.alpha_in):
         sources[i, list(js)] = 1.0
     return np.eye(n)[states], sources[:, owner]
 
@@ -158,33 +157,35 @@ def gain_search(w: np.ndarray, a: np.ndarray, net: AgentNetwork,
     g = np.zeros((dim, dim))  # the centralized gain, nonzero on the columns obs only
     p = eye
     previous = best  # the zero gain, evaluated first
-    for _ in range(min(200, budget)):
-        s = m @ p @ m.T + eye
-        s_obs = s[:, obs] * d_obs
-        x = d_obs[:, None] * s_obs[obs] + eye_obs
-        g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
-        blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
-        k, f = _closed_loop(m, blocks, d)
-        evaluations += 1
-        rho = _spectral_radius(f)
-        if rho < best_rho:
-            best_rho, best = rho, blocks
-        if rho == np.inf or evaluations >= budget or (
-                np.abs(blocks - previous).max() <= _GAIN_TOLERANCE * np.abs(blocks).max()):
-            break
-        previous = blocks
-        ikd = eye - k * d
-        p = ikd @ s @ ikd.T + k @ k.T
+    # an overflowing recursion ends at its first non-finite F, which scores rho = inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(min(200, budget)):
+            s = m @ p @ m.T + eye
+            s_obs = s[:, obs] * d_obs
+            x = d_obs[:, None] * s_obs[obs] + eye_obs
+            g[:, obs] = np.linalg.solve(x.T, s_obs.T).T
+            blocks = g.reshape(n_agents, n, n_agents, n)[agents, :, agents, :]
+            k, f = _closed_loop(m, blocks, d)
+            evaluations += 1
+            rho = _spectral_radius(f)
+            if rho < best_rho:
+                best_rho, best = rho, blocks
+            if rho == np.inf or evaluations >= budget or (
+                    np.abs(blocks - previous).max() <= _GAIN_TOLERANCE * np.abs(blocks).max()):
+                break
+            previous = blocks
+            ikd = eye - k * d
+            p = ikd @ s @ ikd.T + k @ k.T
 
-    rng = np.random.default_rng(seed)
-    scale = 0.5
-    while best_rho >= 1.0 and evaluations < budget:
-        blocks = best + scale * rng.standard_normal(best.shape)
-        evaluations += 1
-        rho = _spectral_radius(_closed_loop(m, blocks, d)[1])
-        if rho < best_rho:
-            best_rho, best = rho, blocks
-            scale = max(scale * 0.9, 1e-3)
+        rng = np.random.default_rng(seed)
+        scale = 0.5
+        while best_rho >= 1.0 and evaluations < budget:
+            blocks = best + scale * rng.standard_normal(best.shape)
+            evaluations += 1
+            rho = _spectral_radius(_closed_loop(m, blocks, d)[1])
+            if rho < best_rho:
+                best_rho, best = rho, blocks
+                scale = max(scale * 0.9, 1e-3)
 
     return GainSchedule(tuple(best), best_rho, best_rho < 1.0, evaluations)
 

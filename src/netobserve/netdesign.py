@@ -88,16 +88,6 @@ class AlphaEdges:
 
 
 @dataclass(frozen=True)
-class AlphaSources:
-    """The agents whose raw observations reach each agent ``i``: ``i``
-    itself, the broadcasters every agent shares, and its explicit alpha
-    in-neighbors outside them, ``extra[i]``, in increasing order."""
-
-    broadcast: tuple[int, ...]
-    extra: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class AgentNetwork:
     agent_count: int
     alpha_edges: AlphaEdges
@@ -117,13 +107,16 @@ class AgentNetwork:
             raise ValueError("observations must list every agent")
 
     @cached_property
-    def alpha_sources(self) -> AlphaSources:
-        """The broadcasters, and per agent its explicit alpha in-neighbors."""
+    def alpha_in(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent, its explicit alpha in-neighbors in increasing order.
+        The raw observations that reach agent ``i`` are its own, the
+        broadcasters' (``alpha_edges.broadcast``) and those of
+        ``alpha_in[i]``."""
         into: list[list[int]] = [[] for _ in range(self.agent_count)]
         for u, v in sorted(self.alpha_edges.explicit):
             if u != v:
                 into[v].append(u)
-        return AlphaSources(tuple(sorted(self.alpha_edges.broadcast)), tuple(map(tuple, into)))
+        return tuple(map(tuple, into))
 
     @cached_property
     def fusion(self) -> Digraph:
@@ -204,8 +197,7 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
             observers.setdefault(p.state, set()).add(agent)
             if p.kind == ALPHA:
                 alpha_observers.setdefault(p.state, set()).add(agent)
-    sources = net.alpha_sources
-    broadcast = set(sources.broadcast)
+    broadcast = net.alpha_edges.broadcast
     open_contractions = [
         (ci, found) for ci, c in enumerate(dec.family.sets)
         if broadcast.isdisjoint(found := _observer_union(alpha_observers, c.members))]
@@ -216,7 +208,7 @@ def verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:
     senders = [reachable(net.fusion.predecessors(), found) for _, found in open_sccs]
 
     violations: list[tuple[int, str]] = []
-    for i, extra in enumerate(sources.extra):
+    for i, extra in enumerate(net.alpha_in):
         for ci, found in open_contractions:
             if i not in found and found.isdisjoint(extra):
                 violations.append(

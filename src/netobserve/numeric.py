@@ -4,7 +4,7 @@ The primary oracle works over the prime field GF(p), p = 2^31 - 1: rank is
 exact, so genericity arguments ("a random realization of an observable
 structure has full observability rank with probability >= 1 - n/p") hold
 without any conditioning headaches.  The same rank routine also runs over
-the reals, for ``verify --field real`` and the estimator's refusal test.
+the reals, for the estimator's refusal test.
 
 A realization is a plain square array, and its dtype names its field:
 integer entries are residues over GF(p), float entries are reals.

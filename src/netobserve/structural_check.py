@@ -64,7 +64,7 @@ from itertools import chain, compress, count
 from typing import Iterable, Sequence
 
 from .classify import Decomposition
-from .graph_core import Digraph
+from .graph_core import reachable
 from .matching import hopcroft_karp
 from .netdesign import AgentNetwork
 from .scc import SccDecomposition
@@ -98,26 +98,21 @@ def _observed_states(net: AgentNetwork) -> tuple[frozenset[int], dict[frozenset[
     they observe: agent ``i`` observes ``base | extra`` for the ``extra`` it
     is listed under, and agents in increasing order per group."""
     states = [frozenset(p.state for p in obs) for obs in net.observations]
-    sources = net.alpha_sources
-    base = frozenset().union(*(states[j] for j in sources.broadcast))
+    base = frozenset().union(*(states[j] for j in net.alpha_edges.broadcast))
     groups: dict[frozenset[int], list[int]] = {}
-    for i, extra in enumerate(sources.extra):
+    for i, extra in enumerate(net.alpha_in):
         key = states[i].union(*(states[j] for j in extra)) - base
         groups.setdefault(key, []).append(i)
     return base, groups
 
 
-def fused_observation_structure(net: AgentNetwork, n: int) -> Digraph:
-    """Block-diagonal D_H: block ``i`` is the union of H_j^T H_j over agent
-    ``i``'s alpha sources, a self-loop per fused state it observes."""
+def observed_fused_states(net: AgentNetwork, n: int) -> list[int]:
+    """The fused states ``i * n + s`` that D_H observes, in increasing
+    order: agent ``i`` observes the states of its alpha sources.  D_H is
+    diagonal, so its unit rows on these states span its row space."""
     base, groups = _observed_states(net)
-    loops: list[tuple[int, ...]] = [()] * (net.agent_count * n)
-    for extra, agents in groups.items():
-        states = base | extra
-        for i in agents:
-            for s in states:
-                loops[i * n + s] = (i * n + s,)
-    return Digraph._from_buckets(net.agent_count * n, loops)
+    return sorted(i * n + s for extra, agents in groups.items()
+                  for s in base | extra for i in agents)
 
 
 def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],
@@ -196,7 +191,7 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     cyclic = [len(c) > 1 or any(v in succ[v] for v in c) for c in sccs.components]
     into = sccs.condensation.predecessors()
     closed = [False] * len(sccs.components)
-    for c in _longest_walks(sccs, cyclic, into, {comp[t] for t in base}, closed, agents):
+    for c in reachable(into, {comp[t] for t in base}):
         closed[c] = True
     reached = {s: 0 for s in range(n) if not closed[comp[s]]}  # open state -> its agents
     everyone = (1 << agents) - 1

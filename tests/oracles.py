@@ -34,7 +34,7 @@ from netobserve.netdesign import (
 )
 from netobserve.numeric import kron_numeric, observability_rank
 from netobserve.scc import SccDecomposition, SccLabel
-from netobserve.structural_check import ObservabilityVerdict, fused_observation_structure
+from netobserve.structural_check import ObservabilityVerdict, observed_fused_states
 
 
 def brute_max_matching_size(n_plus: int, adjacency: dict[int, frozenset[int]]) -> int:
@@ -101,8 +101,7 @@ def row_list_distributed(net: AgentNetwork, a: Digraph) -> ObservabilityVerdict:
     n = a.node_count
     fused = [[jw * n + ja for jw in w_row for ja in a_row]
              for w_row in net.fusion.predecessors() for a_row in a.predecessors()]
-    observed = sorted(s for s, _ in fused_observation_structure(net, n).edges)
-    return row_list_verdict(fused, observed)
+    return row_list_verdict(fused, observed_fused_states(net, n))
 
 
 def emit_gml(lg: LabeledGraph) -> str:
@@ -243,9 +242,8 @@ def with_alpha_edges(net: AgentNetwork, edges: Iterable[tuple[int, int]]) -> Age
 def agent_sources(net: AgentNetwork) -> list[tuple[int, ...]]:
     """Per agent ``i``: ``i`` itself, then its alpha in-neighbors in
     increasing order."""
-    sources = net.alpha_sources
-    return [(i, *sorted({*sources.broadcast, *extra} - {i}))
-            for i, extra in enumerate(sources.extra)]
+    return [(i, *sorted({*net.alpha_edges.broadcast, *extra} - {i}))
+            for i, extra in enumerate(net.alpha_in)]
 
 
 def per_agent_verify_topology(net: AgentNetwork, dec: Decomposition) -> TopologyVerdict:

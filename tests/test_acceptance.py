@@ -34,7 +34,7 @@ from netobserve.scc import tarjan_scc
 from netobserve.structural_check import (
     check_centralized,
     check_distributed,
-    fused_observation_structure,
+    observed_fused_states,
 )
 
 from .oracles import (
@@ -234,12 +234,11 @@ def test_criterion_6_structural_numeric_agreement():
         net = design_canonical(plan)
         verdict = (check_distributed(net, dec).observable
                    and verify_topology(net, dec).ok)
-        d_s = fused_observation_structure(net, n)
         full = net.agent_count * n
+        d = np.eye(full, dtype=np.int64)[observed_fused_states(net, n)]
         for seed in range(20):
             w = stochastic_realization_gf(net.fusion, seed=seed)
             a = random_realization(g, GF, seed=seed)
-            d = random_realization(d_s, GF, seed=seed + 1)
             rank = observability_rank(kron_numeric(w, a), d)
             pairs += 1
             agreeing += int((rank == full) == verdict)
@@ -267,15 +266,13 @@ def test_criterion_7_distributed_ablation():
     drop = min(e for e in alpha_edge_set(net) if e[0] == lone)
     crippled = with_alpha_edges(net, alpha_edge_set(net) - {drop})
 
-    d_full = fused_observation_structure(net, n)
-    d_crip = fused_observation_structure(crippled, n)
+    d1 = np.eye(full, dtype=np.int64)[observed_fused_states(net, n)]
+    d2 = np.eye(full, dtype=np.int64)[observed_fused_states(crippled, n)]
     full_ok = drop_ok = 0
     for seed in range(20):
         a = random_realization(g, GF, seed=seed)
         w1 = stochastic_realization_gf(net.fusion, seed=seed)
         w2 = stochastic_realization_gf(crippled.fusion, seed=seed)
-        d1 = random_realization(d_full, GF, seed=seed + 1)
-        d2 = random_realization(d_crip, GF, seed=seed + 1)
         full_ok += int(observability_rank(kron_numeric(w1, a), d1) == full)
         drop_ok += int(observability_rank(kron_numeric(w2, a), d2) < full)
     ok = full_ok == 20 and drop_ok == 20

@@ -67,6 +67,18 @@ class TestAnalyze:
         assert documented(r"`verdict\.json` for the fixture:") == \
             produced("design", "verdict.json")
 
+    def test_formats_doc_numeric_agreement_is_fixture_output(self, fixture_gml, tmp_path):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        example = re.search(r"`--numeric` adds\s+`(\"numeric_agreement\": \{.*?\})`", doc, re.S)
+        design = tmp_path / "design"
+        assert main(["design", str(fixture_gml), "--out", str(design)]) == EXIT_OK
+        assert main(["verify", str(fixture_gml), "--plan", str(design / "plan.json"),
+                     "--network", str(design / "network.json"), "--numeric",
+                     "--out", str(tmp_path / "v")]) == EXIT_OK
+        report = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert json.loads("{" + example.group(1) + "}") == \
+            {"numeric_agreement": report["numeric_agreement"]}
+
     def test_formats_doc_dot_example_is_fixture_output(self, fixture_gml, tmp_path):
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
         example = re.search(r"`network\.dot` for the fixture:.*?```dot\n(.*?)```", doc, re.S)
@@ -371,6 +383,16 @@ class TestVerify:
         assert code == EXIT_DESIGN
         assert "fused dimension 300 (50 agents x 6 states) exceeds the dense " \
                "realization cap 256" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_field_option_is_gone(self, fixture_gml, tmp_path, capsys):
+        # the GF(p) rank is exact, so no field is chosen
+        plan, network = self._design(fixture_gml, tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", str(fixture_gml), "--plan", str(plan), "--network", str(network),
+                  "--numeric", "--field", "gf", "--out", str(tmp_path / "v")])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --field" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
     def test_numeric_agreement_report(self, fixture_gml, tmp_path):

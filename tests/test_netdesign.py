@@ -219,7 +219,7 @@ class TestAlphaEdges:
         assert dropped.alpha_edges.broadcast == {1}
         assert dropped.alpha_edges.explicit == {(0, 2)}
         assert agent_sources(dropped) == [(0, 1), (1,), (2, 0, 1)]
-        assert dropped.alpha_sources.extra == ((), (), (0,))
+        assert dropped.alpha_in == ((), (), (0,))
 
     def test_broadcaster_self_loop_is_a_member(self):
         alpha = AlphaEdges(3, [0], {(0, 0), (0, 1)})
@@ -244,8 +244,12 @@ class TestAlphaSources:
         # alpha edges (0, 1), (0, 2), (1, 0), (1, 2): agent 2 hears 0 and 1
         assert agent_sources(six_state_net) == [(0, 1), (1, 0), (2, 0, 1)]
         # held as the shared broadcasters, with no explicit in-neighbors
-        assert six_state_net.alpha_sources.broadcast == (0, 1)
-        assert six_state_net.alpha_sources.extra == ((), (), ())
+        assert six_state_net.alpha_edges.broadcast == {0, 1}
+        assert six_state_net.alpha_in == ((), (), ())
+        # explicit in-neighbors come sorted, without self-loops
+        alpha = AlphaEdges(4, (), {(3, 0), (1, 0), (2, 2), (2, 0), (0, 1)})
+        net = AgentNetwork(4, alpha, frozenset(), ((),) * 4)
+        assert net.alpha_in == ((1, 2, 3), (0,), (), ())
 
 
 class TestWStructure:

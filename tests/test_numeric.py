@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from netobserve.numeric import (
 )
 from netobserve.classify import decompose, place_agents
 from netobserve.netdesign import design_canonical
-from netobserve.structural_check import check_centralized, fused_observation_structure
+from netobserve.structural_check import check_centralized, observed_fused_states
 
 from .oracles import (
     alpha_edge_set,
@@ -28,6 +30,11 @@ from .oracles import (
 
 def identity_structure(n):
     return Digraph(n, frozenset((i, i) for i in range(n)))
+
+
+def observed_rows(net, n, dtype=np.int64):
+    """D_H as its unit rows on the observed fused states."""
+    return np.eye(net.agent_count * n, dtype=dtype)[observed_fused_states(net, n)]
 
 
 class TestRandomRealization:
@@ -135,9 +142,7 @@ class TestObservability:
             a = random_realization(g, GF, seed=len(pairs))
             for each in nets:
                 w = stochastic_realization_gf(each.fusion, seed=len(pairs))
-                d = random_realization(
-                    fused_observation_structure(each, g.node_count), GF, seed=len(pairs))
-                pairs.append((kron_numeric(w, a), d))
+                pairs.append((kron_numeric(w, a), observed_rows(each, g.node_count)))
         # dense uniform residues at dimension 64: a plain int64 product overflows;
         # the second A has rank 40, so its observability rank is deficient
         a = rng.integers(0, PRIME, (64, 64))
@@ -178,7 +183,7 @@ class TestObservability:
         base = random_realization(six_state, REAL, seed=0)
         a = base * 10
         w = stochastic_realization(six_state_net.fusion, seed=0)
-        d = random_realization(fused_observation_structure(six_state_net, 6), REAL, seed=1)
+        d = observed_rows(six_state_net, 6, float)
         assert observability_rank(kron_numeric(w, a), d) == 18
 
     def test_real_matches_oracle(self):
@@ -286,18 +291,50 @@ class TestKroneckerTiedGenericity:
         assert not verify_topology(crippled, dec).ok
 
         n, full = 6, 18
-        d_s = fused_observation_structure(crippled, n)
+        d = observed_rows(crippled, n)
         m_s = kron_structure(crippled.fusion, six_state)
         tied_ranks, free_ranks = [], []
         for seed in range(5):
             a = random_realization(six_state, GF, seed=seed)
-            d = random_realization(d_s, GF, seed=seed + 1)
             w = random_realization(crippled.fusion, GF, seed=seed)
             m_free = random_realization(m_s, GF, seed=seed + 2)
             tied_ranks.append(observability_rank(kron_numeric(w, a), d))
             free_ranks.append(observability_rank(m_free, d))
         assert all(r < full for r in tied_ranks)
         assert all(r == full for r in free_ranks)
+
+
+class TestObservedRows:
+    def test_unit_rows_rank_as_a_random_diagonal(self, six_state, six_state_net):
+        """Over GF(p) a nonzero diagonal D_H and its unit rows on the
+        observed fused states give the same observability rank: a nonzero
+        row scaling keeps the row space.  Checked on the six-state design,
+        a crippled copy and canonical designs of random digraphs with one
+        alpha or one beta edge dropped."""
+        rng = np.random.default_rng(13)
+        crippled = with_alpha_edges(six_state_net, alpha_edge_set(six_state_net) - {(0, 1)})
+        cases = [(six_state, six_state_net), (six_state, crippled)]
+        while len(cases) < 60:
+            g = random_digraph(rng, int(rng.integers(2, 8)), float(rng.uniform(0.1, 0.5)))
+            net = design_canonical(place_agents(decompose(g)))
+            cases.append((g, net))
+            for layer, rebuild in ((alpha_edge_set(net), lambda e: with_alpha_edges(net, e)),
+                                   (net.beta_edges, lambda e: replace(net, beta_edges=e))):
+                edges = sorted(layer)
+                if edges:
+                    cases.append((g, rebuild(layer - {edges[int(rng.integers(len(edges)))]})))
+        outcomes = set()
+        for k, (g, net) in enumerate(cases):
+            n, full = g.node_count, net.agent_count * g.node_count
+            m = kron_numeric(stochastic_realization_gf(net.fusion, seed=k),
+                             random_realization(g, GF, seed=k))
+            observed = observed_fused_states(net, n)
+            diagonal = np.zeros(full, dtype=np.int64)
+            diagonal[observed] = rng.integers(1, PRIME, size=len(observed))
+            rank = observability_rank(m, observed_rows(net, n))
+            assert rank == observability_rank(m, np.diag(diagonal))
+            outcomes.add(rank == full)
+        assert outcomes == {True, False}
 
 
 class TestKronAndBlocks:

@@ -13,7 +13,7 @@ from netobserve.netdesign import AgentNetwork, AlphaEdges, design_canonical
 from netobserve.structural_check import (
     check_centralized,
     check_distributed,
-    fused_observation_structure,
+    observed_fused_states,
 )
 
 from .oracles import (
@@ -159,29 +159,26 @@ class TestBlockDiag:
         net = AgentNetwork(
             2, AlphaEdges(2, (), {(1, 0)}), frozenset(),
             ((Placement(0, 0, "alpha"),), (Placement(2, 1, "alpha"),)))
-        d = fused_observation_structure(net, 3)
-        assert d.node_count == 6
-        assert d.edges == frozenset({(0, 0), (2, 2), (5, 5)})
+        assert observed_fused_states(net, 3) == [0, 2, 5]
 
 
 class TestFusedStructures:
     def test_agent_fusion_unions_alpha_neighborhood(self, six_state_net):
         # agent 2 (the beta agent) receives alpha links from agents 0 and 1,
         # so its fused observation covers all three observed states
-        fused = fused_observation_structure(six_state_net, 6)
-        observed = {j - 12 for _, j in fused.edges if j >= 12}
+        observed = {j - 12 for j in observed_fused_states(six_state_net, 6) if j >= 12}
         all_states = {p.state for obs in six_state_net.observations for p in obs}
         assert observed == all_states
 
     def test_idle_agent_without_links_sees_nothing(self):
         net = AgentNetwork(2, AlphaEdges(2), frozenset({(0, 1), (1, 0)}),
                            ((), ()))
-        assert fused_observation_structure(net, 4).edges == frozenset()
+        assert observed_fused_states(net, 4) == []
 
     def test_one_block_per_agent(self, six_state_net):
-        fused = fused_observation_structure(six_state_net, 6)
-        assert fused.node_count == six_state_net.agent_count * 6
-        assert all(i == j for i, j in fused.edges)
+        # agent i observes state s at i * 6 + s: the broadcasters' states 2
+        # and 4 in every block, and the beta agent's own state 5 in block 2
+        assert observed_fused_states(six_state_net, 6) == [2, 4, 8, 10, 14, 16, 17]
 
 
 class TestCheckDistributed:
@@ -244,7 +241,7 @@ class TestCheckDistributed:
                     nets.append(rebuild(layer - {drop}))
             for candidate in nets:
                 verdict = check_distributed(candidate, dec)
-                observed = sorted(s for s, _ in fused_observation_structure(candidate, n).edges)
+                observed = observed_fused_states(candidate, n)
                 fused = kron_structure(candidate.fusion, g)
                 reference = row_list_verdict(fused.predecessors(), observed)
                 assert verdict == reference
