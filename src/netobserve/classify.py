@@ -17,17 +17,19 @@ saving from above.  The counts are therefore necessary counts, lower
 bounds: a plan exceeds them when the states the overlap pins cannot all be
 left unmatched by one maximum matching (see :func:`place_agents`), and the
 plan lists each pin it refused in :attr:`ObservationPlan.refused_pins`.
-The commands certify every plan they build with
-``structural_check.check_centralized`` before writing it.
+Each pin trial, and the commands' certificate of every plan they build,
+asks ``structural_check.check_centralized``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .graph_core import Digraph
 from .matching import ContractionFamily, contractions, hopcroft_karp
 from .scc import SccDecomposition, SccLabel, classify_sccs, matched_parent_indices, tarjan_scc
+from .structural_check import check_centralized
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -154,7 +156,7 @@ class Decomposition:
         witnesses one contraction set."""
         return self.digraph.node_count - len(self.family.sets)
 
-    @property
+    @cached_property
     def matched_parents(self) -> tuple[int, ...]:
         return matched_parent_indices(self.labels)
 
@@ -196,19 +198,6 @@ def necessary_counts(dec: Decomposition) -> dict:
     }
 
 
-def _avoidable(dec: Decomposition, states: set[int]) -> bool:
-    """True when some maximum matching leaves every state in ``states`` unmatched.
-
-    Observing the set then recovers the full deficiency: being distinct per
-    contraction is necessary but not sufficient, the chosen states must also
-    be *simultaneously* unmatched under a single maximum matching, which
-    holds exactly when deleting their columns preserves the matching size.
-    """
-    g = dec.digraph
-    adj = [() if s in states else succ for s, succ in enumerate(g.successors())]
-    return len(hopcroft_karp(g.node_count, adj)) == dec.s_rank
-
-
 def _distinct_representatives(
     dec: Decomposition, pinned: dict[int, list[int]]
 ) -> tuple[dict[int, int], list[RefusedPin]]:
@@ -217,8 +206,9 @@ def _distinct_representatives(
 
     The witness system (the canonical matching's unmatched nodes) is always
     a valid choice; each pinned overlap state is then swapped in only if the
-    resulting set stays simultaneously avoidable, so a pinned choice can
-    never silently break S-rank recovery.
+    resulting set stays simultaneously avoidable (some maximum matching
+    leaves it all unmatched), which holds exactly when its unit rows pass
+    the plan certificate's rank test, ``check_centralized(...).s_rank_ok``.
     """
     cs = dec.family.sets
     chosen = {ci: c.witness for ci, c in enumerate(cs)}
@@ -231,7 +221,7 @@ def _distinct_representatives(
                 continue
             trial = dict(chosen)
             trial[ci] = state
-            if _avoidable(dec, set(trial.values())):
+            if check_centralized(dec, trial.values()).s_rank_ok:
                 chosen = trial
                 break
         else:

@@ -95,8 +95,8 @@ def _manifest(args, extra: dict) -> str:
 def _plan_and_dec(lg: ingest.LabeledGraph):
     """The decomposition and its plan, certified: (A, H_plan) must be
     structurally observable, or ``PlanError`` stops the command before it
-    writes anything.  The check lives here because ``structural_check``
-    imports ``classify``."""
+    writes anything.  The check lives here, not in ``place_agents``, so
+    that library callers that only place agents do not pay for it."""
     dec = classify_mod.decompose(lg.digraph)
     plan = classify_mod.place_agents(dec)
     if not check_centralized(dec, plan.states).observable:

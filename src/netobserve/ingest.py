@@ -371,14 +371,14 @@ def drop_isolates(lg: LabeledGraph) -> LabeledGraph:
 
 
 def largest_component(lg: LabeledGraph) -> LabeledGraph:
-    """Restrict to the largest weakly connected component."""
+    """Restrict to the largest weakly connected component, if there is one."""
     from .scc import tarjan_scc  # weak components = SCCs of the symmetrized graph
 
     g = lg.digraph
     sym = Digraph._from_buckets(g.node_count, [
         out + into for out, into in zip(g.successors(), g.predecessors())])
     comps = tarjan_scc(sym).components
-    keep = max(comps, key=lambda c: (len(c), -min(c) if c else 0))
+    keep = max(comps, key=lambda c: (len(c), -min(c)), default=frozenset())
     meta = {**lg.meta, "component_nodes": len(keep)}
     succ = g.successors()
     arcs = ((s, t) for s in keep for t in succ[s])  # t is in s's component

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph_core import Digraph
 
@@ -51,7 +52,7 @@ class ContractionFamily:
     sets: tuple[ContractionSet, ...]
     matching: Mapping[int, int] = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def union_members(self) -> frozenset[int]:
         out: set[int] = set()
         for c in self.sets:

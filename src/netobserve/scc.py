@@ -28,6 +28,7 @@ class SccDecomposition:
     components: tuple[frozenset[int], ...]
     component_of: tuple[int, ...]
     condensation: Digraph
+    has_cycle: tuple[bool, ...]  # two or more nodes, or a self-loop
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,15 @@ class SccLabel:
 def tarjan_scc(g: Digraph) -> SccDecomposition:
     """Tarjan's algorithm, iterative to survive deep recursion on large graphs.
     Components are numbered as they complete, from roots in increasing order:
-    every condensation edge runs from a higher to a lower number."""
+    every condensation edge runs from a higher to a lower number.  Each is
+    flagged in ``has_cycle`` as it completes."""
     n = g.node_count
     adj = g.successors()
     index = [-1] * n
     lowlink = [0] * n
     stack: list[int] = []
     components: list[frozenset[int]] = []
+    has_cycle: list[bool] = []
     component_of = [-1] * n  # a visited node is on the stack until numbered
     counter = 0
 
@@ -77,6 +80,7 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
                         if w == v:
                             break
                     components.append(frozenset(comp))
+                    has_cycle.append(len(comp) > 1 or v in adj[v])
                 work.pop()
                 if work:
                     u = work[-1][0]
@@ -94,6 +98,7 @@ def tarjan_scc(g: Digraph) -> SccDecomposition:
         components=tuple(components),
         component_of=tuple(component_of),
         condensation=Digraph._from_buckets(len(components), cond),
+        has_cycle=tuple(has_cycle),
     )
 
 
@@ -108,13 +113,11 @@ def classify_sccs(g: Digraph, d: SccDecomposition,
     comp = d.component_of
     adj = g.successors()
     size = [len(c) for c in d.components]
-    covered = [True] * len(d.components)
+    covered = list(d.has_cycle)  # a singleton is matched iff it has a self-loop
     internal: list[Sequence[int]] = [()] * g.node_count
     for v, c in enumerate(comp):
         if size[c] > 1:
             internal[v] = [t for t in adj[v] if comp[t] == c]
-        elif v not in adj[v]:  # a singleton without a self-loop
-            covered[c] = False
     start = {p: m for p, m in matching.items()
              if comp[p] == comp[m] and size[comp[p]] > 1}  # edges of ``internal``
     matched = hopcroft_karp(g.node_count, internal, start)

@@ -40,8 +40,9 @@ questions without listing the nnz(W) * nnz(A) entries of the product:
   gains the agents within its longest walk of an observer.
 
 Both reductions read A from the command's ``classify.Decomposition``: C_K
-is the union of its contraction family and the condensation is its SCC
-decomposition, so the check adds no matching or Tarjan pass over A.
+is the union of its contraction family, and the condensation and cycle
+flags come from its SCC decomposition, so the check adds no matching or
+Tarjan pass over A, nor a scan for self-loops.
 
 Every agent hears the network's alpha broadcasters, so every agent's
 observed set contains their states B.  The check therefore works per
@@ -61,13 +62,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, count
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .classify import Decomposition
 from .graph_core import reachable
 from .matching import hopcroft_karp
-from .netdesign import AgentNetwork
 from .scc import SccDecomposition
+
+if TYPE_CHECKING:  # annotations only: ``classify`` imports this module
+    from .classify import Decomposition
+    from .netdesign import AgentNetwork
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,7 @@ def observed_fused_states(net: AgentNetwork, n: int) -> list[int]:
                   for s in base | extra for i in agents)
 
 
-def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],
-                   into: Sequence[Sequence[int]], start: set[int],
+def _longest_walks(sccs: SccDecomposition, into: Sequence[Sequence[int]], start: set[int],
                    closed: Sequence[bool], cap: int) -> dict[int, int]:
     """Per component that a walk over A's rows from the components
     ``start`` reaches without entering a ``closed`` one: its longest such
@@ -140,7 +142,7 @@ def _longest_walks(sccs: SccDecomposition, cyclic: Sequence[bool],
     for c in sorted(reached):
         best = max([longest[d] + 1 for d in upstream[c] if d in longest],
                    default=0)  # only a start component has no reached successor
-        longest[c] = cap if cyclic[c] else min(best, cap)
+        longest[c] = cap if sccs.has_cycle[c] else min(best, cap)
     return longest
 
 
@@ -187,8 +189,6 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
     n = dec.digraph.node_count
     sccs = dec.sccs
     comp = sccs.component_of
-    succ = dec.digraph.successors()
-    cyclic = [len(c) > 1 or any(v in succ[v] for v in c) for c in sccs.components]
     into = sccs.condensation.predecessors()
     closed = [False] * len(sccs.components)
     for c in reachable(into, {comp[t] for t in base}):
@@ -202,7 +202,7 @@ def _inaccessible(dec: Decomposition, w_rows: Sequence[Sequence[int]],
         start = {comp[t] for t in extra if not closed[comp[t]]}
         if not start:
             continue
-        longest = _longest_walks(sccs, cyclic, into, start, closed, agents)
+        longest = _longest_walks(sccs, into, start, closed, agents)
         within = _within(w_rows, observers,
                          sorted({walk for walk in longest.values() if walk < unbounded}))
         for c, walk in longest.items():

@@ -66,6 +66,17 @@ def brute_structural_rank(g: Digraph, observed: Iterable[int] = ()) -> int:
     return brute_max_matching_size(g.node_count, adj)
 
 
+def column_deletion_avoidable(g: Digraph, states: Iterable[int]) -> bool:
+    """Some maximum matching of ``g`` leaves every state of ``states``
+    unmatched on the plus (column) side: deleting those columns keeps the
+    maximum matching size.  The planner's pin trial, as it was decided
+    before it asked the plan certificate's rank test."""
+    deleted = set(states)
+    adj = g.successors()
+    kept = [() if s in deleted else succ for s, succ in enumerate(adj)]
+    return len(hopcroft_karp(g.node_count, kept)) == len(hopcroft_karp(g.node_count, adj))
+
+
 def kron_structure(w: Digraph, a: Digraph) -> Digraph:
     """Materialised Kronecker product W (x) A: block (i, j) is a copy of A
     wherever W has entry (i, j), i.e. edge ``(jw, ja) -> (iw, ia)`` for
@@ -523,7 +534,8 @@ def frozen_overlap_matching(dec: Decomposition) -> dict[int, int]:
 
 
 def frozen_tarjan_scc(g: Digraph) -> SccDecomposition:
-    """``scc.tarjan_scc`` indexing each node's neighbours by position."""
+    """``scc.tarjan_scc`` indexing each node's neighbours by position, with
+    each component's cycle flag read from the edge set afterwards."""
     n = g.node_count
     adj = frozen_successors(g)
     index = [-1] * n
@@ -581,6 +593,7 @@ def frozen_tarjan_scc(g: Digraph) -> SccDecomposition:
         components=tuple(components),
         component_of=tuple(component_of),
         condensation=Digraph(len(components), frozenset(cond_edges)),
+        has_cycle=tuple(len(c) > 1 or (min(c), min(c)) in g.edges for c in components),
     )
 
 

@@ -7,7 +7,6 @@ from netobserve.classify import (
     ALPHA,
     BETA,
     RefusedPin,
-    _avoidable,
     _overlap_matching,
     decompose,
     necessary_counts,
@@ -18,11 +17,13 @@ from netobserve.classify import (
 from netobserve.cli import EXIT_OK, main
 from netobserve.graph_core import Digraph
 from netobserve.ingest import LabeledGraph
+from netobserve.matching import hopcroft_karp
 from netobserve.structural_check import check_centralized
 
 from .oracles import (
     brute_accessible,
     brute_structural_rank,
+    column_deletion_avoidable,
     emit_gml,
     frozen_overlap_matching,
     random_digraph,
@@ -132,7 +133,8 @@ class TestPlaceAgents:
         assert [c.members for c in dec.family.sets] == [{0, 1, 4, 5}, {0, 2, 4, 5}, {3}]
         assert [dec.sccs.components[j] for j in dec.matched_parents] == [{4}, {5}]
         assert _overlap_matching(dec) == {0: 0, 1: 1}
-        assert not _avoidable(dec, {3, 4, 5}) and _avoidable(dec, {2, 3, 4})
+        assert not check_centralized(dec, {3, 4, 5}).s_rank_ok
+        assert check_centralized(dec, {2, 3, 4}).s_rank_ok
         plan = place_agents(dec)
         assert [(p.state, p.kind) for p in plan.placements] == [
             (4, ALPHA), (2, ALPHA), (3, ALPHA), (5, BETA)]
@@ -144,6 +146,29 @@ class TestPlaceAgents:
         assert necessary_counts(dec)["min_total"] == 3
         assert not any(check_centralized(dec, h).observable
                        for h in combinations(range(6), 3))
+
+    def test_pin_trial_rank_test_matches_column_deletion(self):
+        """The pin trial's test, the certificate's ``s_rank_ok``, agrees
+        with the reference: one distinct state per contraction restores full
+        structural rank exactly when deleting those columns keeps the
+        maximum matching size.  Each set is a random system of distinct
+        representatives, a matching of the contractions into their members
+        listed in random order."""
+        rng = np.random.default_rng(29)
+        refused = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            dec = decompose(random_digraph(rng, n, float(rng.choice((0.1, 0.2, 0.35)))))
+            cs = dec.family.sets
+            for _ in range(5):
+                adj = [[int(s) for s in rng.permutation(sorted(c.members))] for c in cs]
+                chosen = hopcroft_karp(len(cs), adj)
+                assert len(chosen) == len(cs)
+                states = set(chosen.values())
+                ok = check_centralized(dec, states).s_rank_ok
+                assert ok == column_deletion_avoidable(dec.digraph, states)
+                refused += not ok
+        assert refused  # both answers occur
 
     def test_refused_pin_is_written_not_logged(self, tmp_path, capsys):
         """The counterexample's plan exceeds ``analyze``'s ``min_total`` by

@@ -151,6 +151,17 @@ class TestAnalyze:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_largest_of_edgeless_graph_is_empty(self, tmp_path, capsys):
+        """``--drop-isolates`` leaves no node of an edgeless graph, and
+        ``--largest`` then keeps the empty graph, not an input error."""
+        path = tmp_path / "edgeless.gml"
+        path.write_text("graph [ directed 1 node [ id 0 ] node [ id 1 ] ]\n")
+        argv = ["analyze", str(path), "--drop-isolates", "--largest",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("n=0 E=0 ")
+        assert json.loads((tmp_path / "out" / "analysis.json").read_text())["summary"]["n"] == 0
+
     @pytest.mark.parametrize("command, option", [
         ("analyze", "--seed"), ("classify", "--field"), ("design", "--seed"),
         ("simulate", "--field")])

@@ -336,6 +336,15 @@ class TestPreprocessing:
         assert out.digraph.node_count == 3
         assert out.labels == ("a", "b", "c")
 
+    def test_largest_component_of_empty_graph(self):
+        """No nodes, no component: the result is the empty graph, as
+        ``drop_isolates`` leaves an edgeless one."""
+        lg = drop_isolates(LabeledGraph(Digraph(2), ("a", "b"), True, {}))
+        out = largest_component(lg)
+        assert out.digraph == Digraph(0)
+        assert out.labels == ()
+        assert out.meta["component_nodes"] == 0
+
 
 class TestRoundTrips:
     def test_gml_round_trip(self):

@@ -57,6 +57,7 @@ def assert_kernels_equal(g: Digraph):
     assert d.components == ref.components
     assert d.component_of == ref.component_of
     assert d.condensation == ref.condensation
+    assert d.has_cycle == ref.has_cycle
     assert classify_sccs(g, d, contractions(g).matching) == frozen_classify_sccs(g, ref)
     comp = d.component_of
     internal = [[t for t in succ if comp[t] == comp[s]] for s, succ in enumerate(adj)]

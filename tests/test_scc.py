@@ -43,6 +43,19 @@ class TestTarjan:
             d = tarjan_scc(g)
             assert all(s > t for s, t in d.condensation.edges)
 
+    def test_has_cycle_matches_brute_force(self):
+        """A component has a cycle iff it has two or more nodes or its one
+        node has a self-loop."""
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 9):
+            for p in (0.05, 0.15, 0.3):
+                for _ in range(30):
+                    g = random_digraph(rng, n, p)
+                    d = tarjan_scc(g)
+                    assert d.has_cycle == tuple(
+                        len(c) > 1 or any((v, v) in g.edges for v in c)
+                        for c in d.components)
+
     def test_deep_chain_no_recursion_blowup(self):
         n = 5000
         g = Digraph(n, frozenset((i, i + 1) for i in range(n - 1)))
